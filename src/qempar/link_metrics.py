@@ -120,6 +120,9 @@ class NetworkState:
         self._send_agg: dict[int, list[float]] = {}
         self._recv_agg: dict[int, list[float]] = {}
         self._nbr_cache: dict[int, list[int]] = {}
+        # Per node, the other nodes within carrier-sense range. Nodes never
+        # move, so each set is built once, on the node's first query.
+        self._cs_near: dict[int, frozenset[int]] = {}
 
     def link(self, a: int, b: int) -> LinkStats:
         key = (a, b)
@@ -168,18 +171,24 @@ class NetworkState:
 
     def active_transmitters_near(self, node_id: int) -> int:
         """Other nodes transmitting at self.now within carrier-sense range
-        (carrier_sense_factor times the radio range) of node_id."""
-        if not self.active_tx:
+        (carrier_sense_factor times the radio range) of node_id. A node that
+        died mid-transmission still counts until its transmission ends."""
+        active = self.active_tx
+        if not active:
             return 0
+        near = self._cs_near.get(node_id)
+        if near is None:
+            near = self._cs_near[node_id] = self._carrier_sense_set(node_id)
         now = self.now
         busy = self.busy_until
+        return len([n for n in active & near if busy.get(n, 0.0) > now])
+
+    def _carrier_sense_set(self, node_id: int) -> frozenset[int]:
         nodes = self.topology.nodes
         here = nodes[node_id].position
         cs = self.config.carrier_sense_factor * self.topology.radio_range
-        return sum(
-            1 for n in self.active_tx
-            if n != node_id and busy.get(n, 0.0) > now
-            and distance(here, nodes[n].position) <= cs)
+        return frozenset(n for n, other in nodes.items()
+                         if n != node_id and distance(here, other.position) <= cs)
 
 
 def appr(neighbor_id: int, state: NetworkState) -> float:

@@ -73,6 +73,8 @@ class PathSet:
             if overlap:
                 raise ValueError(f"paths share interior nodes {sorted(overlap)}")
             seen_interiors.update(p.interior())
+        if len({p.node_ids for p in ordered}) != len(ordered):
+            raise ValueError("paths must not repeat")
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -85,8 +87,7 @@ def beacon_exchange(state: NetworkState) -> None:
     neighbor and every neighbor receives it; both sides are debited when
     beacon accounting is on. Afterwards each node's neighbor_table holds, per
     neighbor, the position, residual energy, PPS/PPR snapshots, and that
-    neighbor's own neighbor list. Beacons never touch the link counters, so
-    PPS/PPR stay in lockstep with data-hop events.
+    neighbor's own neighbor list. Beacons never touch the link counters.
     """
     topo = state.topology
     cfg = state.config
@@ -135,9 +136,11 @@ def beacon_exchange(state: NetworkState) -> None:
         topo.nodes[i].neighbor_table = table
 
 
-def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int]) -> list[int] | None:
+def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
+              direct_ok: bool) -> list[int] | None:
     """Minimum-hop path exploring neighbors in ascending id order; banned
-    nodes cannot be traversed (endpoints are always allowed)."""
+    nodes cannot be traversed (endpoints are always allowed). Without
+    direct_ok the source-to-sink link itself is skipped."""
     parent: dict[int, int | None] = {source: None}
     q = deque([source])
     while q:
@@ -152,24 +155,28 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int]) -> 
         for v in state.neighbors(u):
             if v in parent or (v in banned and v != sink):
                 continue
+            if v == sink and u == source and not direct_ok:
+                continue
             parent[v] = u
             q.append(v)
     return None
 
 
-def _bfs_hops(state: NetworkState, source: int, sink: int, banned: set[int]) -> int | None:
-    path = _bfs_path(state, source, sink, banned)
+def _bfs_hops(state: NetworkState, source: int, sink: int, banned: set[int],
+              direct_ok: bool) -> int | None:
+    path = _bfs_path(state, source, sink, banned, direct_ok)
     return None if path is None else len(path) - 1
 
 
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                         depth_cap: int, dist_to_sink: dict[int, float],
-                        visit_budget: int):
+                        visit_budget: int, direct_ok: bool):
     """Depth-first search for one path, candidates ordered by suitability.
 
     Progressing candidates (strictly closer to the sink) are considered
     first; in 'preferred' mode non-progressing candidates are admitted only
-    when no progressing one remains, in 'strict' mode never. Returns
+    when no progressing one remains, in 'strict' mode never. Without
+    direct_ok the source-to-sink link itself is skipped. Returns
     (path or None, truncated, deepest_partial): truncated means the visit
     budget stopped an unfinished search.
     """
@@ -193,7 +200,8 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
             cands = [v for v in state.neighbors(cur)
                      if v not in on_path and v not in tried[cur]
                      and entered.get(v, depth_cap + 1) > depth
-                     and (v == sink or v not in banned)]
+                     and (v == sink or v not in banned)
+                     and (direct_ok or cur != source or v != sink)]
             here = dist_to_sink[cur]
             prog = [v for v in cands if dist_to_sink[v] < here]
             if strict:
@@ -220,8 +228,10 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
 
 def _find_path(state: NetworkState, source: int, sink: int, banned: set[int],
-               cap_max: int, dist_to_sink: dict[int, float]) -> list[int] | None:
-    """One path avoiding banned interiors, or None.
+               cap_max: int, dist_to_sink: dict[int, float],
+               direct_ok: bool) -> list[int] | None:
+    """One path avoiding banned interiors (and, without direct_ok, the
+    source-to-sink link), or None.
 
     The depth cap deepens iteratively starting from the BFS hop distance on
     the reduced graph (a lower bound, so skipped caps provably hold no path).
@@ -232,14 +242,15 @@ def _find_path(state: NetworkState, source: int, sink: int, banned: set[int],
     blacklist: set[int] = set()
     for _ in range(cfg.path_retry_limit + 1):
         excluded = banned | blacklist
-        lb = _bfs_hops(state, source, sink, excluded)
+        lb = _bfs_hops(state, source, sink, excluded, direct_ok)
         if lb is None or lb > cap_max:
             return None
         truncated_any = False
         deepest: list[int] = []
         for cap in range(max(lb, 1), cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
-                state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget)
+                state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget,
+                direct_ok)
             if path is not None:
                 return path
             if truncated:
@@ -276,7 +287,8 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     """Up to k node-disjoint suitability-greedy paths, best-effort.
 
     Paths are accepted sequentially; each accepted path's interior is banned
-    for the next. Returns fewer than k when the topology cannot support more
+    for the next, and a direct source-to-sink hop is taken at most once.
+    Returns fewer than k when the topology cannot support more
     and raises NoPathError when not even one path exists.
     """
     _check_endpoints(state, source, sink, k)
@@ -288,7 +300,8 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     used: set[int] = set()
     paths: list[RoutePath] = []
     for _ in range(k):
-        ids = _find_path(state, source, sink, used, cap_max, dist_to_sink)
+        direct_ok = all(p.hop_count > 1 for p in paths)
+        ids = _find_path(state, source, sink, used, cap_max, dist_to_sink, direct_ok)
         if ids is None:
             break
         paths.append(_build_route(state, ids))
@@ -300,12 +313,14 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
     """Up to k node-disjoint minimum-hop paths via iterated BFS: find a
-    shortest path, remove its interior, repeat."""
+    shortest path, remove its interior (or, for a direct hop, that link),
+    repeat."""
     _check_endpoints(state, source, sink, k)
     used: set[int] = set()
     paths: list[RoutePath] = []
     for _ in range(k):
-        ids = _bfs_path(state, source, sink, used)
+        direct_ok = all(p.hop_count > 1 for p in paths)
+        ids = _bfs_path(state, source, sink, used, direct_ok)
         if ids is None:
             break
         paths.append(_build_route(state, ids))

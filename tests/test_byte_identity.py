@@ -1,0 +1,45 @@
+"""Pinned digests of whole runs: metrics and event-log bytes.
+
+A change that only makes the simulator faster must leave both digests as
+they are. A change that alters simulated behaviour on purpose updates them
+and says why.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from qempar import ScenarioConfig, run
+
+# A dense field (150 nodes at the density of 300 in the default square) on
+# which qempar splits traffic over three disjoint paths, and the default
+# field under the min-hop baseline.
+DENSE_QEMPAR = ScenarioConfig(
+    node_count=150, field_width=282.8, field_height=282.8,
+    source_x=212.1, source_y=212.1, duration_s=2.0, rate_pkts_per_s=30.0,
+    router="qempar")
+DEFAULT_MINHOP = ScenarioConfig(duration_s=2.0, router="minhop")
+
+
+def run_digest(config, seed):
+    """sha256 of the sorted-key RunMetrics JSON, a newline, then the log."""
+    log = io.StringIO()
+    metrics = run(config, seed, event_log=log)
+    digest = hashlib.sha256(json.dumps(metrics.to_dict(), sort_keys=True).encode())
+    digest.update(b"\n")
+    digest.update(log.getvalue().encode())
+    return metrics, digest.hexdigest()
+
+
+@pytest.mark.parametrize("config, seed, path_hops, expected", [
+    (DENSE_QEMPAR, 7, (10, 12, 13),
+     "282457333cf38785f51ac810eba3f7cb1ffe4cbdb80cdc513d09ffe2a90ca84d"),
+    (DEFAULT_MINHOP, 1, (14,),
+     "142c7a5425436d5eb1b35cac295cb2cfd050a422328bd7dbcd5ac5f6a6102db4"),
+])
+def test_run_bytes_are_pinned(config, seed, path_hops, expected):
+    metrics, digest = run_digest(config, seed)
+    assert metrics.path_hops == path_hops
+    assert digest == expected

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from qempar import ConfigError, ScenarioConfig, load_config, parse_config_text
-from qempar.cli import main
+from qempar.cli import _parse_overrides, main
 from qempar.report import COLUMNS, aggregate, emit_report
 
 
@@ -175,6 +175,14 @@ def test_bad_configuration_exits_2(capsys):
     assert main(["sweep", "--rates", "abc"] + FAST) == 2
     assert main(["sweep", "--seeds", "5..1"] + FAST) == 2
     assert main(["sweep", "--jobs", "0", "--rates", "5", "--seeds", "1"] + FAST) == 2
+
+
+def test_repeated_set_key_exits_2(capsys):
+    assert main(["validate", "--set", "seed=3", "--set", " seed = 4"]) == 2
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        _parse_overrides(["duration_s=1", "duration_s=1"])
+    assert _parse_overrides(["seed=3", "duration_s=1"]) == {"seed": "3", "duration_s": "1"}
 
 
 def test_run_command_emits_a_report(tmp_path, capsys):

@@ -58,6 +58,23 @@ def test_events_order_by_time_then_ordinal_only():
                       "packet": 3, "seq": None, "bits": 4096, "joules": None}
 
 
+@pytest.mark.parametrize("event", [
+    Event(0.0, 0, "packet-born", node=1, packet=0, bits=4096),
+    Event(0.1 + 0.2, 7, "hop-start", node=12, peer=3, packet=2**40, seq=4,
+          bits=1088, joules=5.440000000000001e-05),
+    Event(1e-300, 1, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1),
+    Event(123456.789, 2, "deadline-expired", node=0, packet=17),
+    Event(2.5, 3, "hop-complete", node=-1, peer=0, joules=1e22),
+])
+def test_event_json_matches_compact_json_dumps(event):
+    expected = json.dumps(
+        {"t": event.sim_time, "kind": event.kind, "node": event.node,
+         "peer": event.peer, "packet": event.packet, "seq": event.seq,
+         "bits": event.bits, "joules": event.joules},
+        separators=(",", ":"))
+    assert event.to_json() == expected
+
+
 def test_deterministic_arrivals_are_evenly_spaced():
     cfg = ScenarioConfig(rate_pkts_per_s=10.0, duration_s=1.0)
     times = arrival_times(cfg, seed=1)

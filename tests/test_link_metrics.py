@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qempar import (LinkStats, RoutePath, UnknownNodeError, appr, interference,
                     pick_best, pps, ppr, select_next_hop, suitability,
                     total_merit)
+from qempar.topology import distance
 
 from conftest import make_state, manual_topology
 
@@ -191,3 +193,50 @@ def test_active_transmitters_counted_within_carrier_sense_range():
     assert state.active_transmitters_near(0) == 2  # nodes 1 and 2; 3 and 4 too far
     state.busy_until[1] = 0.5  # already finished
     assert state.active_transmitters_near(0) == 1
+
+
+def _scan_count(state, node_id):
+    """The carrier-sense count as a plain scan over every active transmitter."""
+    nodes = state.topology.nodes
+    cs = state.config.carrier_sense_factor * state.topology.radio_range
+    return sum(1 for n in state.active_tx
+               if n != node_id and state.busy_until.get(n, 0.0) > state.now
+               and distance(nodes[node_id].position, nodes[n].position) <= cs)
+
+
+@st.composite
+def _carrier_sense_cases(draw):
+    # Lattice coordinates (3-4-5 offsets included) put many pairs exactly at
+    # the carrier-sense distance: 20, 25, 40, 50, 80 or 100 m.
+    n = draw(st.integers(2, 12))
+    coord = st.sampled_from([0, 20, 30, 40, 60, 80, 100, 120])
+    positions = {i: (draw(coord), draw(coord)) for i in range(n)}
+    radio_range = draw(st.sampled_from([10.0, 25.0, 40.0]))
+    factor = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]))
+    dead = draw(st.sets(st.integers(0, n - 1)))
+    # Each step sets the clock, the active set and busy times, then queries
+    # every node; the per-node sets built by earlier steps are reused.
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        now = draw(st.sampled_from([0.0, 1.0, 2.0]))
+        active = draw(st.sets(st.integers(0, n - 1)))
+        busy = {a: now + draw(st.sampled_from([-1.0, 0.0, 0.5]))
+                for a in active if draw(st.booleans())}
+        steps.append((now, active, busy))
+    return positions, radio_range, factor, dead, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_carrier_sense_cases())
+def test_cached_carrier_sense_matches_a_full_scan(case):
+    positions, radio_range, factor, dead, steps = case
+    topo = manual_topology(positions, radio_range=radio_range)
+    state = make_state(topo, carrier_sense_factor=factor)
+    for i in dead:  # a node that died mid-transmission still counts
+        topo.nodes[i].spend(10.0)
+    for now, active, busy in steps:
+        state.now = now
+        state.active_tx = set(active)
+        state.busy_until = dict(busy)
+        for node_id in positions:
+            assert state.active_transmitters_near(node_id) == _scan_count(state, node_id)

@@ -9,7 +9,7 @@ import pytest
 
 from qempar import (NoPathError, PathSet, RoutePath, ScenarioConfig,
                     beacon_exchange, discover_paths, minhop_paths, place_nodes,
-                    rx_energy, tx_energy)
+                    run, rx_energy, tx_energy)
 from qempar.link_metrics import NetworkState
 
 from conftest import make_state, manual_topology
@@ -81,6 +81,42 @@ def test_path_set_tie_breaks_merit_then_first_interior():
     eq_b = RoutePath((1, 3, 0), 4.0)
     ps = PathSet((eq_a, eq_b), 1, 0)
     assert [p.first_interior for p in ps.paths] == [3, 8]
+
+
+def test_path_set_rejects_equal_paths():
+    direct = RoutePath((1, 0), 2.0)
+    with pytest.raises(ValueError):
+        PathSet((direct, RoutePath((1, 0), 2.0)), 1, 0)
+    assert len(PathSet((direct, RoutePath((1, 4, 0), 1.0)), 1, 0)) == 2
+
+
+def _adjacent_source_state(node_count):
+    """Seed 1 of a field whose source lies within radio range of the sink."""
+    cfg = ScenarioConfig(source_x=20, source_y=20, node_count=node_count)
+    state = NetworkState(place_nodes(cfg, 1), cfg.radio_params(), cfg)
+    beacon_exchange(state)
+    return state
+
+
+@pytest.mark.parametrize("find", [discover_paths, minhop_paths])
+@pytest.mark.parametrize("node_count, expected", [
+    (2, [(1, 0)]),
+    (300, [(1, 0), (1, 63, 0), (1, 265, 0)]),
+])
+def test_direct_hop_is_used_at_most_once(find, node_count, expected):
+    ps = find(1, 0, 4, _adjacent_source_state(node_count))
+    assert [p.node_ids for p in ps.paths] == expected
+
+
+@pytest.mark.parametrize("router", ["qempar", "minhop"])
+@pytest.mark.parametrize("node_count, qempar_hops", [(2, (1,)), (300, (1, 2, 2))])
+def test_adjacent_source_run_reports_distinct_paths(router, node_count, qempar_hops):
+    cfg = ScenarioConfig(source_x=20, source_y=20, node_count=node_count,
+                         router=router, duration_s=1.0)
+    metrics = run(cfg, 1)
+    assert metrics.path_hops == (qempar_hops if router == "qempar" else (1,))
+    assert metrics.n_paths == len(metrics.path_hops)
+    assert metrics.delivered + metrics.expired + metrics.dropped == metrics.generated
 
 
 def _diamond_state():
