@@ -24,8 +24,9 @@ print(f"source 1 at {topology.nodes[1].position}")
 print(f"source neighbors: {state.neighbors(1)}")
 print(f"extended links added to connect components: {topology.extended_links or 'none'}")
 
-# One beacon round debits every node and fills the neighbor tables the
-# suitability score reads (positions, residual energy, send/receive stats).
+# One beacon round debits every node for its own beacon and for each one it
+# hears. It builds no tables: the suitability score reads positions, residual
+# energy and send/receive stats straight from the network state.
 beacon_exchange(state)
 print(f"beacon round cost: {state.ledger.total() * 1e3:.3f} mJ across the field")
 

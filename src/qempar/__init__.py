@@ -1,38 +1,17 @@
 """Deterministic simulator of QoS- and energy-aware multi-path routing for
 wireless sensor networks, with a minimum-hop baseline for comparison."""
 
-from .config import ScenarioConfig, load_config, parse_config_text
-from .dispatch import (DataPacket, ReassemblyBuffer, TinyPacket, assign,
-                       classify_paths, fragment)
-from .energy import (EnergyLedger, EnergyLedgerEntry, RadioParams, debit,
-                     record_rx, record_tx, rx_energy, threshold_distance,
-                     tx_energy)
-from .engine import (Event, MacModel, RunMetrics, arrival_times, compare,
-                     hop_delay, link_success_probability, run)
-from .errors import ConfigError, NoPathError, UnknownNodeError
-from .link_metrics import (LinkStats, NetworkState, RoutePath, SuitabilityScore,
-                           appr, interference, pick_best, pps, ppr,
-                           select_next_hop, suitability, total_merit)
-from .report import aggregate, emit_report
-from .routing import (Beacon, NeighborEntry, PathSet, beacon_exchange,
-                      discover_paths, minhop_paths)
-from .topology import (NodeState, Position, Topology, distance,
-                       is_extended_link, neighbors, place_nodes)
+from .config import ScenarioConfig
+from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
+from .engine import compare, run
+from .link_metrics import NetworkState
+from .routing import beacon_exchange, discover_paths, minhop_paths
+from .topology import place_nodes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Beacon", "ConfigError", "DataPacket", "EnergyLedger", "EnergyLedgerEntry",
-    "Event", "LinkStats", "MacModel", "NeighborEntry", "NetworkState",
-    "NoPathError", "NodeState", "PathSet", "Position", "RadioParams",
-    "ReassemblyBuffer", "RoutePath", "RunMetrics", "ScenarioConfig",
-    "SuitabilityScore", "TinyPacket", "Topology", "UnknownNodeError",
-    "aggregate", "appr", "arrival_times", "assign", "beacon_exchange",
-    "classify_paths", "compare", "debit", "discover_paths", "distance",
-    "emit_report", "fragment", "hop_delay", "interference",
-    "is_extended_link", "link_success_probability", "load_config",
-    "minhop_paths", "neighbors", "parse_config_text", "pick_best",
-    "place_nodes", "pps", "ppr", "record_rx", "record_tx", "run",
-    "rx_energy", "select_next_hop", "suitability", "threshold_distance",
-    "total_merit", "tx_energy",
+    "NetworkState", "RadioParams", "ScenarioConfig", "beacon_exchange",
+    "compare", "discover_paths", "minhop_paths", "place_nodes", "run",
+    "rx_energy", "threshold_distance", "tx_energy",
 ]

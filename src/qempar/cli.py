@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .config import load_config
 from .energy import threshold_distance
@@ -76,9 +77,15 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _resolve_config(args, extra: dict | None = None):
+    """Config from --config and --set, with extra holding the values of
+    dedicated flags (None: the flag claims the key but sets no value); a
+    flag and a --set of the same key conflict."""
     overrides = _parse_overrides(args.overrides)
     if extra:
-        overrides.update(extra)
+        both = sorted(overrides.keys() & extra.keys())
+        if both:
+            raise ConfigError(f"{', '.join(both)} given both by a flag and by --set")
+        overrides.update((k, v) for k, v in extra.items() if v is not None)
     return load_config(args.config, overrides)
 
 
@@ -133,8 +140,9 @@ def _cmd_run(args) -> int:
         extra["seed"] = args.seed
     if args.rate is not None:
         extra["rate_pkts_per_s"] = args.rate
-    if args.router in ("qempar", "minhop"):
-        extra["router"] = args.router
+    if args.router is not None:
+        # "both" runs each router in turn, so it sets no single value.
+        extra["router"] = None if args.router == "both" else args.router
     config, provenance = _resolve_config(args, extra)
     _print_config(config, provenance)
     routers = ["qempar", "minhop"] if args.router == "both" else [config.router]
@@ -189,7 +197,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,6 @@ class ScenarioConfig:
     e_elec_j_per_bit: float = 50e-9
     eps_fs_j_per_bit_m2: float = 10e-12
     eps_mp_j_per_bit_m4: float = 0.0013e-12
-    e_da_j_per_bit: float = 5e-9
     initial_energy_j: float = 2.0
 
     # Traffic and fragmentation
@@ -51,7 +50,6 @@ class ScenarioConfig:
     rate_pkts_per_s: float = 10.0
     duration_s: float = 60.0
     reassembly_deadline_s: float = 5.0
-    wraparound_assignment: bool = True
 
     # Beacons and link statistics
     beacon_bytes: int = 32
@@ -95,7 +93,6 @@ class ScenarioConfig:
             e_elec=self.e_elec_j_per_bit,
             eps_fs=self.eps_fs_j_per_bit_m2,
             eps_mp=self.eps_mp_j_per_bit_m4,
-            e_da=self.e_da_j_per_bit,
         )
 
     def validate(self) -> None:
@@ -116,8 +113,7 @@ class ScenarioConfig:
         check((self.sink_x, self.sink_y) != (self.source_x, self.source_y),
               "sink and source must not coincide")
         check(self.radio_range_m > 0, "radio_range_m must be positive")
-        for name in ("e_elec_j_per_bit", "eps_fs_j_per_bit_m2",
-                     "eps_mp_j_per_bit_m4", "e_da_j_per_bit"):
+        for name in ("e_elec_j_per_bit", "eps_fs_j_per_bit_m2", "eps_mp_j_per_bit_m4"):
             check(getattr(self, name) > 0, f"{name} must be positive")
         check(self.initial_energy_j > 0, "initial_energy_j must be positive")
         check(self.packet_bytes >= 1, "packet_bytes must be at least 1")

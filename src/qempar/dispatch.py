@@ -72,28 +72,12 @@ def fragment(packet: DataPacket, k: int, header_bits: int = 0) -> list[TinyPacke
     ]
 
 
-def classify_paths(path_set) -> list[RoutePath]:
-    """Paths ranked for assignment: ascending hop count, ties broken by
-    descending total merit, then ascending first-interior node id."""
-    paths = list(path_set.paths)
-    if not paths:
-        raise ValueError("cannot classify an empty path set")
-    paths.sort(key=lambda p: (p.hop_count, -p.total_merit, p.first_interior))
-    return paths
-
-
-def assign(fragments: list[TinyPacket], paths: list[RoutePath],
-           wraparound: bool = True) -> list[tuple[TinyPacket, RoutePath]]:
-    """Map fragments onto ranked paths by sequence number.
-
-    Fragment seq s takes paths[(s-1) mod len(paths)]; with wraparound off,
-    more fragments than paths is an error.
-    """
+def assign(fragments: list[TinyPacket],
+           paths: list[RoutePath]) -> list[tuple[TinyPacket, RoutePath]]:
+    """Map fragments onto ranked paths by sequence number: fragment seq s
+    takes paths[(s-1) mod len(paths)], so extra fragments wrap around."""
     if not paths:
         raise NoPathError("no paths available for assignment")
-    if not wraparound and len(fragments) > len(paths):
-        raise ValueError(
-            f"{len(fragments)} fragments exceed {len(paths)} paths with wraparound disabled")
     return [(f, paths[(f.seq - 1) % len(paths)]) for f in fragments]
 
 
@@ -175,6 +159,3 @@ class ReassemblyBuffer:
         slot = self._slot(packet_id)
         order = slot.arrival_order
         return any(a > b for a, b in zip(order, order[1:]))
-
-    def packet_ids(self) -> list[int]:
-        return sorted(self._slots)

@@ -2,8 +2,8 @@
 
 Transmission costs electronics energy per bit plus amplifier energy that
 scales with d^2 up to the threshold distance d0 and with d^4 beyond it;
-reception costs electronics energy only. Every debit is recorded as a ledger
-entry so a finished run can prove energy conservation.
+reception costs electronics energy only. Every charge is folded into per-node
+ledger totals so a finished run can prove energy conservation.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ class RadioParams:
     e_elec: electronics energy, J/bit.
     eps_fs: open-space amplifier, J/bit/m^2 (used for d <= d0).
     eps_mp: multi-path amplifier, J/bit/m^4 (used for d > d0).
-    e_da: aggregation energy, J/bit; carried for completeness, never spent.
     """
 
     e_elec: float = 50e-9
     eps_fs: float = 10e-12
     eps_mp: float = 0.0013e-12
-    e_da: float = 5e-9
 
     def __post_init__(self):
-        for name in ("e_elec", "eps_fs", "eps_mp", "e_da"):
+        for name in ("e_elec", "eps_fs", "eps_mp"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"radio constant {name} must be positive")
 
@@ -67,32 +65,15 @@ def rx_energy(bits: int, params: RadioParams) -> float:
     return bits * params.e_elec
 
 
-@dataclass(frozen=True)
-class EnergyLedgerEntry:
-    """One debit. joules always equals the model value recomputed from the
-    entry's own fields, so a ledger can be audited standalone."""
-
-    node_id: int
-    kind: str  # 'tx' or 'rx'
-    bits: int
-    distance_m: float | None  # None for receive entries
-    joules: float
-    sim_time: float
-
-
 @dataclass
 class EnergyLedger:
-    """Append-only record of every energy debit in a run.
+    """Per-node totals of every energy charge in a run.
 
-    Totals and per-node sums are maintained as running accumulators so they
-    stay O(1) regardless of run length. Individual entries are retained only
-    while keep_entries is True (the default); long simulations switch it off
-    to keep memory flat without losing the audit totals.
+    Totals are running accumulators, so they stay O(1) regardless of run
+    length.
     """
 
-    entries: list[EnergyLedgerEntry] = field(default_factory=list)
     clamped_debits: int = 0
-    keep_entries: bool = True
     per_node_joules: dict[int, float] = field(default_factory=dict)
 
     def total(self) -> float:
@@ -108,33 +89,25 @@ class EnergyLedger:
         return dict(self.per_node_joules)
 
     def add(self, node_id: int, joules: float, clamped: bool) -> None:
-        """Fold one debit into the accumulators (no entry object)."""
+        """Fold one charge into the accumulators."""
         self.per_node_joules[node_id] = self.per_node_joules.get(node_id, 0.0) + joules
         if clamped:
             self.clamped_debits += 1
 
 
-def debit(node: NodeState, entry: EnergyLedgerEntry, ledger: EnergyLedger) -> float:
-    """Apply a ledger entry to a node and record it. The node's residual
-    clamps at zero (the node dies); the ledger keeps the full model joules
-    and counts the clamp. Returns the node's residual energy."""
-    ledger.add(node.node_id, entry.joules, node.spend(entry.joules))
-    if ledger.keep_entries:
-        ledger.entries.append(entry)
-    return node.residual_energy
-
-
 def record_tx(node: NodeState, bits: int, distance_m: float, params: RadioParams,
-              ledger: EnergyLedger, sim_time: float) -> float:
-    """Debit a transmission; returns the joules spent."""
+              ledger: EnergyLedger) -> float:
+    """Debit a transmission; returns the joules spent. The node's residual
+    clamps at zero (the node dies); the ledger keeps the full model joules
+    and counts the clamp."""
     joules = tx_energy(bits, distance_m, params)
-    debit(node, EnergyLedgerEntry(node.node_id, "tx", bits, distance_m, joules, sim_time), ledger)
+    ledger.add(node.node_id, joules, node.spend(joules))
     return joules
 
 
 def record_rx(node: NodeState, bits: int, params: RadioParams,
-              ledger: EnergyLedger, sim_time: float) -> float:
-    """Debit a reception; returns the joules spent."""
+              ledger: EnergyLedger) -> float:
+    """Debit a reception; returns the joules spent (clamping as record_tx)."""
     joules = rx_energy(bits, params)
-    debit(node, EnergyLedgerEntry(node.node_id, "rx", bits, None, joules, sim_time), ledger)
+    ledger.add(node.node_id, joules, node.spend(joules))
     return joules

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dispatch import DataPacket, ReassemblyBuffer, assign, classify_paths, fragment
+from .dispatch import DataPacket, ReassemblyBuffer, assign, fragment
 from .errors import NoPathError
 from .link_metrics import NetworkState
 from .routing import beacon_exchange, discover_paths, minhop_paths
@@ -28,49 +28,14 @@ from .topology import distance, place_nodes
 from .energy import rx_energy, tx_energy
 
 
-@dataclass(frozen=True)
-class MacModel:
-    """Medium-access timing and reliability knobs."""
-
-    bit_rate_bps: float = 1e6
-    access_delay_s: float = 0.0005
-    contention_delay_s: float = 0.0002
-    hop_retry_limit: int = 2
-    base_success: float = 0.98
-    success_distance_slope: float = 0.03
-
-    def __post_init__(self):
-        if self.bit_rate_bps <= 0:
-            raise ValueError("bit rate must be positive")
-        if self.access_delay_s < 0 or self.contention_delay_s < 0:
-            raise ValueError("delays must be non-negative")
-        if self.hop_retry_limit < 0:
-            raise ValueError("retry limit must be non-negative")
-        if not 0.0 < self.base_success <= 1.0:
-            raise ValueError("base_success must be in (0, 1]")
-        if not 0.0 <= self.success_distance_slope <= 1.0:
-            raise ValueError("success_distance_slope must be in [0, 1]")
-
-
-def hop_delay(bits: int, mac: MacModel, active_neighbors: int = 0) -> float:
-    """Time one hop attempt occupies the sender: serialization plus channel
-    access plus a contention penalty per concurrently transmitting neighbor."""
-    if bits <= 0:
-        raise ValueError("bits must be positive")
-    if active_neighbors < 0:
-        raise ValueError("active_neighbors must be non-negative")
-    return (bits / mac.bit_rate_bps + mac.access_delay_s
-            + mac.contention_delay_s * active_neighbors)
-
-
-def link_success_probability(mac: MacModel, distance_m: float, radio_range_m: float) -> float:
+def link_success_probability(config, distance_m: float, radio_range_m: float) -> float:
     """Per-attempt delivery probability, linearly degrading with distance and
     clamped to [0.01, 1.0] so even stretched links stay usable."""
     if distance_m < 0:
         raise ValueError("distance must be non-negative")
     if radio_range_m <= 0:
         raise ValueError("radio range must be positive")
-    p = mac.base_success * (1.0 - mac.success_distance_slope * (distance_m / radio_range_m))
+    p = config.base_success * (1.0 - config.success_distance_slope * (distance_m / radio_range_m))
     return min(1.0, max(0.01, p))
 
 
@@ -115,7 +80,7 @@ class RunMetrics:
     delivered: int
     expired: int
     dropped: int
-    delivery_ratio: float
+    delivery_ratio: float | None  # None when no packet was generated
     mean_delay_s: float | None
     mean_energy_j: float | None
     participant_energy_j: float
@@ -158,23 +123,6 @@ _BORN, _HOP_END, _DEADLINE = 0, 1, 2
 _PENDING, _DELIVERED, _EXPIRED, _DROPPED = 0, 1, 2, 3
 
 
-def _failed_metrics(config, seed: int, generated: int, state, setup_energy: float) -> RunMetrics:
-    """Metrics for a run whose discovery found no route: every packet that
-    would have been generated counts as dropped; beacon energy was still
-    spent."""
-    nodes = state.topology.nodes
-    total = math.fsum(nodes[i].spent_energy for i in sorted(nodes))
-    residual = math.fsum(nodes[i].residual_energy for i in sorted(nodes))
-    return RunMetrics(
-        router=config.router, rate_pkts_per_s=config.rate_pkts_per_s, seed=seed,
-        n_paths=0, path_hops=(), generated=generated, delivered=0, expired=0,
-        dropped=generated, delivery_ratio=0.0, mean_delay_s=None,
-        mean_energy_j=None, participant_energy_j=0.0, setup_energy_j=setup_energy,
-        total_energy_j=total, ledger_total_j=state.ledger.total(),
-        residual_total_j=residual, out_of_order_ratio=0.0,
-        clamped_debits=state.ledger.clamped_debits)
-
-
 def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
     """Simulate one scenario end to end and return its metrics.
 
@@ -202,9 +150,7 @@ def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
 
 def _run(config, seed: int, log) -> RunMetrics:
     topo = place_nodes(config, seed)
-    params = config.radio_params()
-    state = NetworkState(topo, params, config)
-    state.ledger.keep_entries = False  # totals suffice; entries don't scale
+    state = NetworkState(topo, config.radio_params(), config)
     beacon_exchange(state)
     setup_spent = {i: n.spent_energy for i, n in topo.nodes.items()}
     setup_energy = math.fsum(setup_spent[i] for i in sorted(setup_spent))
@@ -212,7 +158,6 @@ def _run(config, seed: int, log) -> RunMetrics:
     times = arrival_times(config, seed)
     n_packets = len(times)
 
-    source, sink = topo.source_id, topo.sink_id
     if config.router == "qempar":
         k_frag = config.fragment_count
         find = discover_paths
@@ -220,18 +165,65 @@ def _run(config, seed: int, log) -> RunMetrics:
         k_frag = 1
         find = minhop_paths
     try:
-        path_set = find(source, sink, k_frag, state)
+        use_paths = list(find(topo.source_id, topo.sink_id, k_frag, state).paths)
     except NoPathError:
-        return _failed_metrics(config, seed, n_packets, state, setup_energy)
-    use_paths = classify_paths(path_set)
+        use_paths = []
+    if use_paths:
+        status, buffer = _traffic(config, seed, state, use_paths, times, k_frag, log)
+    else:
+        # No route: no traffic runs, and every packet counts as dropped.
+        status, buffer = [_DROPPED] * n_packets, None
 
-    mac = MacModel(
-        bit_rate_bps=config.bit_rate_bps,
-        access_delay_s=config.access_delay_s,
-        contention_delay_s=config.contention_delay_s,
-        hop_retry_limit=config.hop_retry_limit,
-        base_success=config.base_success,
-        success_distance_slope=config.success_distance_slope)
+    assert _PENDING not in status, "every generated packet must settle"
+    delivered = status.count(_DELIVERED)
+    delays = [buffer.delay_of(pid) for pid in range(n_packets) if status[pid] == _DELIVERED]
+    mean_delay = sum(delays) / delivered if delivered else None
+    out_of_order = (sum(1 for pid in range(n_packets)
+                        if status[pid] == _DELIVERED and buffer.out_of_order(pid))
+                    / delivered if delivered else 0.0)
+
+    nodes = topo.nodes
+    participants = sorted(set().union(*(p.node_ids for p in use_paths)))
+    participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
+    total_energy = math.fsum(nodes[i].spent_energy for i in sorted(nodes))
+    residual_total = math.fsum(nodes[i].residual_energy for i in sorted(nodes))
+    mean_energy = participant_energy / delivered if delivered else None
+
+    return RunMetrics(
+        router=config.router,
+        rate_pkts_per_s=config.rate_pkts_per_s,
+        seed=seed,
+        n_paths=len(use_paths),
+        path_hops=tuple(p.hop_count for p in use_paths),
+        generated=n_packets,
+        delivered=delivered,
+        expired=status.count(_EXPIRED),
+        dropped=status.count(_DROPPED),
+        delivery_ratio=delivered / n_packets if n_packets else None,
+        mean_delay_s=mean_delay,
+        mean_energy_j=mean_energy,
+        participant_energy_j=participant_energy,
+        setup_energy_j=setup_energy,
+        total_energy_j=total_energy,
+        ledger_total_j=state.ledger.total(),
+        residual_total_j=residual_total,
+        out_of_order_ratio=out_of_order,
+        clamped_debits=state.ledger.clamped_debits)
+
+
+def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
+    """Drive every packet through the MAC along its fragments' paths.
+
+    Returns each packet's final status code and the sink's reassembly
+    buffer.
+    """
+    topo = state.topology
+    params = state.params
+    nodes = topo.nodes
+    source, sink = topo.source_id, topo.sink_id
+    bit_rate = config.bit_rate_bps
+    access_delay = config.access_delay_s
+    contention_delay = config.contention_delay_s
 
     # Static per-fragment hop plans: every packet splits the same way, so
     # wire bits, energies, success probabilities, and serialization times
@@ -240,28 +232,26 @@ def _run(config, seed: int, log) -> RunMetrics:
     header_bits = config.fragment_header_bytes * 8
     template = fragment(DataPacket(0, packet_bits, 0.0), k_frag, header_bits)
     plan: dict[int, tuple[int, int, list[tuple]]] = {}
-    for frag, route in assign(template, use_paths, config.wraparound_assignment):
+    for frag, route in assign(template, paths):
         wire = frag.wire_bits
-        t_tx = wire / mac.bit_rate_bps
+        t_tx = wire / bit_rate
         hops = []
         for u, v in zip(route.node_ids, route.node_ids[1:]):
-            d = distance(topo.nodes[u].position, topo.nodes[v].position)
+            d = distance(nodes[u].position, nodes[v].position)
             hops.append((u, v,
                          tx_energy(wire, d, params),
                          rx_energy(wire, params),
-                         link_success_probability(mac, d, topo.radio_range),
+                         link_success_probability(config, d, topo.radio_range),
                          t_tx))
         plan[frag.seq] = (frag.bits, wire, hops)
 
-    nodes = topo.nodes
     busy = state.busy_until
     queues: dict[int, deque] = {}
     buffer = ReassemblyBuffer(config.reassembly_deadline_s)
-    status = [_PENDING] * n_packets
-    counts = [0, 0, 0, 0]  # indexed by status code
+    status = [_PENDING] * len(times)
     link_rng = random.Random(seed ^ 0x9E3779B9)
     ledger = state.ledger
-    retry_limit = mac.hop_retry_limit
+    retry_limit = config.hop_retry_limit
     deadline_s = config.reassembly_deadline_s
 
     heap: list[tuple] = []
@@ -281,7 +271,6 @@ def _run(config, seed: int, log) -> RunMetrics:
     def condemn(pid: int, code: int) -> None:
         if status[pid] == _PENDING:
             status[pid] = code
-            counts[code] += 1
 
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
@@ -296,8 +285,8 @@ def _run(config, seed: int, log) -> RunMetrics:
             condemn(pid, _DROPPED)
             return
         state.now = t
-        delay = (hop[5] + mac.access_delay_s
-                 + mac.contention_delay_s * state.active_transmitters_near(u))
+        delay = (hop[5] + access_delay
+                 + contention_delay * state.active_transmitters_near(u))
         ledger.add(u, hop[2], sender.spend(hop[2]))
         if not sender.alive:
             state.invalidate_neighbors()
@@ -368,46 +357,10 @@ def _run(config, seed: int, log) -> RunMetrics:
             if status[pid] == _PENDING:
                 buffer.expire(pid, t)
                 status[pid] = _EXPIRED
-                counts[_EXPIRED] += 1
                 if log is not None:
                     emit(t, "deadline-expired", node=sink, packet=pid)
 
-    delivered = counts[_DELIVERED]
-    assert delivered + counts[_EXPIRED] + counts[_DROPPED] == n_packets, \
-        "every generated packet must settle"
-
-    delays = [buffer.delay_of(pid) for pid in range(n_packets) if status[pid] == _DELIVERED]
-    mean_delay = sum(delays) / delivered if delivered else None
-    out_of_order = (sum(1 for pid in range(n_packets)
-                        if status[pid] == _DELIVERED and buffer.out_of_order(pid))
-                    / delivered if delivered else 0.0)
-
-    participants = sorted(set().union(*(p.node_ids for p in use_paths)))
-    participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
-    total_energy = math.fsum(nodes[i].spent_energy for i in sorted(nodes))
-    residual_total = math.fsum(nodes[i].residual_energy for i in sorted(nodes))
-    mean_energy = participant_energy / delivered if delivered else None
-
-    return RunMetrics(
-        router=config.router,
-        rate_pkts_per_s=config.rate_pkts_per_s,
-        seed=seed,
-        n_paths=len(use_paths),
-        path_hops=tuple(p.hop_count for p in use_paths),
-        generated=n_packets,
-        delivered=delivered,
-        expired=counts[_EXPIRED],
-        dropped=counts[_DROPPED],
-        delivery_ratio=delivered / n_packets if n_packets else 0.0,
-        mean_delay_s=mean_delay,
-        mean_energy_j=mean_energy,
-        participant_energy_j=participant_energy,
-        setup_energy_j=setup_energy,
-        total_energy_j=total_energy,
-        ledger_total_j=ledger.total(),
-        residual_total_j=residual_total,
-        out_of_order_ratio=out_of_order,
-        clamped_debits=ledger.clamped_debits)
+    return status, buffer
 
 
 def _run_cell(args) -> tuple:

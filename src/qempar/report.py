@@ -2,9 +2,10 @@
 
 Rows carry the mean end-to-end delay, mean per-delivered energy, and mean
 delivery ratio over seeds, sorted by (rate, router). Delay and energy means
-skip runs that delivered nothing; a cell where no run delivered anything
-reports an empty value rather than NaN. CSV and JSON renderings of the same
-rows are byte-deterministic.
+skip runs that delivered nothing, and the delivery-ratio mean skips runs that
+generated nothing; a cell with no run to average reports an empty value
+rather than NaN. CSV and JSON renderings of the same rows are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ def aggregate(cells: dict) -> list[dict]:
         runs = groups[(rate, router)]
         delays = [m.mean_delay_s for m in runs if m.mean_delay_s is not None]
         energies = [m.mean_energy_j for m in runs if m.mean_energy_j is not None]
+        ratios = [m.delivery_ratio for m in runs if m.delivery_ratio is not None]
         rows.append({
             "rate_pkts_per_s": rate,
             "router": router,
             "mean_delay_s": sum(delays) / len(delays) if delays else None,
             "mean_energy_j": sum(energies) / len(energies) if energies else None,
-            "delivery_ratio": sum(m.delivery_ratio for m in runs) / len(runs),
+            "delivery_ratio": sum(ratios) / len(ratios) if ratios else None,
             "n_seeds": len(runs),
         })
     return rows

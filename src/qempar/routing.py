@@ -1,4 +1,4 @@
-"""Beacon exchange and multi-path route discovery.
+"""The beacon round and multi-path route discovery.
 
 Discovery runs once per scenario, after one synchronized beacon round and
 before any traffic. It builds up to k node-disjoint source-to-sink paths:
@@ -17,36 +17,7 @@ from dataclasses import dataclass
 from .errors import NoPathError, UnknownNodeError
 from .link_metrics import NetworkState, RoutePath, select_next_hop, total_merit
 from .energy import record_rx, record_tx
-from .topology import Position, distance, is_extended_link
-
-
-@dataclass(frozen=True)
-class Beacon:
-    """One node's periodic self-announcement."""
-
-    origin_id: int
-    position: Position
-    residual_energy: float
-    pps: float
-    ppr: float
-    neighbor_ids: tuple[int, ...]
-    bits: int
-
-    def __post_init__(self):
-        if self.bits <= 0:
-            raise ValueError("beacon bits must be positive")
-
-
-@dataclass(frozen=True)
-class NeighborEntry:
-    """What a node knows about one neighbor after the beacon round."""
-
-    neighbor_id: int
-    position: Position
-    residual_energy: float
-    pps: float
-    ppr: float
-    neighbor_ids: tuple[int, ...]
+from .topology import distance, is_extended_link
 
 
 @dataclass(frozen=True)
@@ -81,59 +52,35 @@ class PathSet:
 
 
 def beacon_exchange(state: NetworkState) -> None:
-    """One synchronized beacon round at time zero.
+    """One synchronized beacon round at time zero, which only spends energy.
 
-    Every alive node broadcasts one beacon sized to reach its farthest
-    neighbor and every neighbor receives it; both sides are debited when
-    beacon accounting is on. Afterwards each node's neighbor_table holds, per
-    neighbor, the position, residual energy, PPS/PPR snapshots, and that
-    neighbor's own neighbor list. Beacons never touch the link counters.
+    When beacon accounting is on, every alive node broadcasts one beacon
+    sized to reach its farthest neighbor and every neighbor receives it;
+    both sides are debited. Beacons never touch the link counters.
     """
-    topo = state.topology
     cfg = state.config
+    if not cfg.beacon_accounting:
+        return
+    topo = state.topology
     bits = cfg.beacon_bytes * 8
     ids = sorted(i for i, n in topo.nodes.items() if n.alive)
+    # Neighbor lists are taken before any energy is spent, so a node that
+    # dies in this round still hears and is heard by everyone.
     nbr_map = {i: state.neighbors(i) for i in ids}
-    if cfg.beacon_accounting:
-        any_death = False
-        for i in ids:
-            nbrs = nbr_map[i]
-            if not nbrs:
-                continue
-            me = topo.nodes[i]
-            reach = max(distance(me.position, topo.nodes[v].position) for v in nbrs)
-            record_tx(me, bits, reach, state.params, state.ledger, 0.0)
-            any_death = any_death or not me.alive
-            for v in nbrs:
-                record_rx(topo.nodes[v], bits, state.params, state.ledger, 0.0)
-                any_death = any_death or not topo.nodes[v].alive
-        if any_death:
-            state.invalidate_neighbors()
-    beacons = {
-        i: Beacon(
-            origin_id=i,
-            position=topo.nodes[i].position,
-            residual_energy=topo.nodes[i].residual_energy,
-            pps=state.node_pps(i),
-            ppr=state.node_ppr(i),
-            neighbor_ids=tuple(nbr_map[i]),
-            bits=bits,
-        )
-        for i in ids
-    }
+    any_death = False
     for i in ids:
-        table = []
-        for v in nbr_map[i]:
-            b = beacons[v]
-            table.append(NeighborEntry(
-                neighbor_id=v,
-                position=b.position,
-                residual_energy=b.residual_energy,
-                pps=b.pps,
-                ppr=b.ppr,
-                neighbor_ids=b.neighbor_ids,
-            ))
-        topo.nodes[i].neighbor_table = table
+        nbrs = nbr_map[i]
+        if not nbrs:
+            continue
+        me = topo.nodes[i]
+        reach = max(distance(me.position, topo.nodes[v].position) for v in nbrs)
+        record_tx(me, bits, reach, state.params, state.ledger)
+        any_death = any_death or not me.alive
+        for v in nbrs:
+            record_rx(topo.nodes[v], bits, state.params, state.ledger)
+            any_death = any_death or not topo.nodes[v].alive
+    if any_death:
+        state.invalidate_neighbors()
 
 
 def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],

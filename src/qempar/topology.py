@@ -41,7 +41,6 @@ class NodeState:
     initial_energy: float  # joules, > 0
     spent_energy: float = 0.0
     alive: bool = True
-    neighbor_table: list = field(default_factory=list)  # NeighborEntry records
 
     @property
     def residual_energy(self) -> float:
@@ -49,7 +48,7 @@ class NodeState:
         return max(0.0, self.initial_energy - self.spent_energy)
 
     def spend(self, joules: float) -> bool:
-        """Deduct joules; kill the node at zero. Returns True if the debit
+        """Deduct joules; kill the node at zero. Returns True if the charge
         was clamped (requested more than remained)."""
         clamped = joules > self.initial_energy - self.spent_energy
         self.spent_energy += joules

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from qempar import NetworkState, NodeState, Position, ScenarioConfig, Topology
+from qempar import NetworkState, ScenarioConfig
+from qempar.topology import NodeState, Position, Topology
 
 
 def manual_topology(positions, radio_range, initial_energy=2.0, sink_id=0,

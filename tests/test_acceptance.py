@@ -30,11 +30,10 @@ from dataclasses import replace
 
 import pytest
 
-from qempar import (DataPacket, RadioParams, ScenarioConfig, compare,
-                    discover_paths, fragment, minhop_paths, place_nodes, run,
-                    rx_energy, threshold_distance, tx_energy)
-from qempar.dispatch import ReassemblyBuffer
-from qempar.link_metrics import NetworkState
+from qempar import (NetworkState, RadioParams, ScenarioConfig, compare,
+                    discover_paths, minhop_paths, place_nodes, run, rx_energy,
+                    threshold_distance, tx_energy)
+from qempar.dispatch import DataPacket, ReassemblyBuffer, fragment
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
 

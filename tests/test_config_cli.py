@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from qempar import ConfigError, ScenarioConfig, load_config, parse_config_text
+from qempar import ScenarioConfig
+from qempar.config import load_config, parse_config_text
+from qempar.errors import ConfigError
 from qempar.cli import _parse_overrides, main
 from qempar.report import COLUMNS, aggregate, emit_report
 
@@ -73,13 +75,16 @@ def test_bool_words_and_numeric_coercion():
 
 
 def test_validation_reports_every_violation_at_once():
-    bad = ScenarioConfig(node_count=1, rate_pkts_per_s=-1.0, router="flood")
+    bad = ScenarioConfig(node_count=1, rate_pkts_per_s=-1.0, router="flood",
+                         bit_rate_bps=0, base_success=0)
     with pytest.raises(ConfigError) as err:
         bad.validate()
     text = str(err.value)
     assert "node_count" in text
     assert "rate_pkts_per_s" in text
     assert "router" in text
+    assert "bit_rate_bps" in text
+    assert "base_success" in text
 
 
 def test_load_config_rejects_invalid_combinations():
@@ -119,6 +124,19 @@ def test_aggregate_skips_undelivered_runs_in_means():
     assert row["mean_delay_s"] == pytest.approx(0.2)  # only the delivering run
     assert row["delivery_ratio"] == pytest.approx(0.5)  # but the ratio counts both
     assert row["n_seeds"] == 2
+
+
+def test_aggregate_skips_zero_packet_runs_in_the_ratio():
+    cells = {
+        (10.0, "qempar", 1): _fake(0.2, 1e-3, 0.5),
+        (10.0, "qempar", 2): _fake(None, None, None),
+        (20.0, "qempar", 1): _fake(None, None, None),
+    }
+    rows = aggregate(cells)
+    assert rows[0]["delivery_ratio"] == pytest.approx(0.5)
+    assert rows[0]["n_seeds"] == 2
+    assert rows[1]["delivery_ratio"] is None
+    assert emit_report(rows[1:], "csv").splitlines()[1] == "20.0,qempar,,,,1"
 
 
 def test_empty_cells_render_as_empty_csv_fields():
@@ -183,6 +201,35 @@ def test_repeated_set_key_exits_2(capsys):
     with pytest.raises(ConfigError):
         _parse_overrides(["duration_s=1", "duration_s=1"])
     assert _parse_overrides(["seed=3", "duration_s=1"]) == {"seed": "3", "duration_s": "1"}
+
+
+@pytest.mark.parametrize("flag, key", [
+    (["--seed", "3"], "seed=5"),
+    (["--rate", "6"], "rate_pkts_per_s=7"),
+    (["--router", "minhop"], "router=qempar"),
+    (["--router", "both"], "router=minhop"),
+])
+def test_flag_and_set_of_the_same_key_exit_2(flag, key, capsys):
+    assert main(["run"] + flag + ["--set", key, "--set", "duration_s=0.5"]) == 2
+    err = capsys.readouterr().err
+    assert key.split("=")[0] in err and "by a flag and by --set" in err
+
+
+@pytest.mark.parametrize("key", ["wraparound_assignment=false", "e_da_j_per_bit=1e-9"])
+def test_removed_keys_are_rejected(key, capsys):
+    assert main(["run", "--set", key] + FAST) == 2
+    assert "unknown configuration key" in capsys.readouterr().err
+
+
+def test_runtime_failure_prints_the_traceback_and_exits_1(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr("qempar.cli.run", boom)
+    assert main(["run"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError" in err
+    assert err.rstrip().endswith("error: simulated failure")
 
 
 def test_run_command_emits_a_report(tmp_path, capsys):

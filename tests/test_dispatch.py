@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from qempar import (DataPacket, NoPathError, ReassemblyBuffer, RoutePath,
-                    TinyPacket, assign, classify_paths, fragment)
-from qempar.routing import PathSet
+from qempar.dispatch import (DataPacket, ReassemblyBuffer, TinyPacket, assign,
+                             fragment)
+from qempar.errors import NoPathError
+from qempar.link_metrics import RoutePath
 
 
 def test_even_split_four_ways():
@@ -56,28 +57,12 @@ def _paths(n):
     return [RoutePath((1, 10 + i, 0), float(n - i)) for i in range(n)]
 
 
-def test_classify_orders_by_hops_merit_interior():
-    short_weak = RoutePath((1, 9, 0), 1.0)
-    long_strong = RoutePath((1, 5, 6, 0), 9.0)
-    ps = PathSet((long_strong, short_weak), 1, 0)
-    ranked = classify_paths(ps)
-    assert [p.node_ids for p in ranked] == [(1, 9, 0), (1, 5, 6, 0)]
-    with pytest.raises(ValueError):
-        classify_paths(PathSet((), 1, 0))
-
-
 def test_assign_round_robin_by_sequence():
     frags = fragment(DataPacket(1, 4096, 0.0), 4)
     paths = _paths(2)
     pairs = assign(frags, paths)
     assert [p.node_ids[1] for _f, p in pairs] == [10, 11, 10, 11]
-
-
-def test_assign_without_wraparound_needs_enough_paths():
-    frags = fragment(DataPacket(1, 4096, 0.0), 4)
-    with pytest.raises(ValueError):
-        assign(frags, _paths(2), wraparound=False)
-    pairs = assign(frags, _paths(4), wraparound=False)
+    pairs = assign(frags, _paths(4))
     assert [p.node_ids[1] for _f, p in pairs] == [10, 11, 12, 13]
     with pytest.raises(NoPathError):
         assign(frags, [])

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from qempar import (EnergyLedger, EnergyLedgerEntry, NodeState, Position,
-                    RadioParams, debit, record_rx, record_tx, rx_energy,
-                    threshold_distance, tx_energy)
+from qempar.energy import (EnergyLedger, RadioParams, record_rx, record_tx,
+                           rx_energy, threshold_distance, tx_energy)
+from qempar.topology import NodeState, Position
 
 
 def test_threshold_distance_value():
@@ -57,7 +57,7 @@ def test_invalid_inputs_raise():
 def test_residual_after_one_transmission():
     node = NodeState(3, Position(0, 0), initial_energy=2.0)
     ledger = EnergyLedger()
-    spent = record_tx(node, 4096, 40.0, RadioParams(), ledger, sim_time=0.0)
+    spent = record_tx(node, 4096, 40.0, RadioParams(), ledger)
     assert spent == pytest.approx(0.000270336, rel=1e-12)
     assert node.residual_energy == pytest.approx(1.999729664, rel=1e-12)
     assert ledger.total() == pytest.approx(spent, rel=1e-12)
@@ -66,30 +66,18 @@ def test_residual_after_one_transmission():
 def test_clamped_debit_kills_node_but_ledger_keeps_full_cost():
     node = NodeState(4, Position(0, 0), initial_energy=1e-9)
     ledger = EnergyLedger()
-    record_rx(node, 4096, RadioParams(), ledger, sim_time=1.0)
+    record_rx(node, 4096, RadioParams(), ledger)
     assert not node.alive
     assert node.residual_energy == 0.0
     assert ledger.clamped_debits == 1
     assert ledger.total() == pytest.approx(0.0002048, rel=1e-12)
 
 
-def test_ledger_entries_carry_audit_fields():
-    node = NodeState(5, Position(0, 0), initial_energy=2.0)
-    ledger = EnergyLedger()
-    record_tx(node, 100, 25.0, RadioParams(), ledger, sim_time=0.5)
-    record_rx(node, 100, RadioParams(), ledger, sim_time=0.7)
-    tx_e, rx_e = ledger.entries
-    assert (tx_e.kind, tx_e.bits, tx_e.distance_m, tx_e.sim_time) == ("tx", 100, 25.0, 0.5)
-    assert (rx_e.kind, rx_e.distance_m, rx_e.sim_time) == ("rx", None, 0.7)
-    assert tx_e.joules == tx_energy(100, 25.0, RadioParams())
-
-
 def test_ledger_without_entries_still_keeps_totals():
     node = NodeState(6, Position(0, 0), initial_energy=2.0)
-    ledger = EnergyLedger(keep_entries=False)
-    record_tx(node, 4096, 40.0, RadioParams(), ledger, sim_time=0.0)
-    record_rx(node, 4096, RadioParams(), ledger, sim_time=0.0)
-    assert ledger.entries == []
+    ledger = EnergyLedger()
+    record_tx(node, 4096, 40.0, RadioParams(), ledger)
+    record_rx(node, 4096, RadioParams(), ledger)
     assert ledger.total() == pytest.approx(0.000270336 + 0.0002048, rel=1e-12)
     assert ledger.per_node()[6] == pytest.approx(ledger.total(), rel=1e-12)
 
@@ -99,16 +87,15 @@ def test_energy_conservation_over_random_debits():
     clamps, to float round-off."""
     p = RadioParams()
     rng = random.Random(7)
-    for trial in range(20):
+    for _ in range(20):
         nodes = {i: NodeState(i, Position(0, 0), initial_energy=50.0) for i in range(5)}
-        ledger = EnergyLedger(keep_entries=(trial % 2 == 0))
+        ledger = EnergyLedger()
         for _ in range(200):
             node = nodes[rng.randrange(5)]
             if rng.random() < 0.5:
-                record_tx(node, rng.randrange(1, 5000), rng.uniform(0, 200), p,
-                          ledger, sim_time=0.0)
+                record_tx(node, rng.randrange(1, 5000), rng.uniform(0, 200), p, ledger)
             else:
-                record_rx(node, rng.randrange(1, 5000), p, ledger, sim_time=0.0)
+                record_rx(node, rng.randrange(1, 5000), p, ledger)
         assert ledger.clamped_debits == 0
         drained = sum(n.initial_energy - n.residual_energy for n in nodes.values())
         assert drained == pytest.approx(ledger.total(), rel=1e-12)
@@ -120,5 +107,7 @@ def test_energy_conservation_over_random_debits():
 def test_debit_returns_residual():
     node = NodeState(8, Position(0, 0), initial_energy=1.0)
     ledger = EnergyLedger()
-    entry = EnergyLedgerEntry(8, "rx", 1000, None, 0.25, 0.0)
-    assert debit(node, entry, ledger) == pytest.approx(0.75)
+    joules = record_rx(node, 1000, RadioParams(), ledger)
+    assert joules == rx_energy(1000, RadioParams())
+    assert node.residual_energy == pytest.approx(1.0 - joules)
+    assert ledger.per_node() == {8: joules}

@@ -3,49 +3,67 @@ and the event log contract."""
 
 import io
 import json
+import math
+from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qempar import (Event, MacModel, ScenarioConfig, arrival_times, compare,
-                    hop_delay, link_success_probability, run)
-
-
-def _mac(**kw):
-    base = dict(bit_rate_bps=1e6, access_delay_s=0.0, contention_delay_s=0.0)
-    base.update(kw)
-    return MacModel(**base)
+from qempar import ScenarioConfig, compare, run
+from qempar.engine import Event, arrival_times, link_success_probability
 
 
-def test_hop_delay_serialization_only():
-    assert hop_delay(1024, _mac()) == pytest.approx(0.001024, rel=1e-12)
+def _hop_times(cfg, seed):
+    """(start, end, wire bits) of every hop attempt in a run's event log.
+
+    A hop ends with its hop-complete or hop-failed event; at most one hop of
+    a (packet, seq) is in flight at a time, so ends match starts FIFO.
+    """
+    buf = io.StringIO()
+    run(cfg, seed=seed, event_log=buf)
+    starts: dict[tuple, deque] = {}
+    hops = []
+    for line in buf.getvalue().splitlines():
+        e = json.loads(line)
+        key = (e["packet"], e["seq"])
+        if e["kind"] == "hop-start":
+            starts.setdefault(key, deque()).append((e["t"], e["bits"]))
+        elif e["kind"] in ("hop-complete", "hop-failed"):
+            t0, bits = starts[key].popleft()
+            hops.append((t0, e["t"], bits))
+    assert hops and not any(starts.values())
+    return hops
 
 
-def test_hop_delay_adds_access_and_contention():
-    mac = _mac(access_delay_s=0.0005, contention_delay_s=0.0005)
-    assert hop_delay(1024, mac) == pytest.approx(0.001524, rel=1e-12)
-    assert hop_delay(1024, mac, active_neighbors=3) == pytest.approx(0.003024, rel=1e-12)
+def test_hop_takes_serialization_plus_access_delay_without_contention():
+    cfg = ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, base_success=0.9,
+                         contention_delay_s=0.0)
+    for t0, t1, bits in _hop_times(cfg, seed=3):
+        assert t1 == t0 + (bits / cfg.bit_rate_bps + cfg.access_delay_s)
 
 
-def test_hop_delay_validates():
-    with pytest.raises(ValueError):
-        hop_delay(0, _mac())
-    with pytest.raises(ValueError):
-        hop_delay(100, _mac(), active_neighbors=-1)
-    with pytest.raises(ValueError):
-        MacModel(bit_rate_bps=0.0)
-    with pytest.raises(ValueError):
-        MacModel(base_success=0.0)
+def test_contention_adds_whole_multiples_of_its_delay():
+    cfg = ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, base_success=0.9,
+                         contention_delay_s=0.0003)
+    multiples = []
+    for t0, t1, bits in _hop_times(cfg, seed=3):
+        base = bits / cfg.bit_rate_bps + cfg.access_delay_s
+        n = round((t1 - t0 - base) / cfg.contention_delay_s)
+        assert n >= 0
+        assert t1 == t0 + (base + cfg.contention_delay_s * n)
+        multiples.append(n)
+    assert max(multiples) > 0
 
 
 def test_link_success_degrades_with_distance_and_clamps():
-    mac = MacModel()
-    assert link_success_probability(mac, 0.0, 40.0) == pytest.approx(0.98)
-    assert link_success_probability(mac, 40.0, 40.0) == pytest.approx(0.98 * 0.97, rel=1e-12)
-    assert link_success_probability(mac, 4000.0, 40.0) == 0.01  # floor
-    perfect = MacModel(base_success=1.0, success_distance_slope=0.0)
+    cfg = ScenarioConfig()
+    assert link_success_probability(cfg, 0.0, 40.0) == pytest.approx(0.98)
+    assert link_success_probability(cfg, 40.0, 40.0) == pytest.approx(0.98 * 0.97, rel=1e-12)
+    assert link_success_probability(cfg, 4000.0, 40.0) == 0.01  # floor
+    perfect = ScenarioConfig(base_success=1.0, success_distance_slope=0.0)
     assert link_success_probability(perfect, 500.0, 40.0) == 1.0  # cap
     with pytest.raises(ValueError):
-        link_success_probability(mac, -1.0, 40.0)
+        link_success_probability(cfg, -1.0, 40.0)
 
 
 def test_events_order_by_time_then_ordinal_only():
@@ -147,6 +165,14 @@ def test_unroutable_scenario_reports_failure():
     assert m.ledger_total_j == pytest.approx(m.setup_energy_j, rel=1e-12)
 
 
+def test_zero_packet_run_has_no_delivery_ratio():
+    m = run(ScenarioConfig(duration_s=0.05, rate_pkts_per_s=10.0), seed=1)
+    assert m.generated == 0
+    assert m.delivery_ratio is None
+    assert m.mean_delay_s is None and m.mean_energy_j is None
+    assert m.out_of_order_ratio == 0.0
+
+
 def test_runs_are_deterministic():
     cfg = _small()
     logs, metrics = [], []
@@ -212,3 +238,60 @@ def test_fragmented_router_beats_whole_packet_baseline_on_delay():
     b = run(replace(cfg, router="minhop"), seed=4)
     assert a.mean_delay_s < b.mean_delay_s
     assert a.n_paths >= 1 and b.n_paths == 1
+
+
+@st.composite
+def _valid_configs(draw):
+    """Small configs that pass validate(): tiny and degenerate fields (two
+    nodes, a source next to the sink, no bridging), short horizons, nodes
+    that die from their first beacons, and search budgets that truncate."""
+    width = draw(st.floats(1.0, 120.0))
+    height = draw(st.floats(1.0, 120.0))
+    frac = st.floats(0.0, 1.0)
+    sink = (draw(frac) * width, draw(frac) * height)
+    source = (draw(frac) * width, draw(frac) * height)
+    assume(sink != source)
+    return ScenarioConfig(
+        field_width=width, field_height=height,
+        node_count=draw(st.integers(2, 30)),
+        sink_x=sink[0], sink_y=sink[1], source_x=source[0], source_y=source[1],
+        radio_range_m=draw(st.floats(10.0, 80.0)),
+        extended_range_fallback=draw(st.booleans()),
+        initial_energy_j=draw(st.sampled_from([1e-5, 1e-3, 2.0, 2.0])),
+        packet_bytes=draw(st.integers(1, 64)),
+        fragment_count=draw(st.integers(1, 6)),
+        fragment_header_bytes=draw(st.integers(0, 8)),
+        traffic_model=draw(st.sampled_from(["deterministic", "poisson"])),
+        rate_pkts_per_s=draw(st.floats(1.0, 200.0)),
+        duration_s=draw(st.floats(0.01, 1.0)),
+        reassembly_deadline_s=draw(st.floats(0.001, 2.0)),
+        beacon_accounting=draw(st.booleans()),
+        progress_mode=draw(st.sampled_from(["preferred", "strict"])),
+        hop_budget_factor=draw(st.floats(1.0, 4.0)),
+        search_visit_budget=draw(st.sampled_from([1, 50, 20000])),
+        path_retry_limit=draw(st.integers(0, 3)),
+        carrier_sense_factor=draw(st.floats(0.0, 3.0)),
+        hop_retry_limit=draw(st.integers(0, 3)),
+        base_success=draw(st.floats(0.01, 1.0)),
+        success_distance_slope=draw(st.floats(0.0, 1.0)),
+        router=draw(st.sampled_from(["qempar", "minhop"])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs(), st.integers(0, 2**16))
+def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
+    cfg.validate()
+    m = run(cfg, seed=seed)
+    assert m.generated == m.delivered + m.expired + m.dropped
+    assert (m.delivery_ratio is None) == (m.generated == 0)
+    assert m.ledger_total_j == m.total_energy_j
+    budget = cfg.node_count * cfg.initial_energy_j
+    drained = budget - m.residual_total_j
+    # Each residual is rounded to the precision of the initial energy, so
+    # budget - residual carries that much round-off per node.
+    round_off = cfg.node_count * math.ulp(cfg.initial_energy_j) + math.ulp(budget)
+    if m.clamped_debits == 0:
+        assert drained == pytest.approx(m.ledger_total_j, rel=1e-12, abs=round_off)
+    else:  # a dying node's last debit exceeds what it had left
+        assert drained <= m.ledger_total_j + round_off

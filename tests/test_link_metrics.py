@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qempar import (LinkStats, RoutePath, UnknownNodeError, appr, interference,
-                    pick_best, pps, ppr, select_next_hop, suitability,
-                    total_merit)
+from qempar.errors import UnknownNodeError
+from qempar.link_metrics import (LinkStats, RoutePath, appr, interference,
+                                 pick_best, pps, ppr, select_next_hop,
+                                 suitability, total_merit)
 from qempar.topology import distance
 
 from conftest import make_state, manual_topology

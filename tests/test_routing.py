@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from qempar import (NoPathError, PathSet, RoutePath, ScenarioConfig,
-                    beacon_exchange, discover_paths, minhop_paths, place_nodes,
-                    run, rx_energy, tx_energy)
-from qempar.link_metrics import NetworkState
+from qempar import (NetworkState, ScenarioConfig, beacon_exchange,
+                    discover_paths, minhop_paths, place_nodes, run, rx_energy,
+                    tx_energy)
+from qempar.errors import NoPathError
+from qempar.link_metrics import RoutePath
+from qempar.routing import PathSet
 
 from conftest import make_state, manual_topology
 
@@ -41,22 +43,6 @@ def test_beacon_accounting_can_be_disabled(line_topology):
     beacon_exchange(state)
     assert all(n.spent_energy == 0.0 for n in line_topology.nodes.values())
     assert state.ledger.total() == 0.0
-    assert line_topology.nodes[1].neighbor_table  # tables still built
-
-
-def test_neighbor_tables_carry_post_exchange_snapshots(line_topology):
-    state = make_state(line_topology)
-    beacon_exchange(state)
-    table = {e.neighbor_id: e for e in line_topology.nodes[0].neighbor_table}
-    assert set(table) == {1}
-    entry = table[1]
-    assert entry.position == line_topology.nodes[1].position
-    assert entry.residual_energy == pytest.approx(
-        line_topology.nodes[1].residual_energy, rel=1e-12)
-    assert entry.pps == state.config.cold_start_value
-    assert entry.neighbor_ids == (0, 2)
-    mid_table = {e.neighbor_id for e in line_topology.nodes[1].neighbor_table}
-    assert mid_table == {0, 2}
 
 
 def test_path_set_orders_and_validates():

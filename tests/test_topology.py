@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from qempar import (NodeState, Position, ScenarioConfig, UnknownNodeError,
-                    distance, is_extended_link, neighbors, place_nodes)
+from qempar import ScenarioConfig, place_nodes
+from qempar.errors import UnknownNodeError
+from qempar.topology import (NodeState, Position, distance, is_extended_link,
+                             neighbors)
 
 from conftest import manual_topology
 
