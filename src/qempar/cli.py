@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated packet rates (default: 5..50 step 5)")
     p_sweep.add_argument("--seeds", default="1..10",
                          help="seeds as N..M or a comma list (default: 1..10)")
-    p_sweep.add_argument("--router", choices=["qempar", "minhop", "both"], default="both",
-                         help="router(s) to sweep (default: both)")
+    p_sweep.add_argument("--router", choices=["qempar", "minhop", "both"],
+                         help="router(s) to sweep (default: both, unless set by --config or --set)")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv",
                          help="report format (default: csv)")
     p_sweep.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
@@ -87,6 +87,14 @@ def _resolve_config(args, extra: dict | None = None):
             raise ConfigError(f"{', '.join(both)} given both by a flag and by --set")
         overrides.update((k, v) for k, v in extra.items() if v is not None)
     return load_config(args.config, overrides)
+
+
+def _router_extra(args) -> dict:
+    """--router as a flag value for _resolve_config; "both" runs each router
+    in turn, so it claims the key but sets no single value."""
+    if args.router is None:
+        return {}
+    return {"router": None if args.router == "both" else args.router}
 
 
 def _print_config(config, provenance) -> None:
@@ -135,14 +143,11 @@ def _deliver_report(rows, fmt: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    extra = {}
+    extra = _router_extra(args)
     if args.seed is not None:
         extra["seed"] = args.seed
     if args.rate is not None:
         extra["rate_pkts_per_s"] = args.rate
-    if args.router is not None:
-        # "both" runs each router in turn, so it sets no single value.
-        extra["router"] = None if args.router == "both" else args.router
     config, provenance = _resolve_config(args, extra)
     _print_config(config, provenance)
     routers = ["qempar", "minhop"] if args.router == "both" else [config.router]
@@ -166,11 +171,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, provenance = _resolve_config(args)
+    config, provenance = _resolve_config(args, _router_extra(args))
     _print_config(config, provenance)
     rates = _parse_rates(args.rates)
     seeds = _parse_seeds(args.seeds)
-    routers = ("qempar", "minhop") if args.router == "both" else (args.router,)
+    # Without --router, a router named by the config file or --set is swept alone.
+    both = args.router == "both" or (args.router is None and provenance["router"] == "default")
+    routers = ("qempar", "minhop") if both else (config.router,)
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     cells = compare(config, rates, seeds, routers=routers, jobs=args.jobs)

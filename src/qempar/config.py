@@ -51,17 +51,15 @@ class ScenarioConfig:
     duration_s: float = 60.0
     reassembly_deadline_s: float = 5.0
 
-    # Beacons and link statistics
+    # Beacons and cold-start link statistics
     beacon_bytes: int = 32
     beacon_accounting: bool = True
-    stats_decay: float = 0.0
     cold_start_value: float = 1.0
 
     # Suitability scoring
     appr_mode: str = "mean"  # mean | literal
     interference_mode: str = "normalized"  # normalized | literal
     interference_noise: float = 1.0
-    interference_neighbor_coeff: float = 0.1
     interference_reference: float = 1600.0
     interference_alpha: float = 2.0
 
@@ -128,14 +126,11 @@ class ScenarioConfig:
         check(self.duration_s > 0, "duration_s must be positive")
         check(self.reassembly_deadline_s > 0, "reassembly_deadline_s must be positive")
         check(self.beacon_bytes >= 1, "beacon_bytes must be at least 1")
-        check(0.0 <= self.stats_decay <= 1.0, "stats_decay must be in [0, 1]")
         check(0.0 <= self.cold_start_value <= 1.0, "cold_start_value must be in [0, 1]")
         check(self.appr_mode in ("mean", "literal"), "appr_mode must be mean or literal")
         check(self.interference_mode in ("normalized", "literal"),
               "interference_mode must be normalized or literal")
         check(self.interference_noise > 0, "interference_noise must be positive")
-        check(self.interference_neighbor_coeff >= 0,
-              "interference_neighbor_coeff must be non-negative")
         check(self.interference_reference > 0, "interference_reference must be positive")
         check(self.interference_alpha > 0, "interference_alpha must be positive")
         check(self.progress_mode in ("preferred", "strict"),

@@ -86,8 +86,7 @@ class _Slot:
     created_s: float
     expected: int
     status: str = "pending"
-    arrivals: dict[int, float] = field(default_factory=dict)
-    arrival_order: list[int] = field(default_factory=list)
+    arrivals: dict[int, float] = field(default_factory=dict)  # seq -> time, in arrival order
     completed_s: float | None = None
 
 
@@ -128,7 +127,6 @@ class ReassemblyBuffer:
             return slot.status
         if seq not in slot.arrivals:
             slot.arrivals[seq] = now
-            slot.arrival_order.append(seq)
             if len(slot.arrivals) == slot.expected:
                 slot.status = "complete"
                 slot.completed_s = now
@@ -157,5 +155,5 @@ class ReassemblyBuffer:
     def out_of_order(self, packet_id: int) -> bool:
         """True if a completed packet's fragments arrived out of sequence."""
         slot = self._slot(packet_id)
-        order = slot.arrival_order
+        order = list(slot.arrivals)
         return any(a > b for a, b in zip(order, order[1:]))

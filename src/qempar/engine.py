@@ -16,7 +16,7 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,21 +44,18 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """One simulation event as it appears in the event log. Ordering is by
-    (sim_time, ordinal) only; ordinals are unique, so ties between equal-time
-    events resolve in creation order."""
+    """One simulation event as it appears in the event log."""
 
     sim_time: float
-    ordinal: int
-    kind: str = field(compare=False, default="")
-    node: int | None = field(compare=False, default=None)
-    peer: int | None = field(compare=False, default=None)
-    packet: int | None = field(compare=False, default=None)
-    seq: int | None = field(compare=False, default=None)
-    bits: int | None = field(compare=False, default=None)
-    joules: float | None = field(compare=False, default=None)
+    kind: str
+    node: int | None = None
+    peer: int | None = None
+    packet: int | None = None
+    seq: int | None = None
+    bits: int | None = None
+    joules: float | None = None
 
     def to_json(self) -> str:
         return _encode_json(
@@ -266,7 +263,7 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
     heapq.heapify(heap)
 
     def emit(t, kind, node=None, peer=None, packet=None, seq=None, bits=None, joules=None):
-        log.write(Event(t, 0, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
+        log.write(Event(t, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
 
     def condemn(pid: int, code: int) -> None:
         if status[pid] == _PENDING:
@@ -289,7 +286,6 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
                  + contention_delay * state.active_transmitters_near(u))
         ledger.add(u, hop[2], sender.spend(hop[2]))
         if not sender.alive:
-            state.invalidate_neighbors()
             drain_dead(u)
         # The success draw always happens, keeping the stream aligned across
         # alternate outcomes; a dead receiver forces failure.
@@ -321,7 +317,6 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
                 receiver = nodes[v]
                 ledger.add(v, rx_j, receiver.spend(rx_j))
                 if not receiver.alive:
-                    state.invalidate_neighbors()
                     drain_dead(v)
                 if log is not None:
                     emit(t, "hop-complete", node=v, peer=u, packet=pid, seq=seq,

@@ -1,60 +1,20 @@
-"""Link quality bookkeeping and the four-term next-hop suitability score.
+"""Network state and the four-term next-hop suitability score.
 
 A candidate hop from a to b is scored PPS_b + APPR_b + interference term +
-residual-energy ratio. PPS/PPR are success ratios over per-link send/receive
-counters aggregated per node; APPR averages (or, in literal mode, sums) the
-PPR of the candidate's own neighbors; the interference term rewards strong
-links, 1/(1+I_B) in normalized mode or 1/I_B in literal mode.
+residual-energy ratio. Discovery runs once, before any traffic, so PPS/PPR
+(a node's send/receive success ratios) are still the cold-start value; APPR
+averages (or, in literal mode, sums) the PPR of the candidate's neighbors;
+the interference term rewards short links, 1/(1+I_B) in normalized mode or
+1/I_B in literal mode, with I_B = noise * d^alpha / reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy import EnergyLedger, RadioParams
 from .errors import UnknownNodeError
 from .topology import Topology, distance, neighbors as topo_neighbors
-
-
-@dataclass
-class LinkStats:
-    """Per-link counters. Floats so an optional exponential decay can scale
-    them; without decay they hold exact event counts."""
-
-    sends_attempted: float = 0.0
-    sends_succeeded: float = 0.0
-    receives_expected: float = 0.0
-    receives_succeeded: float = 0.0
-
-    def record_send(self, ok: bool, decay: float = 0.0) -> None:
-        if decay:
-            self.sends_attempted *= decay
-            self.sends_succeeded *= decay
-        self.sends_attempted += 1.0
-        if ok:
-            self.sends_succeeded += 1.0
-
-    def record_receive(self, ok: bool, decay: float = 0.0) -> None:
-        if decay:
-            self.receives_expected *= decay
-            self.receives_succeeded *= decay
-        self.receives_expected += 1.0
-        if ok:
-            self.receives_succeeded += 1.0
-
-
-def pps(stats: LinkStats, cold_start: float = 1.0) -> float:
-    """Send success ratio; cold_start before any attempt."""
-    if stats.sends_attempted <= 0.0:
-        return cold_start
-    return stats.sends_succeeded / stats.sends_attempted
-
-
-def ppr(stats: LinkStats, cold_start: float = 1.0) -> float:
-    """Receive success ratio; cold_start before any expected reception."""
-    if stats.receives_expected <= 0.0:
-        return cold_start
-    return stats.receives_succeeded / stats.receives_expected
 
 
 @dataclass(frozen=True)
@@ -103,59 +63,46 @@ class RoutePath:
 
 class NetworkState:
     """Everything the metrics need about a running network: topology, radio
-    constants, scenario config, per-link counters, the energy ledger, and
-    which nodes are mid-transmission right now."""
+    constants, scenario config, per-node send and receive counts, the energy
+    ledger, and which nodes are mid-transmission right now."""
 
     def __init__(self, topology: Topology, params: RadioParams, config):
         self.topology = topology
         self.params = params
         self.config = config
-        self.stats: dict[tuple[int, int], LinkStats] = {}
         self.ledger = EnergyLedger()
         self.busy_until: dict[int, float] = {}
         self.active_tx: set[int] = set()
         self.now: float = 0.0
-        # Per-node aggregates (attempted, succeeded) kept in lockstep with the
-        # per-link counters so node-level PPS/PPR are O(1).
-        self._send_agg: dict[int, list[float]] = {}
-        self._recv_agg: dict[int, list[float]] = {}
+        # Per-node [attempted, succeeded] send and receive counts.
+        self._send_agg: dict[int, list[int]] = {}
+        self._recv_agg: dict[int, list[int]] = {}
         self._nbr_cache: dict[int, list[int]] = {}
         # Per node, the other nodes within carrier-sense range. Nodes never
         # move, so each set is built once, on the node's first query.
         self._cs_near: dict[int, frozenset[int]] = {}
 
-    def link(self, a: int, b: int) -> LinkStats:
-        key = (a, b)
-        st = self.stats.get(key)
-        if st is None:
-            st = self.stats[key] = LinkStats()
-        return st
-
     def record_send(self, a: int, b: int, ok: bool) -> None:
-        st = self.link(a, b)
-        before = (st.sends_attempted, st.sends_succeeded)
-        st.record_send(ok, self.config.stats_decay)
-        agg = self._send_agg.setdefault(a, [0.0, 0.0])
-        agg[0] += st.sends_attempted - before[0]
-        agg[1] += st.sends_succeeded - before[1]
+        """Count one a-to-b send attempt against sender a."""
+        agg = self._send_agg.setdefault(a, [0, 0])
+        agg[0] += 1
+        agg[1] += bool(ok)
 
     def record_receive(self, a: int, b: int, ok: bool) -> None:
-        st = self.link(a, b)
-        before = (st.receives_expected, st.receives_succeeded)
-        st.record_receive(ok, self.config.stats_decay)
-        agg = self._recv_agg.setdefault(b, [0.0, 0.0])
-        agg[0] += st.receives_expected - before[0]
-        agg[1] += st.receives_succeeded - before[1]
+        """Count one expected a-to-b reception against receiver b."""
+        agg = self._recv_agg.setdefault(b, [0, 0])
+        agg[0] += 1
+        agg[1] += bool(ok)
 
     def node_pps(self, node_id: int) -> float:
         agg = self._send_agg.get(node_id)
-        if not agg or agg[0] <= 0.0:
+        if not agg:
             return self.config.cold_start_value
         return agg[1] / agg[0]
 
     def node_ppr(self, node_id: int) -> float:
         agg = self._recv_agg.get(node_id)
-        if not agg or agg[0] <= 0.0:
+        if not agg:
             return self.config.cold_start_value
         return agg[1] / agg[0]
 
@@ -203,13 +150,11 @@ def appr(neighbor_id: int, state: NetworkState) -> float:
 
 
 def interference(a: int, b: int, state: NetworkState) -> float:
-    """I_B for the a-to-b link: receiver-side contention plus noise, scaled by
-    the path-loss distance term. Always positive."""
+    """I_B for the a-to-b link: noise * d^alpha / reference, with no live
+    contention, as discovery runs before any traffic. Always positive."""
     cfg = state.config
     d = distance(state.topology.node(a).position, state.topology.node(b).position)
-    active = state.active_transmitters_near(b)
-    raw = (cfg.interference_noise + cfg.interference_neighbor_coeff * active) \
-        * d ** cfg.interference_alpha / cfg.interference_reference
+    raw = cfg.interference_noise * d ** cfg.interference_alpha / cfg.interference_reference
     return max(raw, 1e-12)
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import NoPathError, UnknownNodeError
+from .errors import NoPathError
 from .link_metrics import NetworkState, RoutePath, select_next_hop, total_merit
 from .energy import record_rx, record_tx
 from .topology import distance, is_extended_link
@@ -109,12 +110,6 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
     return None
 
 
-def _bfs_hops(state: NetworkState, source: int, sink: int, banned: set[int],
-              direct_ok: bool) -> int | None:
-    path = _bfs_path(state, source, sink, banned, direct_ok)
-    return None if path is None else len(path) - 1
-
-
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                         depth_cap: int, dist_to_sink: dict[int, float],
                         visit_budget: int, direct_ok: bool):
@@ -174,8 +169,8 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
     return None, visits >= visit_budget, deepest
 
 
-def _find_path(state: NetworkState, source: int, sink: int, banned: set[int],
-               cap_max: int, dist_to_sink: dict[int, float],
+def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
+               dist_to_sink: dict[int, float], banned: set[int],
                direct_ok: bool) -> list[int] | None:
     """One path avoiding banned interiors (and, without direct_ok, the
     source-to-sink link), or None.
@@ -189,12 +184,12 @@ def _find_path(state: NetworkState, source: int, sink: int, banned: set[int],
     blacklist: set[int] = set()
     for _ in range(cfg.path_retry_limit + 1):
         excluded = banned | blacklist
-        lb = _bfs_hops(state, source, sink, excluded, direct_ok)
-        if lb is None or lb > cap_max:
+        shortest = _bfs_path(state, source, sink, excluded, direct_ok)
+        if shortest is None or len(shortest) - 1 > cap_max:
             return None
         truncated_any = False
         deepest: list[int] = []
-        for cap in range(max(lb, 1), cap_max + 1):
+        for cap in range(len(shortest) - 1, cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
                 state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget,
                 direct_ok)
@@ -213,12 +208,6 @@ def _find_path(state: NetworkState, source: int, sink: int, banned: set[int],
     return None
 
 
-def _build_route(state: NetworkState, ids: list[int]) -> RoutePath:
-    topo = state.topology
-    ext = tuple((a, b) for a, b in zip(ids, ids[1:]) if is_extended_link(topo, a, b))
-    return RoutePath(tuple(ids), total_merit(ids, state), ext)
-
-
 def _check_endpoints(state: NetworkState, source: int, sink: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -230,13 +219,33 @@ def _check_endpoints(state: NetworkState, source: int, sink: int, k: int) -> Non
         raise NoPathError("source or sink is dead")
 
 
+def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
+                    find_path) -> PathSet:
+    """Up to k node-disjoint paths, accepted sequentially: each accepted
+    path's interior is banned for the next, and a direct source-to-sink hop
+    is taken at most once. find_path(banned, direct_ok) returns one path's
+    node ids or None. Raises NoPathError when not even one path exists."""
+    used: set[int] = set()
+    paths: list[RoutePath] = []
+    for _ in range(k):
+        direct_ok = all(p.hop_count > 1 for p in paths)
+        ids = find_path(used, direct_ok)
+        if ids is None:
+            break
+        ext = tuple((a, b) for a, b in zip(ids, ids[1:])
+                    if is_extended_link(state.topology, a, b))
+        paths.append(RoutePath(tuple(ids), total_merit(ids, state), ext))
+        used.update(ids[1:-1])
+    if not paths:
+        raise NoPathError(f"no path from {source} to {sink}")
+    return PathSet(tuple(paths), source, sink)
+
+
 def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
     """Up to k node-disjoint suitability-greedy paths, best-effort.
 
-    Paths are accepted sequentially; each accepted path's interior is banned
-    for the next, and a direct source-to-sink hop is taken at most once.
-    Returns fewer than k when the topology cannot support more
-    and raises NoPathError when not even one path exists.
+    Returns fewer than k when the topology cannot support more and raises
+    NoPathError when not even one path exists.
     """
     _check_endpoints(state, source, sink, k)
     topo = state.topology
@@ -244,18 +253,8 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     dist_to_sink = {i: distance(n.position, sink_pos) for i, n in topo.nodes.items()}
     est = max(1, math.ceil(dist_to_sink[source] / topo.radio_range))
     cap_max = math.ceil(state.config.hop_budget_factor * est)
-    used: set[int] = set()
-    paths: list[RoutePath] = []
-    for _ in range(k):
-        direct_ok = all(p.hop_count > 1 for p in paths)
-        ids = _find_path(state, source, sink, used, cap_max, dist_to_sink, direct_ok)
-        if ids is None:
-            break
-        paths.append(_build_route(state, ids))
-        used.update(ids[1:-1])
-    if not paths:
-        raise NoPathError(f"no path from {source} to {sink}")
-    return PathSet(tuple(paths), source, sink)
+    return _disjoint_paths(state, source, sink, k,
+                           partial(_find_path, state, source, sink, cap_max, dist_to_sink))
 
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
@@ -263,15 +262,4 @@ def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet
     shortest path, remove its interior (or, for a direct hop, that link),
     repeat."""
     _check_endpoints(state, source, sink, k)
-    used: set[int] = set()
-    paths: list[RoutePath] = []
-    for _ in range(k):
-        direct_ok = all(p.hop_count > 1 for p in paths)
-        ids = _bfs_path(state, source, sink, used, direct_ok)
-        if ids is None:
-            break
-        paths.append(_build_route(state, ids))
-        used.update(ids[1:-1])
-    if not paths:
-        raise NoPathError(f"no path from {source} to {sink}")
-    return PathSet(tuple(paths), source, sink)
+    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink))

@@ -65,8 +65,6 @@ class Topology:
     sink_id: int
     source_id: int
     radio_range: float  # meters
-    field_width: float
-    field_height: float
     fallback_enabled: bool = True
     # Symmetric extended-range links added at placement to connect the field;
     # empty when fallback is disabled.
@@ -103,8 +101,6 @@ def place_nodes(config, seed: int) -> Topology:
         sink_id=0,
         source_id=1,
         radio_range=config.radio_range_m,
-        field_width=config.field_width,
-        field_height=config.field_height,
         fallback_enabled=config.extended_range_fallback,
     )
     if config.extended_range_fallback:

@@ -22,7 +22,6 @@ prints one pass/fail line per requirement:
 """
 
 import io
-import json
 import random
 import time
 from collections import deque
@@ -36,6 +35,8 @@ from qempar import (NetworkState, RadioParams, ScenarioConfig, compare,
 from qempar.dispatch import DataPacket, ReassemblyBuffer, fragment
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
+
+from conftest import replay_mean_delay
 
 RATES = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SEEDS = list(range(1, 21))
@@ -173,23 +174,6 @@ def test_min_hop_path_length_matches_bfs_oracle_on_500_topologies():
         assert want <= best <= max(want * budget_factor, want + 2)
 
 
-def _replay_mean_delay(log_text, k, deadline):
-    """Recompute the mean end-to-end delay from event-log lines alone."""
-    born, arrivals = {}, {}
-    for line in log_text.splitlines():
-        e = json.loads(line)
-        if e["kind"] == "packet-born":
-            born[e["packet"]] = e["t"]
-        elif e["kind"] == "fragment-delivered":
-            arrivals.setdefault(e["packet"], []).append(e["t"])
-    delays = []
-    for pid in sorted(born):
-        times = arrivals.get(pid, [])
-        if len(times) == k and all(t < born[pid] + deadline for t in times):
-            delays.append(max(times) - born[pid])
-    return (sum(delays) / len(delays) if delays else None), len(delays)
-
-
 def test_ledger_balances_and_event_log_replays_delays_exactly(sweep):
     cells, _ = sweep
     budget = SWEEP_CONFIG.node_count * SWEEP_CONFIG.initial_energy_j
@@ -204,7 +188,7 @@ def test_ledger_balances_and_event_log_replays_delays_exactly(sweep):
             m = run(cfg, seed=seed, event_log=buf)
             assert m.delivered + m.expired + m.dropped == m.generated
             k = cfg.fragment_count if router == "qempar" else 1
-            mean, delivered = _replay_mean_delay(
+            mean, delivered = replay_mean_delay(
                 buf.getvalue(), k, cfg.reassembly_deadline_s)
             assert delivered == m.delivered
             assert mean == m.mean_delay_s  # bit-exact, not approximate
@@ -215,7 +199,7 @@ DETERMINISM_SCENARIOS = [
     ScenarioConfig(duration_s=2.0, router="minhop"),
     ScenarioConfig(duration_s=2.0, traffic_model="poisson"),
     ScenarioConfig(duration_s=2.0, appr_mode="literal", interference_mode="literal",
-                   stats_decay=0.9, progress_mode="strict"),
+                   progress_mode="strict"),
     ScenarioConfig(duration_s=2.0, fragment_count=1, beacon_accounting=False,
                    access_delay_s=0.0, contention_delay_s=0.0),
 ]

@@ -9,17 +9,23 @@ import hashlib
 import io
 import json
 
+from dataclasses import replace
+
 import pytest
 
 from qempar import ScenarioConfig, run
 
 # A dense field (150 nodes at the density of 300 in the default square) on
-# which qempar splits traffic over three disjoint paths, and the default
-# field under the min-hop baseline.
+# which qempar splits traffic over three disjoint paths, the same field under
+# the literal scoring modes, strict progress and Poisson arrivals, and the
+# default field under the min-hop baseline.
 DENSE_QEMPAR = ScenarioConfig(
     node_count=150, field_width=282.8, field_height=282.8,
     source_x=212.1, source_y=212.1, duration_s=2.0, rate_pkts_per_s=30.0,
     router="qempar")
+DENSE_LITERAL = replace(
+    DENSE_QEMPAR, appr_mode="literal", interference_mode="literal",
+    progress_mode="strict", traffic_model="poisson")
 DEFAULT_MINHOP = ScenarioConfig(duration_s=2.0, router="minhop")
 
 
@@ -38,6 +44,8 @@ def run_digest(config, seed):
      "282457333cf38785f51ac810eba3f7cb1ffe4cbdb80cdc513d09ffe2a90ca84d"),
     (DEFAULT_MINHOP, 1, (14,),
      "142c7a5425436d5eb1b35cac295cb2cfd050a422328bd7dbcd5ac5f6a6102db4"),
+    (DENSE_LITERAL, 7, (10, 12, 13),
+     "9776fa4c82b44dfcb74ddd5973f1532dee1bca9c7af0996fa37dc5bff7f82e54"),
 ])
 def test_run_bytes_are_pinned(config, seed, path_hops, expected):
     metrics, digest = run_digest(config, seed)

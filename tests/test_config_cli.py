@@ -22,7 +22,7 @@ def test_defaults_validate():
 
 
 def test_config_text_round_trips_exactly():
-    cfg = ScenarioConfig(rate_pkts_per_s=12.5, stats_decay=0.875,
+    cfg = ScenarioConfig(rate_pkts_per_s=12.5, interference_noise=0.875,
                          beacon_accounting=False, node_count=37)
     parsed = parse_config_text(cfg.to_text())
     assert ScenarioConfig(**parsed) == cfg
@@ -215,7 +215,8 @@ def test_flag_and_set_of_the_same_key_exit_2(flag, key, capsys):
     assert key.split("=")[0] in err and "by a flag and by --set" in err
 
 
-@pytest.mark.parametrize("key", ["wraparound_assignment=false", "e_da_j_per_bit=1e-9"])
+@pytest.mark.parametrize("key", ["wraparound_assignment=false", "e_da_j_per_bit=1e-9",
+                                 "stats_decay=0.5", "interference_neighbor_coeff=0.2"])
 def test_removed_keys_are_rejected(key, capsys):
     assert main(["run", "--set", key] + FAST) == 2
     assert "unknown configuration key" in capsys.readouterr().err
@@ -281,6 +282,36 @@ def test_sweep_accepts_comma_seed_lists(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["router"] == "qempar"
     assert rows[0]["n_seeds"] == 2
+
+
+@pytest.mark.parametrize("args, routers", [
+    ([], {"minhop", "qempar"}),
+    (["--set", "router=minhop"], {"minhop"}),
+    (["--set", "router=qempar"], {"qempar"}),
+    (["--router", "minhop"], {"minhop"}),
+    (["--router", "both"], {"minhop", "qempar"}),
+])
+def test_sweep_routers_follow_the_flag_else_a_set_router(args, routers, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--rates", "5", "--seeds", "1", "--out", str(out)] + args + FAST)
+    assert code == 0
+    assert {r["router"] for r in csv.DictReader(io.StringIO(out.read_text()))} == routers
+
+
+def test_sweep_router_from_a_config_file(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("duration_s = 0.5\nrouter = minhop\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--rates", "5", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert {r["router"] for r in csv.DictReader(io.StringIO(out.read_text()))} == {"minhop"}
+
+
+@pytest.mark.parametrize("flag", ["both", "qempar"])
+def test_sweep_router_flag_and_set_exit_2(flag, capsys):
+    assert main(["sweep", "--router", flag, "--set", "router=minhop", "--rates", "5",
+                 "--seeds", "1", "--set", "duration_s=0.5"]) == 2
+    assert "router given both by a flag and by --set" in capsys.readouterr().err
 
 
 def test_config_file_feeds_the_cli(tmp_path, capsys):

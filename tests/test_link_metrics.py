@@ -1,4 +1,4 @@
-"""Link counters, the four-term suitability score, and next-hop selection."""
+"""Per-node counters, the four-term suitability score, and next-hop selection."""
 
 import random
 
@@ -6,47 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qempar.errors import UnknownNodeError
-from qempar.link_metrics import (LinkStats, RoutePath, appr, interference,
-                                 pick_best, pps, ppr, select_next_hop,
-                                 suitability, total_merit)
+from qempar.link_metrics import (RoutePath, appr, interference, pick_best,
+                                 select_next_hop, suitability, total_merit)
 from qempar.topology import distance
 
 from conftest import make_state, manual_topology
 
 
-def test_ratios_cold_start_before_any_traffic():
-    st = LinkStats()
-    assert pps(st) == 1.0
-    assert ppr(st) == 1.0
-    assert pps(st, cold_start=0.4) == 0.4
-    assert ppr(st, cold_start=0.4) == 0.4
-
-
-def test_counters_track_events_exactly():
-    st = LinkStats()
-    for ok in (True, True, False, True):
-        st.record_send(ok)
-    for ok in (True, False):
-        st.record_receive(ok)
-    assert (st.sends_attempted, st.sends_succeeded) == (4.0, 3.0)
-    assert (st.receives_expected, st.receives_succeeded) == (2.0, 1.0)
-    assert pps(st) == pytest.approx(0.75)
-    assert ppr(st) == pytest.approx(0.5)
-
-
-def test_decay_scales_old_counts_before_each_new_one():
-    st = LinkStats()
-    st.record_send(True, decay=0.5)
-    st.record_send(True, decay=0.5)   # counts: 1*0.5+1 = 1.5 attempted
-    st.record_send(False, decay=0.5)  # 1.5*0.5+1 = 1.75; ok: 1.5*0.5 = 0.75
-    assert st.sends_attempted == pytest.approx(1.75)
-    assert st.sends_succeeded == pytest.approx(0.75)
-    assert pps(st) == pytest.approx(0.75 / 1.75, rel=1e-12)
-
-
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
     topo = manual_topology({0: (0, 0), 1: (d, 0)}, radio_range=radio_range)
     return make_state(topo, **cfg)
+
+
+def test_ratios_cold_start_before_any_traffic():
+    for cold in (1.0, 0.4):
+        state = _two_node_state(cold_start_value=cold)
+        for node in (0, 1):
+            assert state.node_pps(node) == cold
+            assert state.node_ppr(node) == cold
+
+
+def test_counters_track_events_exactly():
+    state = _two_node_state(cold_start_value=0.4)
+    for ok in (True, True, False, True):
+        state.record_send(1, 0, ok)
+    for ok in (True, False):
+        state.record_receive(1, 0, ok)
+    assert state.node_pps(1) == 0.75  # sends count against the sender
+    assert state.node_ppr(0) == 0.5  # receptions count against the receiver
+    assert state.node_pps(0) == state.node_ppr(1) == 0.4
 
 
 def test_suitability_four_terms_add_to_known_value():
@@ -145,30 +133,22 @@ def test_select_next_hop_requires_candidates():
     assert select_next_hop(0, [1], state) == 1
 
 
-def test_node_aggregates_match_per_link_recount():
-    """The O(1) per-node PPS/PPR aggregates stay in lockstep with a full
-    recount over the per-link counters, decay included."""
+def test_node_ratios_match_a_recount_of_the_record_calls():
+    """PPS and PPR equal a plain per-node recount over a random sequence of
+    record_send/record_receive calls."""
     topo = manual_topology({i: (10 * i, 0) for i in range(6)}, radio_range=100.0)
     rng = random.Random(5)
-    for decay in (0.0, 0.9):
-        state = make_state(topo, stats_decay=decay)
-        for _ in range(500):
-            a, b = rng.sample(range(6), 2)
-            if rng.random() < 0.5:
-                state.record_send(a, b, rng.random() < 0.8)
-            else:
-                state.record_receive(a, b, rng.random() < 0.8)
-        for node in range(6):
-            sent = [st for (a, _b), st in state.stats.items() if a == node]
-            att = sum(s.sends_attempted for s in sent)
-            suc = sum(s.sends_succeeded for s in sent)
-            expect = suc / att if att > 0 else 1.0
-            assert state.node_pps(node) == pytest.approx(expect, rel=1e-9)
-            recv = [st for (_a, b), st in state.stats.items() if b == node]
-            exp = sum(s.receives_expected for s in recv)
-            got = sum(s.receives_succeeded for s in recv)
-            expect = got / exp if exp > 0 else 1.0
-            assert state.node_ppr(node) == pytest.approx(expect, rel=1e-9)
+    state = make_state(topo, cold_start_value=0.25)
+    calls = []
+    for _ in range(500):
+        a, b = rng.sample(range(6), 2)
+        send, ok = rng.random() < 0.5, rng.random() < 0.8
+        (state.record_send if send else state.record_receive)(a, b, ok)
+        calls.append((send, a, b, ok))
+    for node in range(6):
+        for send, ratio in ((True, state.node_pps), (False, state.node_ppr)):
+            oks = [ok for s, a, b, ok in calls if s == send and (a if send else b) == node]
+            assert ratio(node) == (sum(oks) / len(oks) if oks else 0.25)
 
 
 def test_route_path_validation_and_properties():

@@ -32,10 +32,10 @@ def test_beacon_exchange_debits_exact_energy(line_topology):
 
 
 def test_beacons_never_touch_link_counters(line_topology):
-    state = make_state(line_topology)
+    state = make_state(line_topology, cold_start_value=0.4)
     beacon_exchange(state)
-    assert state.stats == {}
-    assert state.node_pps(1) == state.config.cold_start_value
+    for node in line_topology.nodes:
+        assert state.node_pps(node) == state.node_ppr(node) == 0.4
 
 
 def test_beacon_accounting_can_be_disabled(line_topology):
@@ -206,6 +206,19 @@ def test_discovery_is_deterministic():
             ps = discover_paths(1, 0, 4, state)
             runs.append(tuple(p.node_ids for p in ps.paths))
         assert runs[0] == runs[1]
+
+
+def test_discovery_ignores_mac_state():
+    """Discovery scores what exists before traffic: a state with every node
+    mid-transmission yields the same paths and merits as a fresh one."""
+    cfg = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                         source_x=212.1, source_y=212.1)
+    for seed in range(1, 21):
+        fresh = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
+        busy = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
+        busy.active_tx = set(busy.topology.nodes)
+        busy.busy_until = dict.fromkeys(busy.topology.nodes, 1.0)
+        assert discover_paths(1, 0, 4, busy) == discover_paths(1, 0, 4, fresh), f"seed {seed}"
 
 
 def test_paths_flag_extended_hops():
