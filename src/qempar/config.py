@@ -10,6 +10,7 @@ print its resolved configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .energy import RadioParams
@@ -101,6 +102,8 @@ class ScenarioConfig:
             if not ok:
                 errs.append(msg)
 
+        for name in _FLOAT_FIELDS:
+            check(math.isfinite(getattr(self, name)), f"{name} must be finite")
         check(self.field_width > 0 and self.field_height > 0,
               "field dimensions must be positive")
         check(self.node_count >= 2, "node_count must be at least 2")
@@ -169,7 +172,7 @@ class ScenarioConfig:
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 _BOOL_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "bool"}
 _INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"}
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 

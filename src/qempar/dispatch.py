@@ -1,159 +1,97 @@
-"""Packet fragmentation, path assignment, and reassembly.
+"""Packet fragmentation and reassembly.
 
-A data packet is split into k tiny packets whose payload sizes differ by at
-most one bit and sum exactly to the original size. Tiny packets are assigned
-to ranked paths round-robin by sequence number. The sink reassembles; a
-packet counts as delivered only if every fragment arrives before its
-reassembly deadline.
+A data packet is split into k fragments whose payload sizes differ by at
+most one bit and sum exactly to the original size. The sink's reassembly
+buffer is the one record of every packet's fate: a packet is delivered only
+if every fragment arrives before its reassembly deadline, expires at the
+deadline, or is dropped when a fragment is lost on the way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import NoPathError
-from .link_metrics import RoutePath
+# Packet statuses, as held in ReassemblyBuffer.status.
+PENDING, DELIVERED, EXPIRED, DROPPED = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class DataPacket:
-    """An application packet awaiting fragmentation."""
+def fragment(bits: int, k: int) -> list[int]:
+    """Payload sizes of fragments 1..k of a packet carrying bits payload bits.
 
-    packet_id: int
-    bits: int
-    created_s: float
-
-    def __post_init__(self):
-        if self.bits <= 0:
-            raise ValueError("packet bits must be positive")
-        if self.created_s < 0:
-            raise ValueError("creation time must be non-negative")
-
-
-@dataclass(frozen=True)
-class TinyPacket:
-    """One fragment of a data packet. seq runs 1..k; wire_bits adds the
-    per-fragment header to the payload."""
-
-    parent_id: int
-    seq: int
-    bits: int
-    header_bits: int = 0
-
-    def __post_init__(self):
-        if self.seq < 1:
-            raise ValueError("fragment seq starts at 1")
-        if self.bits <= 0:
-            raise ValueError("fragment bits must be positive")
-        if self.header_bits < 0:
-            raise ValueError("header bits must be non-negative")
-
-    @property
-    def wire_bits(self) -> int:
-        return self.bits + self.header_bits
-
-
-def fragment(packet: DataPacket, k: int, header_bits: int = 0) -> list[TinyPacket]:
-    """Split a packet into k fragments.
-
-    Payload sizes sum exactly to packet.bits and differ by at most one bit
-    (the remainder goes to the lowest sequence numbers). k=1 returns the
-    whole payload as a single fragment, which still pays the header on the
-    wire.
+    Sizes sum exactly to bits and differ by at most one bit (the remainder
+    goes to the lowest sequence numbers). k=1 returns the whole payload.
     """
     if k < 1:
         raise ValueError("fragment count must be at least 1")
-    if k > packet.bits:
-        raise ValueError(f"cannot split {packet.bits} bits into {k} fragments")
-    base, rem = divmod(packet.bits, k)
-    return [
-        TinyPacket(packet.packet_id, seq, base + (1 if seq <= rem else 0), header_bits)
-        for seq in range(1, k + 1)
-    ]
-
-
-def assign(fragments: list[TinyPacket],
-           paths: list[RoutePath]) -> list[tuple[TinyPacket, RoutePath]]:
-    """Map fragments onto ranked paths by sequence number: fragment seq s
-    takes paths[(s-1) mod len(paths)], so extra fragments wrap around."""
-    if not paths:
-        raise NoPathError("no paths available for assignment")
-    return [(f, paths[(f.seq - 1) % len(paths)]) for f in fragments]
-
-
-@dataclass
-class _Slot:
-    created_s: float
-    expected: int
-    status: str = "pending"
-    arrivals: dict[int, float] = field(default_factory=dict)  # seq -> time, in arrival order
-    completed_s: float | None = None
+    if k > bits:
+        raise ValueError(f"cannot split {bits} bits into {k} fragments")
+    base, rem = divmod(bits, k)
+    return [base + (1 if seq <= rem else 0) for seq in range(1, k + 1)]
 
 
 class ReassemblyBuffer:
-    """Sink-side fragment collector with a per-packet deadline.
+    """Sink-side fragment collector and status record of packets 0..n-1.
 
-    A packet completes when all expected fragments have arrived strictly
-    before created + deadline; at or past the deadline it expires and late
-    fragments are ignored.
+    Packet pid, created at created[pid], is delivered when all expected
+    fragments have arrived strictly before created[pid] + deadline_s; at or
+    past the deadline it expires and late fragments are ignored. status[pid]
+    holds PENDING until the packet settles, then its final status.
     """
 
-    def __init__(self, deadline_s: float):
-        if deadline_s <= 0:
-            raise ValueError("deadline must be positive")
-        self.deadline_s = deadline_s
-        self._slots: dict[int, _Slot] = {}
-
-    def register(self, packet: DataPacket, expected: int) -> None:
+    def __init__(self, created: list[float], expected: int, deadline_s: float):
         if expected < 1:
             raise ValueError("expected fragment count must be at least 1")
-        if packet.packet_id in self._slots:
-            raise ValueError(f"packet {packet.packet_id} already registered")
-        self._slots[packet.packet_id] = _Slot(packet.created_s, expected)
+        if deadline_s <= 0:
+            raise ValueError("deadline must be positive")
+        self.expected = expected
+        self.deadline_s = deadline_s
+        self._created = created
+        n = len(created)
+        self.status = [PENDING] * n
+        self._arrived = [0] * n
+        self._last_seq = [0] * n
+        self._out_of_order = [False] * n
+        self._delay = [0.0] * n
 
-    def _slot(self, packet_id: int) -> _Slot:
-        try:
-            return self._slots[packet_id]
-        except KeyError:
-            raise ValueError(f"unknown packet {packet_id}") from None
+    def reassemble(self, pid: int, seq: int, now: float) -> int:
+        """Record fragment seq of packet pid arriving at now; returns the
+        packet's status."""
+        status = self.status[pid]
+        if status != PENDING:
+            return status
+        created = self._created[pid]
+        if now >= created + self.deadline_s:
+            self.status[pid] = EXPIRED
+            return EXPIRED
+        if seq < self._last_seq[pid]:
+            self._out_of_order[pid] = True
+        self._last_seq[pid] = seq
+        self._arrived[pid] += 1
+        if self._arrived[pid] < self.expected:
+            return PENDING
+        self.status[pid] = DELIVERED
+        self._delay[pid] = now - created
+        return DELIVERED
 
-    def reassemble(self, packet_id: int, seq: int, now: float) -> str:
-        """Record a fragment arrival; returns the packet's status."""
-        slot = self._slot(packet_id)
-        if slot.status != "pending":
-            return slot.status
-        if now >= slot.created_s + self.deadline_s:
-            slot.status = "expired"
-            return slot.status
-        if seq not in slot.arrivals:
-            slot.arrivals[seq] = now
-            if len(slot.arrivals) == slot.expected:
-                slot.status = "complete"
-                slot.completed_s = now
-        return slot.status
-
-    def expire(self, packet_id: int, now: float) -> bool:
+    def expire(self, pid: int, now: float) -> bool:
         """Expire a still-pending packet whose deadline has passed; returns
         True if this call expired it."""
-        slot = self._slot(packet_id)
-        if slot.status == "pending" and now >= slot.created_s + self.deadline_s:
-            slot.status = "expired"
+        if self.status[pid] == PENDING and now >= self._created[pid] + self.deadline_s:
+            self.status[pid] = EXPIRED
             return True
         return False
 
-    def status(self, packet_id: int) -> str:
-        return self._slot(packet_id).status
+    def drop(self, pid: int) -> None:
+        """Settle a still-pending packet as dropped."""
+        if self.status[pid] == PENDING:
+            self.status[pid] = DROPPED
 
-    def delay_of(self, packet_id: int) -> float:
-        """End-to-end delay of a completed packet (last fragment arrival
+    def delay_of(self, pid: int) -> float:
+        """End-to-end delay of a delivered packet (last fragment arrival
         minus creation)."""
-        slot = self._slot(packet_id)
-        if slot.status != "complete" or slot.completed_s is None:
-            raise ValueError(f"packet {packet_id} is not complete")
-        return slot.completed_s - slot.created_s
+        if self.status[pid] != DELIVERED:
+            raise ValueError(f"packet {pid} is not delivered")
+        return self._delay[pid]
 
-    def out_of_order(self, packet_id: int) -> bool:
-        """True if a completed packet's fragments arrived out of sequence."""
-        slot = self._slot(packet_id)
-        order = list(slot.arrivals)
-        return any(a > b for a, b in zip(order, order[1:]))
+    def out_of_order(self, pid: int) -> bool:
+        """True if some fragment of the packet arrived with a lower seq than
+        the one before it."""
+        return self._out_of_order[pid]

@@ -4,7 +4,9 @@ A run places nodes, exchanges beacons, discovers paths, then drives packet
 traffic through a light CSMA-style MAC: each hop attempt occupies the sender
 for the serialization time plus access and contention delays, succeeds with a
 distance-dependent probability, and is retried a bounded number of times.
-Fragments queue FIFO at busy nodes. Events are ordered by (time, ordinal)
+Fragments queue FIFO at busy nodes; fragment seq s of every packet travels
+on ranked path (s-1) mod n_paths. The sink's reassembly buffer records each
+packet's fate, which the metrics read. Events are ordered by (time, ordinal)
 where ordinals count event creation, so ties resolve in creation order and
 the whole run is reproducible bit for bit from (scenario, seed).
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispatch import DataPacket, ReassemblyBuffer, assign, fragment
+from .dispatch import DELIVERED, DROPPED, EXPIRED, PENDING, ReassemblyBuffer, fragment
 from .errors import NoPathError
 from .link_metrics import NetworkState
 from .routing import beacon_exchange, discover_paths, minhop_paths
@@ -116,8 +118,6 @@ def arrival_times(config, seed: int) -> list[float]:
 
 # Heap event kinds (ints compare faster than strings).
 _BORN, _HOP_END, _DEADLINE = 0, 1, 2
-# Packet statuses.
-_PENDING, _DELIVERED, _EXPIRED, _DROPPED = 0, 1, 2, 3
 
 
 def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
@@ -127,22 +127,13 @@ def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
     line per event. Two runs of the same (config, seed) produce identical
     metrics and identical log bytes.
     """
-    config.validate()
     if seed is None:
         seed = config.seed
-    close_log = False
-    if event_log is None:
-        log = None
-    elif hasattr(event_log, "write"):
-        log = event_log
-    else:
-        log = open(event_log, "w", encoding="utf-8")
-        close_log = True
-    try:
+    replace(config, seed=seed).validate()
+    if event_log is None or hasattr(event_log, "write"):
+        return _run(config, seed, event_log)
+    with open(event_log, "w", encoding="utf-8") as log:
         return _run(config, seed, log)
-    finally:
-        if close_log:
-            log.close()
 
 
 def _run(config, seed: int, log) -> RunMetrics:
@@ -165,18 +156,21 @@ def _run(config, seed: int, log) -> RunMetrics:
         use_paths = list(find(topo.source_id, topo.sink_id, k_frag, state).paths)
     except NoPathError:
         use_paths = []
+    buffer = ReassemblyBuffer(times, k_frag, config.reassembly_deadline_s)
     if use_paths:
-        status, buffer = _traffic(config, seed, state, use_paths, times, k_frag, log)
+        _traffic(config, seed, state, use_paths, times, buffer, log)
     else:
         # No route: no traffic runs, and every packet counts as dropped.
-        status, buffer = [_DROPPED] * n_packets, None
+        for pid in range(n_packets):
+            buffer.drop(pid)
 
-    assert _PENDING not in status, "every generated packet must settle"
-    delivered = status.count(_DELIVERED)
-    delays = [buffer.delay_of(pid) for pid in range(n_packets) if status[pid] == _DELIVERED]
+    status = buffer.status
+    assert PENDING not in status, "every generated packet must settle"
+    delivered = status.count(DELIVERED)
+    delays = [buffer.delay_of(pid) for pid in range(n_packets) if status[pid] == DELIVERED]
     mean_delay = sum(delays) / delivered if delivered else None
     out_of_order = (sum(1 for pid in range(n_packets)
-                        if status[pid] == _DELIVERED and buffer.out_of_order(pid))
+                        if status[pid] == DELIVERED and buffer.out_of_order(pid))
                     / delivered if delivered else 0.0)
 
     nodes = topo.nodes
@@ -194,8 +188,8 @@ def _run(config, seed: int, log) -> RunMetrics:
         path_hops=tuple(p.hop_count for p in use_paths),
         generated=n_packets,
         delivered=delivered,
-        expired=status.count(_EXPIRED),
-        dropped=status.count(_DROPPED),
+        expired=status.count(EXPIRED),
+        dropped=status.count(DROPPED),
         delivery_ratio=delivered / n_packets if n_packets else None,
         mean_delay_s=mean_delay,
         mean_energy_j=mean_energy,
@@ -208,12 +202,9 @@ def _run(config, seed: int, log) -> RunMetrics:
         clamped_debits=state.ledger.clamped_debits)
 
 
-def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
-    """Drive every packet through the MAC along its fragments' paths.
-
-    Returns each packet's final status code and the sink's reassembly
-    buffer.
-    """
+def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
+    """Drive every packet through the MAC along its fragments' paths,
+    settling each packet's status in buffer."""
     topo = state.topology
     params = state.params
     nodes = topo.nodes
@@ -227,10 +218,11 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
     # are computed once per (seq, hop).
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
-    template = fragment(DataPacket(0, packet_bits, 0.0), k_frag, header_bits)
+    k_frag = buffer.expected
     plan: dict[int, tuple[int, int, list[tuple]]] = {}
-    for frag, route in assign(template, paths):
-        wire = frag.wire_bits
+    for seq, bits in enumerate(fragment(packet_bits, k_frag), start=1):
+        route = paths[(seq - 1) % len(paths)]
+        wire = bits + header_bits
         t_tx = wire / bit_rate
         hops = []
         for u, v in zip(route.node_ids, route.node_ids[1:]):
@@ -240,12 +232,10 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
                          rx_energy(wire, params),
                          link_success_probability(config, d, topo.radio_range),
                          t_tx))
-        plan[frag.seq] = (frag.bits, wire, hops)
+        plan[seq] = (bits, wire, hops)
 
     busy = state.busy_until
     queues: dict[int, deque] = {}
-    buffer = ReassemblyBuffer(config.reassembly_deadline_s)
-    status = [_PENDING] * len(times)
     link_rng = random.Random(seed ^ 0x9E3779B9)
     ledger = state.ledger
     retry_limit = config.hop_retry_limit
@@ -265,21 +255,17 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
     def emit(t, kind, node=None, peer=None, packet=None, seq=None, bits=None, joules=None):
         log.write(Event(t, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
 
-    def condemn(pid: int, code: int) -> None:
-        if status[pid] == _PENDING:
-            status[pid] = code
-
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
         for item in queues.pop(u, ()):
-            condemn(item[0], _DROPPED)
+            buffer.drop(item[0])
 
     def start_hop(t: float, pid: int, seq: int, hop_idx: int, attempt: int) -> None:
         hop = plan[seq][2][hop_idx]
         u = hop[0]
         sender = nodes[u]
         if not sender.alive:
-            condemn(pid, _DROPPED)
+            buffer.drop(pid)
             return
         state.now = t
         delay = (hop[5] + access_delay
@@ -325,37 +311,30 @@ def _traffic(config, seed: int, state, paths, times, k_frag: int, log):
                     if log is not None:
                         emit(t, "fragment-delivered", node=v, packet=pid, seq=seq,
                              bits=frag_bits)
-                    if buffer.reassemble(pid, seq, t) == "complete":
-                        condemn(pid, _DELIVERED)
+                    buffer.reassemble(pid, seq, t)
                 elif receiver.alive:
                     offer(t, pid, seq, hop_idx + 1)
                 else:
-                    condemn(pid, _DROPPED)
+                    buffer.drop(pid)
             else:
                 if log is not None:
                     emit(t, "hop-failed", node=u, peer=v, packet=pid, seq=seq, bits=wire)
                 if attempt <= retry_limit:
                     start_hop(t, pid, seq, hop_idx, attempt + 1)
                 else:
-                    condemn(pid, _DROPPED)
+                    buffer.drop(pid)
             q = queues.get(u)
             if q and busy.get(u, 0.0) <= t and nodes[u].alive:
                 npid, nseq, nhop = q.popleft()
                 start_hop(t, npid, nseq, nhop, 1)
         elif kind == _BORN:
-            buffer.register(DataPacket(pid, packet_bits, t), k_frag)
             if log is not None:
                 emit(t, "packet-born", node=source, packet=pid, bits=packet_bits)
             for s in range(1, k_frag + 1):
                 offer(t, pid, s, 0)
         else:  # _DEADLINE
-            if status[pid] == _PENDING:
-                buffer.expire(pid, t)
-                status[pid] = _EXPIRED
-                if log is not None:
-                    emit(t, "deadline-expired", node=sink, packet=pid)
-
-    return status, buffer
+            if buffer.expire(pid, t) and log is not None:
+                emit(t, "deadline-expired", node=sink, packet=pid)
 
 
 def _run_cell(args) -> tuple:
@@ -366,15 +345,19 @@ def _run_cell(args) -> tuple:
 def compare(config, rates, seeds, routers=("qempar", "minhop"), jobs: int = 1) -> dict:
     """Run every (rate, router, seed) cell and return {key: RunMetrics}.
 
-    Results are independent of jobs; with jobs > 1 cells run in a process
-    pool.
+    Every cell is validated before the first one runs. Results are
+    independent of jobs; with jobs > 1 cells run in a pool of at most one
+    worker process per cell.
     """
     tasks = [(replace(config, rate_pkts_per_s=float(r), router=rt), int(s))
              for r in rates for rt in routers for s in seeds]
-    if jobs > 1:
+    for cell_config, seed in tasks:
+        replace(cell_config, seed=seed).validate()
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_cell, tasks)
     else:
         results = [_run_cell(task) for task in tasks]

@@ -32,7 +32,7 @@ import pytest
 from qempar import (NetworkState, RadioParams, ScenarioConfig, compare,
                     discover_paths, minhop_paths, place_nodes, run, rx_energy,
                     threshold_distance, tx_energy)
-from qempar.dispatch import DataPacket, ReassemblyBuffer, fragment
+from qempar.dispatch import DELIVERED, ReassemblyBuffer, fragment
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
 
@@ -227,8 +227,7 @@ def test_fragment_sizes_and_reassembly_delays_match_oracles():
     for _ in range(200):
         k = rng.randrange(1, 12)
         bits = rng.randrange(k, 20000)
-        packet = DataPacket(packet_id=0, bits=bits, created_s=0.0)
-        sizes = [f.bits for f in fragment(packet, k, header_bits=0)]
+        sizes = fragment(bits, k)
         base, rem = divmod(bits, k)
         want = [base + 1] * rem + [base] * (k - rem)  # largest pieces first
         assert sizes == want
@@ -237,14 +236,13 @@ def test_fragment_sizes_and_reassembly_delays_match_oracles():
         k = rng.randrange(1, 9)
         born = rng.uniform(0.0, 10.0)
         deadline = rng.uniform(0.05, 1.0)
-        buffer = ReassemblyBuffer(deadline)
-        buffer.register(DataPacket(packet_id=7, bits=1024, created_s=born), k)
+        buffer = ReassemblyBuffer([born], k, deadline)
         m = rng.randrange(0, k + 1)
         seqs = rng.sample(range(1, k + 1), m)
         times = sorted(born + rng.uniform(0.0, 1.5 * deadline) for _ in seqs)
         for seq, t in zip(seqs, times):
-            buffer.reassemble(7, seq, t)
+            buffer.reassemble(0, seq, t)
         complete = m == k and all(t < born + deadline for t in times)
-        assert (buffer.status(7) == "complete") == complete
+        assert (buffer.status[0] == DELIVERED) == complete
         if complete:
-            assert buffer.delay_of(7) == max(times) - born
+            assert buffer.delay_of(0) == max(times) - born

@@ -2,8 +2,10 @@
 front end (exercised in-process through main())."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -85,6 +87,15 @@ def test_validation_reports_every_violation_at_once():
     assert "router" in text
     assert "bit_rate_bps" in text
     assert "base_success" in text
+
+
+def test_validation_rejects_non_finite_floats():
+    floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+    assert "duration_s" in floats and "field_width" in floats
+    for name in floats:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                dataclasses.replace(ScenarioConfig(), **{name: bad}).validate()
 
 
 def test_load_config_rejects_invalid_combinations():
@@ -193,6 +204,24 @@ def test_bad_configuration_exits_2(capsys):
     assert main(["sweep", "--rates", "abc"] + FAST) == 2
     assert main(["sweep", "--seeds", "5..1"] + FAST) == 2
     assert main(["sweep", "--jobs", "0", "--rates", "5", "--seeds", "1"] + FAST) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--rate", "inf"],
+    ["run", "--set", "field_width=inf"],
+    ["run", "--set", "duration_s=nan"],
+    ["sweep", "--set", "traffic_model=poisson", "--set", "duration_s=inf", "--rates", "5"],
+    ["sweep", "--seeds=-3,2", "--rates", "5"],
+    ["sweep", "--rates", "5,0"],
+    ["sweep", "--rates", "5,inf"],
+])
+def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr("qempar.cli.run", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr("qempar.engine.run", lambda *args, **kwargs: ran.append(args))
+    assert main(argv) == 2
+    assert ran == []
+    assert "error: " in capsys.readouterr().err
 
 
 def test_repeated_set_key_exits_2(capsys):

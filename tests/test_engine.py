@@ -4,13 +4,16 @@ and the event log contract."""
 import io
 import json
 import math
-from collections import deque
+import multiprocessing
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qempar import ScenarioConfig, compare, run
+from qempar import (NetworkState, ScenarioConfig, beacon_exchange, compare,
+                    discover_paths, place_nodes, run)
 from qempar.engine import Event, arrival_times, link_success_probability
+from qempar.errors import ConfigError
 
 from conftest import replay_mean_delay
 
@@ -55,6 +58,53 @@ def test_contention_adds_whole_multiples_of_its_delay():
         assert t1 == t0 + (base + cfg.contention_delay_s * n)
         multiples.append(n)
     assert max(multiples) > 0
+
+
+DENSE = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                      source_x=212.1, source_y=212.1, duration_s=0.2,
+                      base_success=1.0, success_distance_slope=0.0)
+
+
+def _log_events(cfg, seed):
+    buf = io.StringIO()
+    run(cfg, seed=seed, event_log=buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_fragments_follow_paths_round_robin_by_sequence(seed):
+    """Fragment seq s of packet 0 hops along ranked path (s-1) mod n_paths,
+    wrapping when there are fewer paths than fragments."""
+    topo = place_nodes(DENSE, seed)
+    state = NetworkState(topo, DENSE.radio_params(), DENSE)
+    beacon_exchange(state)
+    paths = discover_paths(topo.source_id, topo.sink_id, DENSE.fragment_count, state).paths
+    assert 2 <= len(paths) < DENSE.fragment_count
+    hops: dict[int, list] = {}
+    for e in _log_events(DENSE, seed):
+        if e["kind"] == "hop-start" and e["packet"] == 0:
+            hops.setdefault(e["seq"], []).append((e["node"], e["peer"]))
+    assert sorted(hops) == list(range(1, DENSE.fragment_count + 1))
+    for seq, pairs in hops.items():
+        route = paths[(seq - 1) % len(paths)].node_ids
+        assert pairs == list(zip(route, route[1:])), f"seq {seq}"
+
+
+@pytest.mark.parametrize("router", ["qempar", "minhop"])
+def test_hops_carry_the_payload_plus_the_fragment_header(router):
+    cfg = ScenarioConfig(duration_s=1.0, rate_pkts_per_s=20.0, fragment_count=3,
+                         fragment_header_bytes=5, router=router)
+    k = cfg.fragment_count if router == "qempar" else 1
+    base, rem = divmod(cfg.packet_bits, k)
+    payload = {seq: base + (seq <= rem) for seq in range(1, k + 1)}
+    events = _log_events(cfg, seed=2)
+    starts = [e for e in events if e["kind"] == "hop-start"]
+    assert starts and {e["seq"] for e in starts} == set(payload)
+    for e in starts:
+        assert e["bits"] == payload[e["seq"]] + 8 * cfg.fragment_header_bytes
+    for e in events:
+        if e["kind"] == "fragment-delivered":
+            assert e["bits"] == payload[e["seq"]]
 
 
 def test_link_success_degrades_with_distance_and_clamps():
@@ -219,6 +269,51 @@ def test_compare_covers_the_grid_and_ignores_job_count():
     assert serial == pooled
 
 
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        run(_small(duration_s=0.1), seed=-1)
+
+
+@pytest.mark.parametrize("rates, seeds", [([5.0], [-3, 2]), ([5.0, 0.0], [1]),
+                                          ([5.0, math.inf], [1])])
+def test_compare_validates_every_cell_before_running_any(rates, seeds, monkeypatch):
+    ran = []
+    monkeypatch.setattr("qempar.engine.run", lambda cfg, seed: ran.append(seed))
+    with pytest.raises(ConfigError):
+        compare(_small(duration_s=0.1), rates=rates, seeds=seeds)
+    assert ran == []
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps inline, so no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("jobs, seeds, pools", [(100000, [1, 2, 3], [3]), (2, [1, 2, 3], [2]),
+                                                (8, [1], []), (1, [1, 2], [])])
+def test_compare_pool_has_at_most_one_worker_per_cell(jobs, seeds, pools, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    cells = compare(_small(duration_s=0.1), rates=[5.0], seeds=seeds,
+                    routers=("minhop",), jobs=jobs)
+    assert _RecordingPool.sizes == pools
+    assert set(cells) == {(5.0, "minhop", s) for s in seeds}
+
+
 def test_energy_conservation_within_float_round_off():
     cfg = _small(base_success=0.85)
     m = run(cfg, seed=3)
@@ -284,6 +379,10 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
     m = run(cfg, seed=seed, event_log=log)
     assert m.generated == m.delivered + m.expired + m.dropped
     k = cfg.fragment_count if cfg.router == "qempar" else 1
+    events = map(json.loads, log.getvalue().splitlines())
+    deliveries = Counter((e["packet"], e["seq"]) for e in events
+                         if e["kind"] == "fragment-delivered")
+    assert all(n == 1 for n in deliveries.values()), "a fragment reached the sink twice"
     mean, delivered = replay_mean_delay(log.getvalue(), k, cfg.reassembly_deadline_s)
     assert delivered == m.delivered
     assert mean == m.mean_delay_s  # bit-exact, not approximate
@@ -298,3 +397,10 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
         assert drained == pytest.approx(m.ledger_total_j, rel=1e-12, abs=round_off)
     else:  # a dying node's last debit exceeds what it had left
         assert drained <= m.ledger_total_j + round_off
+
+
+@settings(max_examples=10, deadline=None)
+@given(_valid_configs(), st.integers(0, 2**16))
+def test_compare_ignores_job_count_over_drawn_configs(cfg, seed):
+    grid = dict(rates=[cfg.rate_pkts_per_s], seeds=[seed, seed + 1])
+    assert compare(cfg, jobs=1, **grid) == compare(cfg, jobs=2, **grid)

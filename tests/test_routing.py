@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import replace
 
 import pytest
@@ -247,3 +247,89 @@ def test_disjointness_holds_across_random_topologies():
             inter = set(p.interior())
             assert not inter & seen
             seen |= inter
+
+
+def _max_disjoint_paths(state, source, sink):
+    """Menger oracle: the most node-disjoint source-to-sink paths over
+    state.neighbors, as a unit-capacity max flow (Edmonds-Karp) on the
+    node-split graph. Node v is entered at (v, 0) and left from (v, 1);
+    every node but the endpoints carries one unit, as does each link, so a
+    direct source-to-sink hop counts once."""
+    residual = defaultdict(int)
+    adj = defaultdict(set)
+
+    def link(a, b):
+        residual[a, b] += 1
+        adj[a].add(b)
+        adj[b].add(a)
+
+    for u in state.topology.nodes:
+        if u not in (source, sink):
+            link((u, 0), (u, 1))
+        for v in state.neighbors(u):
+            link((u, 1), (v, 0))
+    start, goal = (source, 1), (sink, 0)
+    flow = 0
+    while True:
+        parent = {start: None}
+        queue = deque([start])
+        while queue and goal not in parent:
+            a = queue.popleft()
+            for b in adj[a]:
+                if b not in parent and residual[a, b] > 0:
+                    parent[b] = a
+                    queue.append(b)
+        if goal not in parent:
+            return flow
+        b = goal
+        while parent[b] is not None:
+            a = parent[b]
+            residual[a, b] -= 1
+            residual[b, a] += 1
+            b = a
+        flow += 1
+
+
+def _graph_state(links):
+    """A state whose neighbor graph is exactly the given links: nodes lie
+    100 m apart with a 1 m range, joined only by extended links."""
+    extended = defaultdict(tuple)
+    for a, b in links:
+        extended[a] += (b,)
+        extended[b] += (a,)
+    ids = {i for link in links for i in link}
+    return make_state(manual_topology({i: (100 * i, 0) for i in ids}, radio_range=1.0,
+                                      extended=dict(extended)))
+
+
+def test_max_flow_oracle_counts_node_disjoint_paths():
+    # The unique shortest path 1-2-3-0 blocks both of the two disjoint paths
+    # 1-2-4-5-0 and 1-6-7-3-0, so iterated BFS finds one.
+    trap = _graph_state([(1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 0),
+                         (1, 6), (6, 7), (7, 3)])
+    assert _max_disjoint_paths(trap, 1, 0) == 2
+    assert len(minhop_paths(1, 0, 4, trap)) == 1
+    # Two link-disjoint paths that share node 4.
+    bowtie = _graph_state([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 0), (6, 0)])
+    assert _max_disjoint_paths(bowtie, 1, 0) == 1
+    assert _max_disjoint_paths(_diamond_state(), 1, 0) == 2
+    assert _max_disjoint_paths(_adjacent_source_state(2), 1, 0) == 1
+
+
+def test_routers_find_no_more_paths_than_max_flow_allows():
+    rng = random.Random(99)
+    k = 4
+    for _ in range(80):
+        side = rng.uniform(100.0, 300.0)
+        cfg = ScenarioConfig(node_count=rng.randrange(10, 151), field_width=side,
+                             field_height=side, source_x=0.75 * side, source_y=0.75 * side,
+                             extended_range_fallback=rng.random() < 0.8)
+        state = NetworkState(place_nodes(cfg, rng.randrange(10000)), cfg.radio_params(), cfg)
+        beacon_exchange(state)
+        bound = min(k, _max_disjoint_paths(state, 1, 0))
+        for find in (discover_paths, minhop_paths):
+            try:
+                n_paths = len(find(1, 0, k, state))
+            except NoPathError:
+                n_paths = 0
+            assert n_paths <= bound, (cfg, find.__name__)
