@@ -9,6 +9,12 @@ on ranked path (s-1) mod n_paths. The sink's reassembly buffer records each
 packet's fate, which the metrics read. Events are ordered by (time, ordinal)
 where ordinals count event creation, so ties resolve in creation order and
 the whole run is reproducible bit for bit from (scenario, seed).
+
+The event loop holds per-node energy, liveness and busy times in flat lists,
+and every hop of a fragment as one precomputed record linked to the next.
+Births and deadlines are read in order from sorted lists; only hop ends go
+through a heap. Carrier sense counts the nodes in range of a sender within
+the set of transmitting nodes, which the loop keeps exact at every instant.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ def arrival_times(config, seed: int) -> list[float]:
     return times
 
 
-# Heap event kinds (ints compare faster than strings).
+# Event kinds (ints compare faster than strings).
 _BORN, _HOP_END, _DEADLINE = 0, 1, 2
 
 
@@ -204,137 +210,193 @@ def _run(config, seed: int, log) -> RunMetrics:
 
 def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
     """Drive every packet through the MAC along its fragments' paths,
-    settling each packet's status in buffer."""
+    settling each packet's status in buffer.
+
+    Node ids are 0..n-1, so for the length of the loop each node's spent
+    energy, liveness and busy-until time live in flat lists; spent energy
+    and liveness are written back to the NodeStates at the end.
+    """
     topo = state.topology
     params = state.params
     nodes = topo.nodes
-    source, sink = topo.source_id, topo.sink_id
-    bit_rate = config.bit_rate_bps
+    n_nodes = len(nodes)
+    source = topo.source_id
+    sink = topo.sink_id
     access_delay = config.access_delay_s
     contention_delay = config.contention_delay_s
 
-    # Static per-fragment hop plans: every packet splits the same way, so
-    # wire bits, energies, success probabilities, and serialization times
-    # are computed once per (seq, hop).
+    # Hop records: every packet splits the same way, so wire bits, energies,
+    # success probabilities and serialization times are computed once per
+    # (seq, hop). A record is (u, v, tx_j, rx_j, p_ok, t_tx, seq, wire,
+    # frag_bits, next_hop), next_hop being None on the hop into the sink.
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
-    k_frag = buffer.expected
-    plan: dict[int, tuple[int, int, list[tuple]]] = {}
-    for seq, bits in enumerate(fragment(packet_bits, k_frag), start=1):
-        route = paths[(seq - 1) % len(paths)]
-        wire = bits + header_bits
-        t_tx = wire / bit_rate
-        hops = []
-        for u, v in zip(route.node_ids, route.node_ids[1:]):
+    first_hops = []
+    for seq, frag_bits in enumerate(fragment(packet_bits, buffer.expected), start=1):
+        route = paths[(seq - 1) % len(paths)].node_ids
+        wire = frag_bits + header_bits
+        t_tx = wire / config.bit_rate_bps
+        hop = None
+        for u, v in reversed(list(zip(route, route[1:]))):
             d = distance(nodes[u].position, nodes[v].position)
-            hops.append((u, v,
-                         tx_energy(wire, d, params),
-                         rx_energy(wire, params),
-                         link_success_probability(config, d, topo.radio_range),
-                         t_tx))
-        plan[seq] = (bits, wire, hops)
+            hop = (u, v, tx_energy(wire, d, params), rx_energy(wire, params),
+                   link_success_probability(config, d, topo.radio_range),
+                   t_tx, seq, wire, frag_bits, hop)
+        first_hops.append(hop)
 
-    busy = state.busy_until
-    queues: dict[int, deque] = {}
-    link_rng = random.Random(seed ^ 0x9E3779B9)
-    ledger = state.ledger
+    initial = [nodes[i].initial_energy for i in range(n_nodes)]
+    spent = [nodes[i].spent_energy for i in range(n_nodes)]
+    alive = [nodes[i].alive for i in range(n_nodes)]
+    busy = [0.0] * n_nodes
+    queues: list[deque | None] = [None] * n_nodes
+    # Carrier sense counts state.active_tx, which the loop keeps equal to the
+    # nodes whose latest hop ends after the current time: a node joins when
+    # it starts a hop and leaves when a hop end of its runs with no later hop
+    # started. Hop ends due at the current time that have not run yet are
+    # settled by start_hop before it senses the carrier.
+    active = state.active_tx
+    carrier_sense = state.active_transmitters_near
+    ledger_add = state.ledger.add
+    reassemble = buffer.reassemble
+    drop = buffer.drop
+    link_random = random.Random(seed ^ 0x9E3779B9).random
     retry_limit = config.hop_retry_limit
     deadline_s = config.reassembly_deadline_s
 
+    # Events run in (time, ordinal) order, ordinals counting creation: packet
+    # pid's birth has ordinal 2*pid and its deadline 2*pid + 1, so that at the
+    # exact deadline instant expiry wins and a fragment landing then is late;
+    # hop ends count on from 2*len(times). Births and deadlines are already
+    # sorted, so they are read from their lists and only hop ends use a heap.
+    n_packets = len(times)
+    deadlines = [t + deadline_s for t in times]
     heap: list[tuple] = []
-    ordinal = 0
-    for pid, t in enumerate(times):
-        heap.append((t, ordinal, _BORN, pid, 0, 0, 0, False))
-        # Deadlines enter the heap at birth so their ordinals are lower than
-        # any later-scheduled arrival: at the exact deadline instant, expiry
-        # wins and a fragment landing at that same time is late.
-        heap.append((t + deadline_s, ordinal + 1, _DEADLINE, pid, 0, 0, 0, False))
-        ordinal += 2
-    heapq.heapify(heap)
+    ordinal = 2 * n_packets
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     def emit(t, kind, node=None, peer=None, packet=None, seq=None, bits=None, joules=None):
         log.write(Event(t, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
 
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
-        for item in queues.pop(u, ()):
-            buffer.drop(item[0])
+        q = queues[u]
+        if q:
+            for item in q:
+                drop(item[0])
+            q.clear()
 
-    def start_hop(t: float, pid: int, seq: int, hop_idx: int, attempt: int) -> None:
-        hop = plan[seq][2][hop_idx]
+    def enqueue(u: int, pid: int, hop: tuple) -> None:
+        q = queues[u]
+        if q is None:
+            q = queues[u] = deque()
+        q.append((pid, hop))
+
+    def start_hop(t: float, pid: int, hop: tuple, attempt: int) -> None:
+        nonlocal ordinal
         u = hop[0]
-        sender = nodes[u]
-        if not sender.alive:
-            buffer.drop(pid)
+        if not alive[u]:
+            drop(pid)
             return
-        state.now = t
-        delay = (hop[5] + access_delay
-                 + contention_delay * state.active_transmitters_near(u))
-        ledger.add(u, hop[2], sender.spend(hop[2]))
-        if not sender.alive:
+        if heap and heap[0][0] == t:
+            # Hops ending now whose end events have yet to run (only hop ends
+            # are on the heap): their nodes stop transmitting now unless they
+            # have started a later hop.
+            for entry in heap:
+                if entry[0] == t and busy[entry[3][0]] <= t:
+                    active.discard(entry[3][0])
+        delay = hop[5] + access_delay + contention_delay * carrier_sense(u)
+        joules = hop[2]
+        ledger_add(u, joules, joules > initial[u] - spent[u])
+        spent[u] += joules
+        if spent[u] >= initial[u]:
+            alive[u] = False
             drain_dead(u)
         # The success draw always happens, keeping the stream aligned across
         # alternate outcomes; a dead receiver forces failure.
-        ok = link_rng.random() < hop[4] and nodes[hop[1]].alive
-        busy[u] = t + delay
-        state.active_tx.add(u)
-        nonlocal ordinal
-        heapq.heappush(heap, (t + delay, ordinal, _HOP_END, pid, seq, hop_idx, attempt, ok))
+        ok = link_random() < hop[4] and alive[hop[1]]
+        end = t + delay
+        busy[u] = end
+        active.add(u)
+        heappush(heap, (end, ordinal, pid, hop, attempt, ok))
         ordinal += 1
         if log is not None:
-            emit(t, "hop-start", node=u, peer=hop[1], packet=pid, seq=seq,
-                 bits=plan[seq][1], joules=hop[2])
+            emit(t, "hop-start", node=u, peer=hop[1], packet=pid, seq=hop[6],
+                 bits=hop[7], joules=joules)
 
-    def offer(t: float, pid: int, seq: int, hop_idx: int) -> None:
-        u = plan[seq][2][hop_idx][0]
-        if busy.get(u, 0.0) <= t:
-            start_hop(t, pid, seq, hop_idx, 1)
+    born = expired = 0  # packets whose birth, or deadline, has run
+    next_birth = times[0] if times else math.inf
+    next_deadline = deadlines[0] if times else math.inf
+    while True:
+        # A birth or deadline has a lower ordinal than any hop end, so a hop
+        # end runs first only if it is strictly earlier.
+        if heap and heap[0][0] < next_birth and heap[0][0] < next_deadline:
+            t, _, pid, hop, attempt, ok = heappop(heap)
+            kind = _HOP_END
+        elif next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
+            if born == n_packets:
+                break
+            t = next_birth
+            pid = born
+            born += 1
+            next_birth = times[born] if born < n_packets else math.inf
+            kind = _BORN
         else:
-            queues.setdefault(u, deque()).append((pid, seq, hop_idx))
-
-    while heap:
-        t, _, kind, pid, seq, hop_idx, attempt, ok = heapq.heappop(heap)
+            t = next_deadline
+            pid = expired
+            expired += 1
+            next_deadline = deadlines[expired] if expired < n_packets else math.inf
+            kind = _DEADLINE
         if kind == _HOP_END:
-            frag_bits, wire, hops = plan[seq]
-            u, v, _tx_j, rx_j, _p, _t_tx = hops[hop_idx]
-            if busy.get(u, 0.0) <= t:
-                state.active_tx.discard(u)
-            if ok and nodes[v].alive:
-                receiver = nodes[v]
-                ledger.add(v, rx_j, receiver.spend(rx_j))
-                if not receiver.alive:
+            u, v, _tx_j, rx_j, _p, _t_tx, seq, wire, frag_bits, next_hop = hop
+            if busy[u] <= t:
+                active.discard(u)
+            if ok and alive[v]:
+                ledger_add(v, rx_j, rx_j > initial[v] - spent[v])
+                spent[v] += rx_j
+                if spent[v] >= initial[v]:
+                    alive[v] = False
                     drain_dead(v)
                 if log is not None:
                     emit(t, "hop-complete", node=v, peer=u, packet=pid, seq=seq,
                          bits=wire, joules=rx_j)
-                if v == sink:
+                if next_hop is None:
                     if log is not None:
                         emit(t, "fragment-delivered", node=v, packet=pid, seq=seq,
                              bits=frag_bits)
-                    buffer.reassemble(pid, seq, t)
-                elif receiver.alive:
-                    offer(t, pid, seq, hop_idx + 1)
+                    reassemble(pid, seq, t)
+                elif not alive[v]:
+                    drop(pid)
+                elif busy[v] <= t:
+                    start_hop(t, pid, next_hop, 1)
                 else:
-                    buffer.drop(pid)
+                    enqueue(v, pid, next_hop)
             else:
                 if log is not None:
                     emit(t, "hop-failed", node=u, peer=v, packet=pid, seq=seq, bits=wire)
                 if attempt <= retry_limit:
-                    start_hop(t, pid, seq, hop_idx, attempt + 1)
+                    start_hop(t, pid, hop, attempt + 1)
                 else:
-                    buffer.drop(pid)
-            q = queues.get(u)
-            if q and busy.get(u, 0.0) <= t and nodes[u].alive:
-                npid, nseq, nhop = q.popleft()
-                start_hop(t, npid, nseq, nhop, 1)
+                    drop(pid)
+            q = queues[u]
+            if q and busy[u] <= t and alive[u]:
+                npid, nhop = q.popleft()
+                start_hop(t, npid, nhop, 1)
         elif kind == _BORN:
             if log is not None:
                 emit(t, "packet-born", node=source, packet=pid, bits=packet_bits)
-            for s in range(1, k_frag + 1):
-                offer(t, pid, s, 0)
+            for hop in first_hops:
+                if busy[source] <= t:
+                    start_hop(t, pid, hop, 1)
+                else:
+                    enqueue(source, pid, hop)
         else:  # _DEADLINE
             if buffer.expire(pid, t) and log is not None:
                 emit(t, "deadline-expired", node=sink, packet=pid)
+
+    for i in range(n_nodes):
+        nodes[i].spent_energy = spent[i]
+        nodes[i].alive = alive[i]
 
 
 def _run_cell(args) -> tuple:

@@ -64,16 +64,15 @@ class RoutePath:
 class NetworkState:
     """Everything the metrics need about a running network: topology, radio
     constants, scenario config, per-node send and receive counts, the energy
-    ledger, and which nodes are mid-transmission right now."""
+    ledger, and active_tx, the nodes transmitting at the event loop's current
+    time."""
 
     def __init__(self, topology: Topology, params: RadioParams, config):
         self.topology = topology
         self.params = params
         self.config = config
         self.ledger = EnergyLedger()
-        self.busy_until: dict[int, float] = {}
         self.active_tx: set[int] = set()
-        self.now: float = 0.0
         # Per-node [attempted, succeeded] send and receive counts.
         self._send_agg: dict[int, list[int]] = {}
         self._recv_agg: dict[int, list[int]] = {}
@@ -117,18 +116,17 @@ class NetworkState:
         self._nbr_cache.clear()
 
     def active_transmitters_near(self, node_id: int) -> int:
-        """Other nodes transmitting at self.now within carrier-sense range
-        (carrier_sense_factor times the radio range) of node_id. A node that
-        died mid-transmission still counts until its transmission ends."""
+        """Nodes of active_tx, other than node_id, within carrier-sense range
+        (carrier_sense_factor times the radio range) of node_id. The event
+        loop keeps a node that died mid-transmission in active_tx until its
+        transmission ends."""
         active = self.active_tx
         if not active:
             return 0
         near = self._cs_near.get(node_id)
         if near is None:
             near = self._cs_near[node_id] = self._carrier_sense_set(node_id)
-        now = self.now
-        busy = self.busy_until
-        return len([n for n in active & near if busy.get(n, 0.0) > now])
+        return len(active & near)
 
     def _carrier_sense_set(self, node_id: int) -> frozenset[int]:
         nodes = self.topology.nodes

