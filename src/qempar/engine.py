@@ -386,7 +386,9 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
             if log is not None:
                 emit(t, "packet-born", node=source, packet=pid, bits=packet_bits)
             for hop in first_hops:
-                if busy[source] <= t:
+                # start_hop drops the packet of a dead source, which may
+                # still be busy with the frame that killed it.
+                if busy[source] <= t or not alive[source]:
                     start_hop(t, pid, hop, 1)
                 else:
                     enqueue(source, pid, hop)

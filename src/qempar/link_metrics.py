@@ -129,11 +129,9 @@ class NetworkState:
         return len(active & near)
 
     def _carrier_sense_set(self, node_id: int) -> frozenset[int]:
-        nodes = self.topology.nodes
-        here = nodes[node_id].position
-        cs = self.config.carrier_sense_factor * self.topology.radio_range
-        return frozenset(n for n, other in nodes.items()
-                         if n != node_id and distance(here, other.position) <= cs)
+        topo = self.topology
+        cs = self.config.carrier_sense_factor * topo.radio_range
+        return frozenset(topo.distances.within(node_id, cs))
 
 
 def appr(neighbor_id: int, state: NetworkState) -> float:
@@ -185,17 +183,31 @@ def pick_best(candidates: list[int], totals: list[float]) -> int:
     return best_id
 
 
-def select_next_hop(current: int, candidates: list[int], state: NetworkState) -> int:
-    """Highest-suitability candidate; ties go to the lowest node id."""
+def link_total(a: int, b: int, state: NetworkState, totals: dict) -> float:
+    """suitability(a, b, state).total, scored once per (a, b) into totals.
+
+    totals may be shared only while the state cannot change, as during one
+    discovery: the score reads residual energy.
+    """
+    total = totals.get((a, b))
+    if total is None:
+        total = totals[a, b] = suitability(a, b, state).total
+    return total
+
+
+def select_next_hop(current: int, candidates: list[int], state: NetworkState,
+                    totals: dict) -> int:
+    """Highest-suitability candidate; ties go to the lowest node id. totals
+    holds the link totals already scored (see link_total)."""
     if not candidates:
         raise ValueError(f"no candidates from node {current}")
-    totals = [suitability(current, c, state).total for c in candidates]
-    return pick_best(list(candidates), totals)
+    return pick_best(list(candidates), [link_total(current, c, state, totals) for c in candidates])
 
 
-def total_merit(node_ids, state: NetworkState) -> float:
-    """Path merit: the sum of full link suitability totals along the path."""
+def total_merit(node_ids, state: NetworkState, totals: dict) -> float:
+    """Path merit: the sum of full link suitability totals along the path.
+    totals holds the link totals already scored (see link_total)."""
     ids = tuple(node_ids)
     if len(ids) < 2 or len(set(ids)) != len(ids):
         raise ValueError("invalid path")
-    return sum(suitability(a, b, state).total for a, b in zip(ids, ids[1:]))
+    return sum(link_total(a, b, state, totals) for a, b in zip(ids, ids[1:]))

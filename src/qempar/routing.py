@@ -68,13 +68,14 @@ def beacon_exchange(state: NetworkState) -> None:
     # Neighbor lists are taken before any energy is spent, so a node that
     # dies in this round still hears and is heard by everyone.
     nbr_map = {i: state.neighbors(i) for i in ids}
+    table = topo.distances
     any_death = False
     for i in ids:
         nbrs = nbr_map[i]
         if not nbrs:
             continue
         me = topo.nodes[i]
-        reach = max(distance(me.position, topo.nodes[v].position) for v in nbrs)
+        reach = table.farthest(i, nbrs)
         record_tx(me, bits, reach, state.params, state.ledger)
         any_death = any_death or not me.alive
         for v in nbrs:
@@ -112,13 +113,14 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
 
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                         depth_cap: int, dist_to_sink: dict[int, float],
-                        visit_budget: int, direct_ok: bool):
+                        visit_budget: int, direct_ok: bool, totals: dict):
     """Depth-first search for one path, candidates ordered by suitability.
 
     Progressing candidates (strictly closer to the sink) are considered
     first; in 'preferred' mode non-progressing candidates are admitted only
     when no progressing one remains, in 'strict' mode never. Without
-    direct_ok the source-to-sink link itself is skipped. Returns
+    direct_ok the source-to-sink link itself is skipped. totals memoizes
+    link suitability totals (see link_total). Returns
     (path or None, truncated, deepest_partial): truncated means the visit
     budget stopped an unfinished search.
     """
@@ -151,7 +153,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
             else:
                 cands = prog if prog else cands
             if cands:
-                nxt = select_next_hop(cur, cands, state)
+                nxt = select_next_hop(cur, cands, state, totals)
         if nxt is None:
             dead = path.pop()
             on_path.discard(dead)
@@ -170,7 +172,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
 
 def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
-               dist_to_sink: dict[int, float], banned: set[int],
+               dist_to_sink: dict[int, float], totals: dict, banned: set[int],
                direct_ok: bool) -> list[int] | None:
     """One path avoiding banned interiors (and, without direct_ok, the
     source-to-sink link), or None.
@@ -192,7 +194,7 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
         for cap in range(len(shortest) - 1, cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
                 state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget,
-                direct_ok)
+                direct_ok, totals)
             if path is not None:
                 return path
             if truncated:
@@ -220,11 +222,13 @@ def _check_endpoints(state: NetworkState, source: int, sink: int, k: int) -> Non
 
 
 def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
-                    find_path) -> PathSet:
+                    find_path, totals: dict) -> PathSet:
     """Up to k node-disjoint paths, accepted sequentially: each accepted
     path's interior is banned for the next, and a direct source-to-sink hop
     is taken at most once. find_path(banned, direct_ok) returns one path's
-    node ids or None. Raises NoPathError when not even one path exists."""
+    node ids or None; totals memoizes the link suitability totals that path
+    merits sum (see link_total). Raises NoPathError when not even one path
+    exists."""
     used: set[int] = set()
     paths: list[RoutePath] = []
     for _ in range(k):
@@ -234,7 +238,7 @@ def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
             break
         ext = tuple((a, b) for a, b in zip(ids, ids[1:])
                     if is_extended_link(state.topology, a, b))
-        paths.append(RoutePath(tuple(ids), total_merit(ids, state), ext))
+        paths.append(RoutePath(tuple(ids), total_merit(ids, state, totals), ext))
         used.update(ids[1:-1])
     if not paths:
         raise NoPathError(f"no path from {source} to {sink}")
@@ -253,8 +257,12 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     dist_to_sink = {i: distance(n.position, sink_pos) for i, n in topo.nodes.items()}
     est = max(1, math.ceil(dist_to_sink[source] / topo.radio_range))
     cap_max = math.ceil(state.config.hop_budget_factor * est)
+    # The state cannot change during discovery, so each link is scored once;
+    # the memo lives for this call only.
+    totals: dict = {}
     return _disjoint_paths(state, source, sink, k,
-                           partial(_find_path, state, source, sink, cap_max, dist_to_sink))
+                           partial(_find_path, state, source, sink, cap_max, dist_to_sink,
+                                   totals), totals)
 
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
@@ -262,4 +270,4 @@ def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet
     shortest path, remove its interior (or, for a direct hop, that link),
     repeat."""
     _check_endpoints(state, source, sink, k)
-    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink))
+    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink), {})

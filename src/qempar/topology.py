@@ -6,12 +6,20 @@ can leave the in-range graph disconnected, placement optionally adds minimal
 extended-range links (repeatedly joining the two closest components) so every
 node can reach every other; these long links are flagged and transmissions
 over them pay the multi-path amplifier cost.
+
+Bridging, neighbor lists and carrier-sense sets all read one pairwise
+distance table per field, built on first use. Its entries are exactly
+distance(): numpy takes the coordinate differences, which is IEEE subtraction
+as in Python, but each entry is math.hypot of them. np.hypot cannot stand in,
+as it differs from math.hypot in the last bit on about 0.6% of pairs, which
+would move a pair sitting at the radio range across it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +65,44 @@ class NodeState:
         return clamped
 
 
+class DistanceTable:
+    """Pairwise distances of a field's nodes, row and column k standing for
+    the k-th smallest node id. Entry (a, b) equals distance() of the two
+    positions bit for bit."""
+
+    def __init__(self, nodes: dict[int, NodeState]):
+        self.ids = sorted(nodes)
+        self.index = {i: k for k, i in enumerate(self.ids)}
+        xs = np.array([nodes[i].position.x for i in self.ids])
+        ys = np.array([nodes[i].position.y for i in self.ids])
+        n = len(self.ids)
+        d = np.zeros((n, n))
+        # Upper triangle row by row; math.hypot ignores the signs of the
+        # differences, so the mirrored entry is the same float.
+        for k in range(n - 1):
+            d[k, k + 1:] = np.fromiter(
+                map(math.hypot, (xs[k + 1:] - xs[k]).tolist(), (ys[k + 1:] - ys[k]).tolist()),
+                float, n - 1 - k)
+        self.d = d + d.T
+
+    def within(self, node_id: int, radius: float) -> list[int]:
+        """Ids of the other nodes at distance <= radius, ascending."""
+        k = self.index[node_id]
+        ids = self.ids
+        return [ids[j] for j in np.flatnonzero(self.d[k] <= radius).tolist() if j != k]
+
+    def by_distance(self, node_id: int) -> list[int]:
+        """Ids of the other nodes by ascending (distance, id)."""
+        k = self.index[node_id]
+        ids = self.ids
+        return [ids[j] for j in np.argsort(self.d[k], kind="stable").tolist() if j != k]
+
+    def farthest(self, node_id: int, others) -> float:
+        """The largest distance from node_id to any of others."""
+        index = self.index
+        return float(self.d[index[node_id], [index[j] for j in others]].max())
+
+
 @dataclass
 class Topology:
     """A placed field: nodes keyed by id plus the neighbor relation inputs."""
@@ -78,6 +124,11 @@ class Topology:
 
     def positions(self) -> dict[int, Position]:
         return {i: n.position for i, n in self.nodes.items()}
+
+    @cached_property
+    def distances(self) -> DistanceTable:
+        """The distance table, built on first use; nodes never move."""
+        return DistanceTable(self.nodes)
 
 
 def place_nodes(config, seed: int) -> Topology:
@@ -116,10 +167,9 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     bridges exceed the radio range by construction, so transmissions over
     them pay the long-distance amplifier cost.
     """
-    ids = sorted(topo.nodes)
-    pos = {i: topo.nodes[i].position for i in ids}
-    r = topo.radio_range
-    parent = {i: i for i in ids}
+    table = topo.distances
+    ids, d = table.ids, table.d
+    parent = list(range(len(ids)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -127,23 +177,34 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
             i = parent[i]
         return i
 
-    pairs = []
-    for idx, a in enumerate(ids):
-        for b in ids[idx + 1:]:
-            d = distance(pos[a], pos[b])
-            if d <= r:
-                parent[find(a)] = find(b)  # already linked in-range
-            else:
-                pairs.append((d, a, b))
-    pairs.sort()
+    for a, b in zip(*(v.tolist() for v in np.nonzero(np.triu(d <= topo.radio_range, 1)))):
+        parent[find(a)] = find(b)
+    comp = np.array([find(i) for i in range(len(ids))])
+    components = len(set(comp.tolist()))
+    cross = np.triu(comp[:, None] != comp[None, :], 1)
+    top = d.max(initial=0.0)
     bridges: dict[int, list[int]] = {}
-    for d, a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        bridges.setdefault(a, []).append(b)
-        bridges.setdefault(b, []).append(a)
+    # Kruskal needs only the pairs up to its last bridge, a small share of
+    # all pairs, so it takes them in distance bands (lo, hi] of doubling
+    # width. Within a band, the pairs come out of nonzero() row-major, so
+    # ascending (a, b), and a stable sort by distance orders them by
+    # (d, a, b); bands follow one another in that order.
+    lo = topo.radio_range
+    while components > 1 and lo < math.inf:
+        hi = 2 * lo if 0 < 2 * lo < top else math.inf
+        a_idx, b_idx = np.nonzero(cross & (d > lo) & (d <= hi))
+        order = np.argsort(d[a_idx, b_idx], kind="stable")
+        for a, b in zip(a_idx[order].tolist(), b_idx[order].tolist()):
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            parent[ra] = rb
+            bridges.setdefault(ids[a], []).append(ids[b])
+            bridges.setdefault(ids[b], []).append(ids[a])
+            components -= 1
+            if components == 1:
+                break
+        lo = hi
     return {i: tuple(sorted(v)) for i, v in bridges.items()}
 
 
@@ -154,27 +215,17 @@ def neighbors(topo: Topology, node_id: int) -> list[int]:
     Dead nodes never appear. If the list comes up empty and the fallback is
     enabled, returns the single nearest alive node regardless of distance.
     """
-    me = topo.node(node_id)
-    r = topo.radio_range
-    out = []
-    for i, other in topo.nodes.items():
-        if i == node_id or not other.alive:
-            continue
-        if distance(me.position, other.position) <= r:
-            out.append(i)
+    topo.node(node_id)
+    nodes = topo.nodes
+    table = topo.distances
+    out = [i for i in table.within(node_id, topo.radio_range) if nodes[i].alive]
     for i in topo.extended_links.get(node_id, ()):
-        if topo.nodes[i].alive and i not in out:
+        if nodes[i].alive and i not in out:
             out.append(i)
     if not out and topo.fallback_enabled:
-        best = None
-        for i, other in topo.nodes.items():
-            if i == node_id or not other.alive:
-                continue
-            d = distance(me.position, other.position)
-            if best is None or (d, i) < best:
-                best = (d, i)
-        if best is not None:
-            return [best[1]]
+        for i in table.by_distance(node_id):
+            if nodes[i].alive:
+                return [i]
     return sorted(out)
 
 

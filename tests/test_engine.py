@@ -200,6 +200,14 @@ def test_unroutable_scenario_reports_failure():
     assert m.ledger_total_j == pytest.approx(m.setup_energy_j, rel=1e-12)
 
 
+def test_packet_born_at_a_dying_source_is_dropped():
+    """A packet born while the source sends the frame that kills it is
+    dropped at once, not queued at the dead source until it expires."""
+    m = run(ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, initial_energy_j=2e-3,
+                           router="minhop"), 1)
+    assert (m.generated, m.delivered, m.expired, m.dropped) == (100, 3, 0, 97)
+
+
 def test_zero_packet_run_has_no_delivery_ratio():
     m = run(ScenarioConfig(duration_s=0.05, rate_pkts_per_s=10.0), seed=1)
     assert m.generated == 0

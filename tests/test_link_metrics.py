@@ -98,11 +98,11 @@ def test_total_merit_of_single_hop_path():
     1 + 1 + 1/(6400/1600) + 1 = 3.25."""
     topo = manual_topology({0: (0, 0), 1: (80, 0)}, radio_range=100.0)
     state = make_state(topo, interference_mode="literal")
-    assert total_merit([0, 1], state) == pytest.approx(3.25, rel=1e-12)
+    assert total_merit([0, 1], state, {}) == pytest.approx(3.25, rel=1e-12)
     with pytest.raises(ValueError):
-        total_merit([0], state)
+        total_merit([0], state, {})
     with pytest.raises(ValueError):
-        total_merit([0, 1, 0], state)
+        total_merit([0, 1, 0], state, {})
 
 
 def test_suitability_requires_a_link():
@@ -132,8 +132,8 @@ def test_pick_best_invariant_under_positive_scaling():
 def test_select_next_hop_requires_candidates():
     state = _two_node_state()
     with pytest.raises(ValueError):
-        select_next_hop(0, [], state)
-    assert select_next_hop(0, [1], state) == 1
+        select_next_hop(0, [], state, {})
+    assert select_next_hop(0, [1], state, {}) == 1
 
 
 def test_node_ratios_match_a_recount_of_the_record_calls():

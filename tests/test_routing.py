@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
@@ -10,8 +10,9 @@ import pytest
 from qempar import (NetworkState, ScenarioConfig, beacon_exchange,
                     discover_paths, minhop_paths, place_nodes, run, rx_energy,
                     tx_energy)
+from qempar import link_metrics
 from qempar.errors import NoPathError
-from qempar.link_metrics import RoutePath
+from qempar.link_metrics import RoutePath, suitability
 from qempar.routing import PathSet
 
 from conftest import make_state, manual_topology
@@ -218,6 +219,34 @@ def test_discovery_ignores_mac_state():
         busy = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
         busy.active_tx = set(busy.topology.nodes)
         assert discover_paths(1, 0, 4, busy) == discover_paths(1, 0, 4, fresh), f"seed {seed}"
+
+
+def test_discovery_scores_each_link_at_most_once(monkeypatch):
+    calls = Counter()
+
+    def counted(a, b, state):
+        calls[a, b] += 1
+        return suitability(a, b, state)
+
+    monkeypatch.setattr(link_metrics, "suitability", counted)
+    cfg = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                         source_x=212.1, source_y=212.1)
+    state = NetworkState(place_nodes(cfg, 1), cfg.radio_params(), cfg)
+    beacon_exchange(state)
+    assert len(discover_paths(1, 0, 4, state)) > 1
+    assert max(calls.values()) == 1
+
+
+def test_a_later_discovery_sees_a_changed_residual():
+    """The link scores of one discovery do not outlive it."""
+    state = _diamond_state()
+    first = discover_paths(1, 0, 1, state).paths[0]
+    assert first.node_ids == (1, 2, 0)  # a tie, won by the lower id
+    state.topology.nodes[2].spend(0.5)
+    second = discover_paths(1, 0, 1, state).paths[0]
+    assert second.node_ids == (1, 3, 0)
+    assert second.total_merit == first.total_merit
+    assert discover_paths(1, 0, 2, state).paths[1].total_merit == first.total_merit - 0.5 / 2.0
 
 
 def test_paths_flag_extended_hops():

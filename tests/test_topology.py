@@ -3,13 +3,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qempar import ScenarioConfig, place_nodes
+from qempar import NetworkState, ScenarioConfig, beacon_exchange, place_nodes
+from qempar import link_metrics, routing, topology
 from qempar.errors import UnknownNodeError
-from qempar.topology import (NodeState, Position, distance, is_extended_link,
-                             neighbors)
+from qempar.topology import (NodeState, Position, _bridge_components, distance,
+                             is_extended_link, neighbors)
 
-from conftest import manual_topology
+from conftest import make_state, manual_topology
 
 
 def test_diagonal_distance_value():
@@ -138,3 +140,128 @@ def test_fallback_prefers_lowest_id_on_distance_tie():
                            radio_range=40.0, fallback=True)
     # node 3 is 100 m from both 1 and 2 and 200 m from 0
     assert neighbors(topo, 3) == [1]
+
+
+def test_fallback_tie_break_holds_on_a_long_row():
+    # Twelve nodes 50 m from node 0 among 30 farther ones: a row long enough
+    # that an unstable sort reorders the ties.
+    ring = [(50, 0), (0, 50), (-50, 0), (0, -50), (30, 40), (40, 30), (-30, 40),
+            (-40, 30), (30, -40), (40, -30), (-30, -40), (-40, -30)]
+    far = [(100 + 3 * i, 100 + 7 * (i % 5)) for i in range(30)]
+    points = [(0, 0)] + far[:15] + ring + far[15:]
+    topo = manual_topology(dict(enumerate(points)), radio_range=10.0, fallback=True)
+    assert neighbors(topo, 0) == [16]
+
+
+def test_equal_distance_bridges_follow_the_id_pair_order():
+    # Four isolated corners of a 100 m square: the four sides tie at 100 m,
+    # and Kruskal takes them in (a, b) order, (2, 7), (2, 11), (4, 7), leaving
+    # (4, 11) out.
+    topo = manual_topology({7: (0, 0), 2: (100, 0), 11: (100, 100), 4: (0, 100)},
+                           radio_range=40.0, fallback=True)
+    assert _bridge_components(topo) == {2: (7, 11), 7: (2, 4), 11: (2,), 4: (7,)}
+
+
+# The all-pairs scans that the distance table replaced, kept as the oracle.
+
+def _scan_bridges(topo):
+    ids = sorted(topo.nodes)
+    pos = {i: topo.nodes[i].position for i in ids}
+    parent = {i: i for i in ids}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    pairs = []
+    for idx, a in enumerate(ids):
+        for b in ids[idx + 1:]:
+            d = distance(pos[a], pos[b])
+            if d <= topo.radio_range:
+                parent[find(a)] = find(b)
+            else:
+                pairs.append((d, a, b))
+    pairs.sort()
+    bridges = {}
+    for d, a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            bridges.setdefault(a, []).append(b)
+            bridges.setdefault(b, []).append(a)
+    return {i: tuple(sorted(v)) for i, v in bridges.items()}
+
+
+def _scan_neighbors(topo, node_id):
+    me = topo.nodes[node_id]
+    out = [i for i, other in topo.nodes.items()
+           if i != node_id and other.alive
+           and distance(me.position, other.position) <= topo.radio_range]
+    for i in topo.extended_links.get(node_id, ()):
+        if topo.nodes[i].alive and i not in out:
+            out.append(i)
+    if not out and topo.fallback_enabled:
+        alive = [(distance(me.position, other.position), i)
+                 for i, other in topo.nodes.items() if i != node_id and other.alive]
+        if alive:
+            return [min(alive)[1]]
+    return sorted(out)
+
+
+def _scan_carrier_sense(topo, node_id, cs):
+    here = topo.nodes[node_id].position
+    return frozenset(i for i, other in topo.nodes.items()
+                     if i != node_id and distance(here, other.position) <= cs)
+
+
+@st.composite
+def fields(draw):
+    """Small fields with non-contiguous ids. Lattice coordinates put pairs
+    exactly at range, repeat positions and tie distances between components;
+    free coordinates fill in the rest."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=24, unique=True))
+    coord = st.integers(0, 16).map(lambda v: 8.0 * v) | st.floats(0.0, 130.0)
+    positions = {i: (draw(coord), draw(coord)) for i in ids}
+    radius = draw(st.sampled_from([8.0, 24.0, 40.0]) | st.floats(1.0, 60.0))
+    dead = draw(st.sets(st.sampled_from(ids)))
+    return positions, radius, draw(st.booleans()), dead, draw(st.sampled_from([0.0, 1.0, 2.0, 2.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields())
+@example(({0: (0.0, 0.0), 1: (24.0, 32.0), 2: (24.0, 32.0), 5: (300.0, 0.0)}, 40.0, True, {1}, 1.0))
+def test_distance_table_matches_the_all_pairs_scans(field_spec):
+    """Bridges, neighbor lists (dead nodes and the nearest-alive fallback
+    included) and carrier-sense sets equal the brute-force scans."""
+    positions, radius, fallback, dead, cs_factor = field_spec
+    topo = manual_topology(positions, radio_range=radius, fallback=fallback)
+    if fallback:
+        topo.extended_links = _bridge_components(topo)
+        assert topo.extended_links == _scan_bridges(topo)
+    for i in dead:
+        topo.nodes[i].alive = False
+    state = make_state(topo, carrier_sense_factor=cs_factor)
+    for i in positions:
+        assert neighbors(topo, i) == _scan_neighbors(topo, i)
+        assert state._carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
+
+
+def test_set_up_calls_distance_linearly_often(monkeypatch):
+    """Placement and the beacon round on a 300-node field call distance()
+    at most once per node; an all-pairs Python scan makes n(n-1)/2 calls."""
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return distance(a, b)
+
+    for module in (topology, link_metrics, routing):
+        monkeypatch.setattr(module, "distance", counted)
+    cfg = ScenarioConfig(node_count=300)
+    state = NetworkState(place_nodes(cfg, seed=3), cfg.radio_params(), cfg)
+    beacon_exchange(state)
+    assert state.ledger.total() > 0
+    assert calls <= cfg.node_count
