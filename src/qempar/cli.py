@@ -10,6 +10,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -132,6 +133,21 @@ def _parse_rates(text: str) -> list[float]:
     return rates
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise ConfigError unless path can be opened for writing. Made before
+    any cell runs; it truncates no existing file and leaves no new one."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _deliver_report(rows, fmt: str, out: str | None) -> None:
     text = emit_report(rows, fmt)
     if out:
@@ -153,6 +169,8 @@ def _cmd_run(args) -> int:
     routers = ["qempar", "minhop"] if args.router == "both" else [config.router]
     if args.event_log and len(routers) > 1:
         raise ConfigError("--event-log needs a single router, not 'both'")
+    _check_writable(args.out)
+    _check_writable(args.event_log)
     from dataclasses import replace
 
     cells = {}
@@ -180,6 +198,7 @@ def _cmd_sweep(args) -> int:
     routers = ("qempar", "minhop") if both else (config.router,)
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
+    _check_writable(args.out)
     cells = compare(config, rates, seeds, routers=routers, jobs=args.jobs)
     _deliver_report(aggregate(cells), args.format, args.out)
     return 0

@@ -15,16 +15,23 @@ and every hop of a fragment as one precomputed record linked to the next.
 Births and deadlines are read in order from sorted lists; only hop ends go
 through a heap. Carrier sense counts the nodes in range of a sender within
 the set of transmitting nodes, which the loop keeps exact at every instant.
+
+With an event log, each event becomes one Event and one line written by
+Event.to_json from a fixed format: the keys t, kind, node, peer, packet,
+seq, bits and joules in that order, null for absent fields, numbers as
+their shortest round-trip repr, and a "\n" line end on every platform.
+The line is byte for byte what json.dumps(record, separators=(",", ":"))
+writes. Without a log, the loop builds no Event.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,12 +54,12 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
     return min(1.0, max(0.01, p))
 
 
-# json.dumps(obj, separators=(",", ":")) builds this encoder on every call;
-# one shared instance writes the same bytes without that per-event cost.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+# One event-log line: the eight keys in a fixed order, compact separators.
+_LINE = ('{"t":%s,"kind":%s,"node":%s,"peer":%s,"packet":%s,"seq":%s,'
+         '"bits":%s,"joules":%s}')
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One simulation event as it appears in the event log."""
 
@@ -66,10 +73,18 @@ class Event:
     joules: float | None = None
 
     def to_json(self) -> str:
-        return _encode_json(
-            {"t": self.sim_time, "kind": self.kind, "node": self.node,
-             "peer": self.peer, "packet": self.packet, "seq": self.seq,
-             "bits": self.bits, "joules": self.joules})
+        """The line json.dumps(record, separators=(",", ":")) writes for
+        this event's record, for finite numbers: str() of an int or float is
+        its repr, as the JSON encoder writes it, and None becomes null."""
+        return _LINE % (
+            "null" if self.sim_time is None else self.sim_time,
+            encode_basestring_ascii(self.kind),
+            "null" if self.node is None else self.node,
+            "null" if self.peer is None else self.peer,
+            "null" if self.packet is None else self.packet,
+            "null" if self.seq is None else self.seq,
+            "null" if self.bits is None else self.bits,
+            "null" if self.joules is None else self.joules)
 
 
 @dataclass(frozen=True)
@@ -131,14 +146,14 @@ def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
 
     event_log, if given, is a path or writable file that receives one JSON
     line per event. Two runs of the same (config, seed) produce identical
-    metrics and identical log bytes.
+    metrics and identical log bytes; a path is written with "\n" line ends.
     """
     if seed is None:
         seed = config.seed
     replace(config, seed=seed).validate()
     if event_log is None or hasattr(event_log, "write"):
         return _run(config, seed, event_log)
-    with open(event_log, "w", encoding="utf-8") as log:
+    with open(event_log, "w", encoding="utf-8", newline="\n") as log:
         return _run(config, seed, log)
 
 
@@ -275,7 +290,9 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    def emit(t, kind, node=None, peer=None, packet=None, seq=None, bits=None, joules=None):
+    # Callers pass Event's fields by position (t, kind, node, peer, packet,
+    # seq, bits, joules): a keyword call costs more per event.
+    def emit(t, kind, node, peer=None, packet=None, seq=None, bits=None, joules=None):
         log.write(Event(t, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
 
     def drain_dead(u: int) -> None:
@@ -321,8 +338,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
         heappush(heap, (end, ordinal, pid, hop, attempt, ok))
         ordinal += 1
         if log is not None:
-            emit(t, "hop-start", node=u, peer=hop[1], packet=pid, seq=hop[6],
-                 bits=hop[7], joules=joules)
+            emit(t, "hop-start", u, hop[1], pid, hop[6], hop[7], joules)
 
     born = expired = 0  # packets whose birth, or deadline, has run
     next_birth = times[0] if times else math.inf
@@ -358,12 +374,10 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
                     alive[v] = False
                     drain_dead(v)
                 if log is not None:
-                    emit(t, "hop-complete", node=v, peer=u, packet=pid, seq=seq,
-                         bits=wire, joules=rx_j)
+                    emit(t, "hop-complete", v, u, pid, seq, wire, rx_j)
                 if next_hop is None:
                     if log is not None:
-                        emit(t, "fragment-delivered", node=v, packet=pid, seq=seq,
-                             bits=frag_bits)
+                        emit(t, "fragment-delivered", v, None, pid, seq, frag_bits)
                     reassemble(pid, seq, t)
                 elif not alive[v]:
                     drop(pid)
@@ -373,7 +387,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
                     enqueue(v, pid, next_hop)
             else:
                 if log is not None:
-                    emit(t, "hop-failed", node=u, peer=v, packet=pid, seq=seq, bits=wire)
+                    emit(t, "hop-failed", u, v, pid, seq, wire)
                 if attempt <= retry_limit:
                     start_hop(t, pid, hop, attempt + 1)
                 else:
@@ -384,7 +398,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
                 start_hop(t, npid, nhop, 1)
         elif kind == _BORN:
             if log is not None:
-                emit(t, "packet-born", node=source, packet=pid, bits=packet_bits)
+                emit(t, "packet-born", source, None, pid, None, packet_bits)
             for hop in first_hops:
                 # start_hop drops the packet of a dead source, which may
                 # still be busy with the frame that killed it.
@@ -394,7 +408,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
                     enqueue(source, pid, hop)
         else:  # _DEADLINE
             if buffer.expire(pid, t) and log is not None:
-                emit(t, "deadline-expired", node=sink, packet=pid)
+                emit(t, "deadline-expired", sink, None, pid)
 
     for i in range(n_nodes):
         nodes[i].spent_energy = spent[i]

@@ -290,6 +290,39 @@ def test_run_writes_an_event_log(tmp_path, capsys):
     assert first["kind"] == "packet-born"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run"], "--out"),
+    (["run"], "--event-log"),
+    (["sweep", "--rates", "5", "--seeds", "1"], "--out"),
+])
+def test_unwritable_output_path_exits_2_before_any_cell_runs(argv, flag, tmp_path,
+                                                             monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr("qempar.cli.run", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr("qempar.engine.run", lambda *args, **kwargs: ran.append(args))
+    path = tmp_path / "no-such-dir" / "out"
+    assert main(argv + [flag, str(path)] + FAST) == 2
+    assert ran == []
+    assert f"error: cannot write {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--rates", "5", "--seeds", "1"]])
+def test_failed_run_leaves_an_existing_report_untouched(argv, tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr("qempar.cli.run", boom)
+    monkeypatch.setattr("qempar.cli.compare", boom)
+    out = tmp_path / "report.csv"
+    out.write_text("earlier report\n")
+    assert main(argv + ["--out", str(out)] + FAST) == 1
+    assert out.read_text() == "earlier report\n"
+    # A report that did not exist is not left behind as an empty file.
+    new = tmp_path / "new.csv"
+    assert main(argv + ["--out", str(new)] + FAST) == 1
+    assert not new.exists()
+
+
 def test_sweep_command_covers_the_grid(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--rates", "5,10", "--seeds", "1..2",

@@ -8,7 +8,7 @@ import multiprocessing
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qempar import (NetworkState, ScenarioConfig, beacon_exchange, compare,
                     discover_paths, place_nodes, run)
@@ -111,15 +111,29 @@ def test_event_record_has_every_field():
                       "packet": 3, "seq": None, "bits": 4096, "joules": None}
 
 
-@pytest.mark.parametrize("event", [
-    Event(0.0, "packet-born", node=1, packet=0, bits=4096),
-    Event(0.1 + 0.2, "hop-start", node=12, peer=3, packet=2**40, seq=4,
-          bits=1088, joules=5.440000000000001e-05),
-    Event(1e-300, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1),
-    Event(123456.789, "deadline-expired", node=0, packet=17),
-    Event(2.5, "hop-complete", node=-1, peer=0, joules=1e22),
-])
+KINDS = ["packet-born", "hop-start", "hop-complete", "hop-failed",
+         "fragment-delivered", "deadline-expired"]
+# Ints of any sign and size, past 64 bits included; finite floats, with the
+# subnormal minimum, negative zero, the switch to exponent form and a sum
+# that rounds; and None.
+FIELD_VALUES = st.one_of(
+    st.none(), st.integers(), st.integers(2**63, 2**80), st.integers(-2**80, -2**63),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -0.0, 1e16, 1e22, 0.1 + 0.2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
+                 FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
+@example(Event(0.0, "packet-born", node=1, packet=0, bits=4096))
+@example(Event(0.1 + 0.2, "hop-start", node=12, peer=3, packet=2**40, seq=4,
+               bits=1088, joules=5.440000000000001e-05))
+@example(Event(1e-300, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1))
+@example(Event(123456.789, "deadline-expired", node=0, packet=17))
+@example(Event(2.5, "hop-complete", node=-1, peer=0, joules=1e22))
 def test_event_json_matches_compact_json_dumps(event):
+    """Every value is finite: validate() rejects non-finite floats, so no run
+    logs one (json.dumps would write NaN or Infinity)."""
     expected = json.dumps(
         {"t": event.sim_time, "kind": event.kind, "node": event.node,
          "peer": event.peer, "packet": event.packet, "seq": event.seq,
@@ -253,6 +267,11 @@ def test_event_log_writes_to_a_file(tmp_path):
     lines = path.read_text().splitlines()
     assert lines and m.generated > 0
     assert json.loads(lines[0])["kind"] == "packet-born"
+    # The file holds the bytes of the same run logged to memory, "\n" line
+    # ends included, whatever the platform's default.
+    buf = io.StringIO()
+    run(_small(duration_s=0.5), seed=1, event_log=buf)
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_compare_covers_the_grid_and_ignores_job_count():
@@ -331,12 +350,17 @@ def test_fragmented_router_beats_whole_packet_baseline_on_delay():
 @settings(max_examples=100, deadline=None)
 @given(valid_configs(), st.integers(0, 2**16))
 def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
+    """Every log line is the compact json.dumps of its own record; its
+    values are finite, since validate() rejects non-finite floats."""
     cfg.validate()
     log = io.StringIO()
     m = run(cfg, seed=seed, event_log=log)
     assert m.generated == m.delivered + m.expired + m.dropped
     k = cfg.fragment_count if cfg.router == "qempar" else 1
-    events = map(json.loads, log.getvalue().splitlines())
+    lines = log.getvalue().splitlines()
+    events = [json.loads(line) for line in lines]
+    for line, e in zip(lines, events):
+        assert line == json.dumps(e, separators=(",", ":"))
     deliveries = Counter((e["packet"], e["seq"]) for e in events
                          if e["kind"] == "fragment-delivered")
     assert all(n == 1 for n in deliveries.values()), "a fragment reached the sink twice"
