@@ -8,7 +8,7 @@ import multiprocessing
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qempar import (NetworkState, ScenarioConfig, beacon_exchange, compare,
                     discover_paths, place_nodes, run)
@@ -122,24 +122,33 @@ FIELD_VALUES = st.one_of(
     st.sampled_from([5e-324, -0.0, 1e16, 1e22, 0.1 + 0.2]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
-                 FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
-@example(Event(0.0, "packet-born", node=1, packet=0, bits=4096))
-@example(Event(0.1 + 0.2, "hop-start", node=12, peer=3, packet=2**40, seq=4,
-               bits=1088, joules=5.440000000000001e-05))
-@example(Event(1e-300, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1))
-@example(Event(123456.789, "deadline-expired", node=0, packet=17))
-@example(Event(2.5, "hop-complete", node=-1, peer=0, joules=1e22))
-def test_event_json_matches_compact_json_dumps(event):
-    """Every value is finite: validate() rejects non-finite floats, so no run
-    logs one (json.dumps would write NaN or Infinity)."""
-    expected = json.dumps(
+def _compact_json(event):
+    return json.dumps(
         {"t": event.sim_time, "kind": event.kind, "node": event.node,
          "peer": event.peer, "packet": event.packet, "seq": event.seq,
          "bits": event.bits, "joules": event.joules},
         separators=(",", ":"))
-    assert event.to_json() == expected
+
+
+@pytest.mark.parametrize("event", [
+    Event(0.0, "packet-born", node=1, packet=0, bits=4096),
+    Event(0.1 + 0.2, "hop-start", node=12, peer=3, packet=2**40, seq=4,
+          bits=1088, joules=5.440000000000001e-05),
+    Event(1e-300, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1),
+    Event(123456.789, "deadline-expired", node=0, packet=17),
+    Event(2.5, "hop-complete", node=-1, peer=0, joules=1e22),
+])
+def test_event_json_matches_compact_json_dumps(event):
+    assert event.to_json() == _compact_json(event)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
+                 FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
+def test_drawn_event_json_matches_compact_json_dumps(event):
+    """Every value is finite: validate() rejects non-finite floats, so no run
+    logs one (json.dumps would write NaN or Infinity)."""
+    assert event.to_json() == _compact_json(event)
 
 
 def test_deterministic_arrivals_are_evenly_spaced():
