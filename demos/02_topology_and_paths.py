@@ -26,7 +26,7 @@ print(f"extended links added to connect components: {topology.extended_links or 
 
 # One beacon round debits every node for its own beacon and for each one it
 # hears. It builds no tables: the suitability score reads positions, residual
-# energy and send/receive stats straight from the network state.
+# energy and the cold-start PPS/PPR value straight from the network state.
 beacon_exchange(state)
 print(f"beacon round cost: {state.ledger.total() * 1e3:.3f} mJ across the field")
 

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from .config import load_config
 from .energy import threshold_distance
@@ -108,19 +109,17 @@ def _print_config(config, provenance) -> None:
 
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ConfigError(f"bad seed range '{text}'") from None
-        if hi_i < lo_i:
-            raise ConfigError(f"empty seed range '{text}'")
-        return list(range(lo_i, hi_i + 1))
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"bad seed list '{text}'") from None
+    if not seeds:
+        raise ConfigError("seed list is empty")
+    return seeds
 
 
 def _parse_rates(text: str) -> list[float]:
@@ -133,19 +132,22 @@ def _parse_rates(text: str) -> list[float]:
     return rates
 
 
-def _check_writable(path: str | None) -> None:
-    """Raise ConfigError unless path can be opened for writing. Made before
-    any cell runs; it truncates no existing file and leaves no new one."""
-    if path is None:
-        return
-    existed = os.path.exists(path)
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
-    if not existed:
-        os.remove(path)
+def _check_writable(*paths: str | None) -> None:
+    """Raise ConfigError unless each given path can be opened for writing,
+    no two naming the same file. Made before any cell runs; it truncates no
+    existing file and leaves no new one."""
+    given = [path for path in paths if path is not None]
+    if len({os.path.realpath(path) for path in given}) < len(given):
+        raise ConfigError(f"cannot write {given[-1]}: two outputs name the same file")
+    for path in given:
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        if not existed:
+            os.remove(path)
 
 
 def _deliver_report(rows, fmt: str, out: str | None) -> None:
@@ -169,10 +171,7 @@ def _cmd_run(args) -> int:
     routers = ["qempar", "minhop"] if args.router == "both" else [config.router]
     if args.event_log and len(routers) > 1:
         raise ConfigError("--event-log needs a single router, not 'both'")
-    _check_writable(args.out)
-    _check_writable(args.event_log)
-    from dataclasses import replace
-
+    _check_writable(args.out, args.event_log)
     cells = {}
     for router in routers:
         cfg = replace(config, router=router)

@@ -1,14 +1,15 @@
 """Deterministic discrete-event simulation of a full scenario.
 
-A run places nodes, exchanges beacons, discovers paths, then drives packet
-traffic through a light CSMA-style MAC: each hop attempt occupies the sender
-for the serialization time plus access and contention delays, succeeds with a
-distance-dependent probability, and is retried a bounded number of times.
-Fragments queue FIFO at busy nodes; fragment seq s of every packet travels
-on ranked path (s-1) mod n_paths. The sink's reassembly buffer records each
-packet's fate, which the metrics read. Events are ordered by (time, ordinal)
-where ordinals count event creation, so ties resolve in creation order and
-the whole run is reproducible bit for bit from (scenario, seed).
+A run is setup() (placement, beacons), discover() (the router's paths) and
+simulate(), traffic through a light CSMA-style MAC. Each hop attempt
+occupies the sender for the serialization time plus access and contention
+delays, succeeds with a distance-dependent probability, and is retried a
+bounded number of times. Fragments queue FIFO at busy nodes; fragment seq s
+of every packet travels on ranked path (s-1) mod n_paths. The sink's
+reassembly buffer records each packet's fate, which the metrics read. Events
+are ordered by (time, ordinal) where ordinals count event creation, so ties
+resolve in creation order and a run is reproducible bit for bit from
+(scenario, seed).
 
 The event loop holds per-node energy, liveness and busy times in flat lists,
 and every hop of a fragment as one precomputed record linked to the next.
@@ -30,13 +31,14 @@ import heapq
 import math
 import random
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .dispatch import DELIVERED, DROPPED, EXPIRED, PENDING, ReassemblyBuffer, fragment
-from .errors import NoPathError
+from .errors import ConfigError, NoPathError
 from .link_metrics import NetworkState
 from .routing import beacon_exchange, discover_paths, minhop_paths
 from .topology import distance, place_nodes
@@ -142,46 +144,54 @@ _BORN, _HOP_END, _DEADLINE = 0, 1, 2
 
 
 def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
-    """Simulate one scenario end to end and return its metrics.
-
-    event_log, if given, is a path or writable file that receives one JSON
-    line per event. Two runs of the same (config, seed) produce identical
-    metrics and identical log bytes; a path is written with "\n" line ends.
-    """
-    if seed is None:
-        seed = config.seed
-    replace(config, seed=seed).validate()
-    if event_log is None or hasattr(event_log, "write"):
-        return _run(config, seed, event_log)
-    with open(event_log, "w", encoding="utf-8", newline="\n") as log:
-        return _run(config, seed, log)
+    """Metrics of one scenario, seed (if given) replacing config.seed.
+    event_log, a path or writable file, gets one JSON line per event ("\n"
+    line ends); equal (config, seed) give equal metrics and log bytes."""
+    if seed is not None:
+        config = replace(config, seed=seed)
+    config.validate()
+    with (nullcontext(event_log) if event_log is None or hasattr(event_log, "write")
+          else open(event_log, "w", encoding="utf-8", newline="\n")) as log:
+        state = setup(config)
+        return simulate(state, discover(state), log)
 
 
-def _run(config, seed: int, log) -> RunMetrics:
-    topo = place_nodes(config, seed)
-    state = NetworkState(topo, config.radio_params(), config)
+def setup(config) -> NetworkState:
+    """The field of (config, config.seed) after its beacon round."""
+    state = NetworkState(place_nodes(config, config.seed), config.radio_params(), config)
     beacon_exchange(state)
-    setup_spent = {i: n.spent_energy for i, n in topo.nodes.items()}
+    return state
+
+
+def _fragments_per_packet(config) -> int:
+    return config.fragment_count if config.router == "qempar" else 1
+
+
+def discover(state) -> list:
+    """The ranked paths of state.config.router, [] with no route: qempar asks
+    discover_paths for fragment_count paths, minhop asks minhop_paths for 1."""
+    config, topo = state.config, state.topology
+    find = discover_paths if config.router == "qempar" else minhop_paths
+    try:
+        return list(find(topo.source_id, topo.sink_id, _fragments_per_packet(config), state).paths)
+    except NoPathError:
+        return []
+
+
+def simulate(state, paths, log=None) -> RunMetrics:
+    """Run state.config's traffic over paths (none: every packet is dropped)
+    and return the metrics. It spends the state it is given, whose energy,
+    liveness and ledger then carry the traffic; log is a file or None."""
+    config, nodes = state.config, state.topology.nodes
+    setup_spent = {i: n.spent_energy for i, n in nodes.items()}
     setup_energy = math.fsum(setup_spent[i] for i in sorted(setup_spent))
 
-    times = arrival_times(config, seed)
+    times = arrival_times(config, config.seed)
     n_packets = len(times)
-
-    if config.router == "qempar":
-        k_frag = config.fragment_count
-        find = discover_paths
+    buffer = ReassemblyBuffer(times, _fragments_per_packet(config), config.reassembly_deadline_s)
+    if paths:
+        _traffic(state, paths, times, buffer, log)
     else:
-        k_frag = 1
-        find = minhop_paths
-    try:
-        use_paths = list(find(topo.source_id, topo.sink_id, k_frag, state).paths)
-    except NoPathError:
-        use_paths = []
-    buffer = ReassemblyBuffer(times, k_frag, config.reassembly_deadline_s)
-    if use_paths:
-        _traffic(config, seed, state, use_paths, times, buffer, log)
-    else:
-        # No route: no traffic runs, and every packet counts as dropped.
         for pid in range(n_packets):
             buffer.drop(pid)
 
@@ -194,8 +204,7 @@ def _run(config, seed: int, log) -> RunMetrics:
                         if status[pid] == DELIVERED and buffer.out_of_order(pid))
                     / delivered if delivered else 0.0)
 
-    nodes = topo.nodes
-    participants = sorted(set().union(*(p.node_ids for p in use_paths)))
+    participants = sorted(set().union(*(p.node_ids for p in paths)))
     participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
     total_energy = math.fsum(nodes[i].spent_energy for i in sorted(nodes))
     residual_total = math.fsum(nodes[i].residual_energy for i in sorted(nodes))
@@ -204,9 +213,9 @@ def _run(config, seed: int, log) -> RunMetrics:
     return RunMetrics(
         router=config.router,
         rate_pkts_per_s=config.rate_pkts_per_s,
-        seed=seed,
-        n_paths=len(use_paths),
-        path_hops=tuple(p.hop_count for p in use_paths),
+        seed=config.seed,
+        n_paths=len(paths),
+        path_hops=tuple(p.hop_count for p in paths),
         generated=n_packets,
         delivered=delivered,
         expired=status.count(EXPIRED),
@@ -223,7 +232,7 @@ def _run(config, seed: int, log) -> RunMetrics:
         clamped_debits=state.ledger.clamped_debits)
 
 
-def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
+def _traffic(state, paths, times, buffer, log) -> None:
     """Drive every packet through the MAC along its fragments' paths,
     settling each packet's status in buffer.
 
@@ -231,6 +240,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
     energy, liveness and busy-until time live in flat lists; spent energy
     and liveness are written back to the NodeStates at the end.
     """
+    config = state.config
     topo = state.topology
     params = state.params
     nodes = topo.nodes
@@ -274,7 +284,7 @@ def _traffic(config, seed: int, state, paths, times, buffer, log) -> None:
     ledger_add = state.ledger.add
     reassemble = buffer.reassemble
     drop = buffer.drop
-    link_random = random.Random(seed ^ 0x9E3779B9).random
+    link_random = random.Random(config.seed ^ 0x9E3779B9).random
     retry_limit = config.hop_retry_limit
     deadline_s = config.reassembly_deadline_s
 
@@ -423,14 +433,19 @@ def _run_cell(args) -> tuple:
 def compare(config, rates, seeds, routers=("qempar", "minhop"), jobs: int = 1) -> dict:
     """Run every (rate, router, seed) cell and return {key: RunMetrics}.
 
-    Every cell is validated before the first one runs. Results are
-    independent of jobs; with jobs > 1 cells run in a pool of at most one
-    worker process per cell.
+    Every cell is validated, and a repeated cell refused, before the first
+    one runs. Results are independent of jobs; with jobs > 1 cells run in a
+    pool of at most one worker process per cell.
     """
     tasks = [(replace(config, rate_pkts_per_s=float(r), router=rt), int(s))
              for r in rates for rt in routers for s in seeds]
+    cells = set()
     for cell_config, seed in tasks:
         replace(cell_config, seed=seed).validate()
+        cell = (cell_config.rate_pkts_per_s, cell_config.router, seed)
+        if cell in cells:
+            raise ConfigError(f"sweep cell (rate, router, seed) {cell} is repeated")
+        cells.add(cell)
     workers = min(jobs, len(tasks))
     if workers > 1:
         import multiprocessing

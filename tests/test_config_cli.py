@@ -214,6 +214,9 @@ def test_bad_configuration_exits_2(capsys):
     ["sweep", "--seeds=-3,2", "--rates", "5"],
     ["sweep", "--rates", "5,0"],
     ["sweep", "--rates", "5,inf"],
+    ["sweep", "--rates", "5", "--seeds", ","],
+    ["sweep", "--rates", "5", "--seeds", "1,1", "--router", "qempar"],
+    ["sweep", "--rates", "5,5.0", "--seeds", "1", "--router", "qempar"],
 ])
 def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     ran = []
@@ -304,6 +307,21 @@ def test_unwritable_output_path_exits_2_before_any_cell_runs(argv, flag, tmp_pat
     assert main(argv + [flag, str(path)] + FAST) == 2
     assert ran == []
     assert f"error: cannot write {path}: " in capsys.readouterr().err
+
+
+def test_one_file_for_report_and_event_log_exits_2_before_any_cell_runs(tmp_path, monkeypatch,
+                                                                       capsys):
+    ran = []
+    monkeypatch.setattr("qempar.cli.run", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr("qempar.engine.run", lambda *args, **kwargs: ran.append(args))
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "both"
+    same = tmp_path / "sub" / ".." / "both"
+    argv = ["run", "--router", "qempar", "--out", str(path), "--event-log", str(same)]
+    assert main(argv + FAST) == 2
+    assert ran == []
+    assert "two outputs name the same file" in capsys.readouterr().err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [["run"], ["sweep", "--rates", "5", "--seeds", "1"]])

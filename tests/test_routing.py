@@ -11,6 +11,7 @@ from qempar import (NetworkState, ScenarioConfig, beacon_exchange,
                     discover_paths, minhop_paths, place_nodes, run, rx_energy,
                     tx_energy)
 from qempar import link_metrics
+from qempar.engine import setup
 from qempar.errors import NoPathError
 from qempar.link_metrics import RoutePath, suitability
 from qempar.routing import PathSet
@@ -79,10 +80,7 @@ def test_path_set_rejects_equal_paths():
 
 def _adjacent_source_state(node_count):
     """Seed 1 of a field whose source lies within radio range of the sink."""
-    cfg = ScenarioConfig(source_x=20, source_y=20, node_count=node_count)
-    state = NetworkState(place_nodes(cfg, 1), cfg.radio_params(), cfg)
-    beacon_exchange(state)
-    return state
+    return setup(ScenarioConfig(source_x=20, source_y=20, node_count=node_count, seed=1))
 
 
 @pytest.mark.parametrize("find", [discover_paths, minhop_paths])
@@ -230,9 +228,8 @@ def test_discovery_scores_each_link_at_most_once(monkeypatch):
 
     monkeypatch.setattr(link_metrics, "suitability", counted)
     cfg = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
-                         source_x=212.1, source_y=212.1)
-    state = NetworkState(place_nodes(cfg, 1), cfg.radio_params(), cfg)
-    beacon_exchange(state)
+                         source_x=212.1, source_y=212.1, seed=1)
+    state = setup(cfg)
     assert len(discover_paths(1, 0, 4, state)) > 1
     assert max(calls.values()) == 1
 
@@ -352,8 +349,7 @@ def test_routers_find_no_more_paths_than_max_flow_allows():
         cfg = ScenarioConfig(node_count=rng.randrange(10, 151), field_width=side,
                              field_height=side, source_x=0.75 * side, source_y=0.75 * side,
                              extended_range_fallback=rng.random() < 0.8)
-        state = NetworkState(place_nodes(cfg, rng.randrange(10000)), cfg.radio_params(), cfg)
-        beacon_exchange(state)
+        state = setup(replace(cfg, seed=rng.randrange(10000)))
         bound = min(k, _max_disjoint_paths(state, 1, 0))
         for find in (discover_paths, minhop_paths):
             try:

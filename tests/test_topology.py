@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qempar import NetworkState, ScenarioConfig, beacon_exchange, place_nodes
+from qempar import ScenarioConfig, place_nodes
 from qempar import link_metrics, routing, topology
+from qempar.engine import setup
 from qempar.errors import UnknownNodeError
 from qempar.topology import (NodeState, Position, _bridge_components, distance,
                              is_extended_link, neighbors)
@@ -260,8 +261,7 @@ def test_set_up_calls_distance_linearly_often(monkeypatch):
 
     for module in (topology, link_metrics, routing):
         monkeypatch.setattr(module, "distance", counted)
-    cfg = ScenarioConfig(node_count=300)
-    state = NetworkState(place_nodes(cfg, seed=3), cfg.radio_params(), cfg)
-    beacon_exchange(state)
+    cfg = ScenarioConfig(node_count=300, seed=3)
+    state = setup(cfg)
     assert state.ledger.total() > 0
     assert calls <= cfg.node_count
