@@ -70,7 +70,8 @@ class EnergyLedger:
     """Per-node totals of every energy charge in a run.
 
     Totals are running accumulators, so they stay O(1) regardless of run
-    length.
+    length. The beacon round charges through add; the event loop sums its
+    debits the same way in a list of its own and folds them in at the end.
     """
 
     clamped_debits: int = 0

@@ -11,18 +11,26 @@ are ordered by (time, ordinal) where ordinals count event creation, so ties
 resolve in creation order and a run is reproducible bit for bit from
 (scenario, seed).
 
-The event loop holds per-node energy, liveness and busy times in flat lists,
-and every hop of a fragment as one precomputed record linked to the next.
-Births and deadlines are read in order from sorted lists; only hop ends go
-through a heap. Carrier sense counts the nodes in range of a sender within
-the set of transmitting nodes, which the loop keeps exact at every instant.
+The event loop holds per-node energy, liveness, busy times and ledger
+subtotals in flat lists, and every hop of a fragment as one precomputed
+record linked to the next: its energies, success probability, delay before
+contention and the sender's carrier-sense set. Births and deadlines are read
+in order from sorted lists; only hop ends go through a heap, and they run in
+an inner loop while strictly earlier than the next birth and deadline.
+Carrier sense counts the sender's carrier-sense set within the set of
+transmitting nodes, which the loop keeps exact at every instant. The loop's
+debits and its count of clamped debits are folded into the energy ledger
+once, at the end; each node's subtotal is the float EnergyLedger.add would
+have summed, and the total is an exact fsum, so the ledger reads the same.
 
 With an event log, each event becomes one Event and one line written by
 Event.to_json from a fixed format: the keys t, kind, node, peer, packet,
 seq, bits and joules in that order, null for absent fields, numbers as
 their shortest round-trip repr, and a "\n" line end on every platform.
 The line is byte for byte what json.dumps(record, separators=(",", ":"))
-writes. Without a log, the loop builds no Event.
+writes. to_json takes kind texts from a table, reuses the previous event's
+time text when the time is the same object, and takes joule texts from a
+small bounded memo. Without a log, the loop builds no Event.
 """
 
 from __future__ import annotations
@@ -59,6 +67,17 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
 # One event-log line: the eight keys in a fixed order, compact separators.
 _LINE = ('{"t":%s,"kind":%s,"node":%s,"peer":%s,"packet":%s,"seq":%s,'
          '"bits":%s,"joules":%s}')
+_KIND_TEXT = {kind: encode_basestring_ascii(kind) for kind in (
+    "packet-born", "hop-start", "hop-complete", "hop-failed",
+    "fragment-delivered", "deadline-expired")}
+# Texts that Event.to_json reuses instead of formatting a float again: the
+# previous event's time object with its text, and the text of recent joule
+# floats. Each holds only what str() gives its value, so no caller sees
+# another's; the joule memo is cleared when full, so it stays small across a
+# sweep.
+_last_time: tuple = (None, "null")
+_JOULE_TEXT: dict[float, str] = {}
+_JOULE_TEXT_BOUND = 256
 
 
 @dataclass(slots=True)
@@ -78,15 +97,37 @@ class Event:
         """The line json.dumps(record, separators=(",", ":")) writes for
         this event's record, for finite numbers: str() of an int or float is
         its repr, as the JSON encoder writes it, and None becomes null."""
+        global _last_time
+        t = self.sim_time
+        last = _last_time
+        if t is last[0]:
+            t_text = last[1]
+        else:
+            t_text = "null" if t is None else str(t)
+            _last_time = (t, t_text)
+        j = self.joules
+        if j is None:
+            j_text = "null"
+        elif type(j) is float and j:
+            # Equal nonzero floats have one text; 0.0 == -0.0 and 1 == 1.0
+            # do not, so zeros and non-floats never reach the memo.
+            j_text = _JOULE_TEXT.get(j)
+            if j_text is None:
+                if len(_JOULE_TEXT) >= _JOULE_TEXT_BOUND:
+                    _JOULE_TEXT.clear()
+                j_text = _JOULE_TEXT[j] = str(j)
+        else:
+            j_text = str(j)
+        kind = self.kind
         return _LINE % (
-            "null" if self.sim_time is None else self.sim_time,
-            encode_basestring_ascii(self.kind),
+            t_text,
+            _KIND_TEXT.get(kind) or encode_basestring_ascii(kind),
             "null" if self.node is None else self.node,
             "null" if self.peer is None else self.peer,
             "null" if self.packet is None else self.packet,
             "null" if self.seq is None else self.seq,
             "null" if self.bits is None else self.bits,
-            "null" if self.joules is None else self.joules)
+            j_text)
 
 
 @dataclass(frozen=True)
@@ -137,10 +178,6 @@ def arrival_times(config, seed: int) -> list[float]:
         times.append(float(t))
         t += rng.exponential(1.0 / rate)
     return times
-
-
-# Event kinds (ints compare faster than strings).
-_BORN, _HOP_END, _DEADLINE = 0, 1, 2
 
 
 def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
@@ -237,8 +274,8 @@ def _traffic(state, paths, times, buffer, log) -> None:
     settling each packet's status in buffer.
 
     Node ids are 0..n-1, so for the length of the loop each node's spent
-    energy, liveness and busy-until time live in flat lists; spent energy
-    and liveness are written back to the NodeStates at the end.
+    energy, liveness, busy-until time and ledger subtotal live in flat
+    lists; they are written back to the NodeStates and the ledger at the end.
     """
     config = state.config
     topo = state.topology
@@ -251,8 +288,9 @@ def _traffic(state, paths, times, buffer, log) -> None:
     contention_delay = config.contention_delay_s
 
     # Hop records: every packet splits the same way, so wire bits, energies,
-    # success probabilities and serialization times are computed once per
-    # (seq, hop). A record is (u, v, tx_j, rx_j, p_ok, t_tx, seq, wire,
+    # success probabilities, the sender's carrier-sense set and the delay
+    # before contention are computed once per (seq, hop). A record is
+    # (u, v, tx_j, rx_j, p_ok, near, t_tx + access_delay, seq, wire,
     # frag_bits, next_hop), next_hop being None on the hop into the sink.
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
@@ -266,7 +304,8 @@ def _traffic(state, paths, times, buffer, log) -> None:
             d = distance(nodes[u].position, nodes[v].position)
             hop = (u, v, tx_energy(wire, d, params), rx_energy(wire, params),
                    link_success_probability(config, d, topo.radio_range),
-                   t_tx, seq, wire, frag_bits, hop)
+                   state.carrier_sense_set(u), t_tx + access_delay,
+                   seq, wire, frag_bits, hop)
         first_hops.append(hop)
 
     initial = [nodes[i].initial_energy for i in range(n_nodes)]
@@ -274,14 +313,18 @@ def _traffic(state, paths, times, buffer, log) -> None:
     alive = [nodes[i].alive for i in range(n_nodes)]
     busy = [0.0] * n_nodes
     queues: list[deque | None] = [None] * n_nodes
+    # Each debit adds to its node's ledger subtotal here, as
+    # EnergyLedger.add would, and is counted when it exceeds what the node
+    # had left; both are folded into the ledger once, at the end.
+    per_node_joules = state.ledger.per_node_joules
+    debited = [per_node_joules.get(i, 0.0) for i in range(n_nodes)]
+    clamped = 0
     # Carrier sense counts state.active_tx, which the loop keeps equal to the
     # nodes whose latest hop ends after the current time: a node joins when
     # it starts a hop and leaves when a hop end of its runs with no later hop
     # started. Hop ends due at the current time that have not run yet are
     # settled by start_hop before it senses the carrier.
     active = state.active_tx
-    carrier_sense = state.active_transmitters_near
-    ledger_add = state.ledger.add
     reassemble = buffer.reassemble
     drop = buffer.drop
     link_random = random.Random(config.seed ^ 0x9E3779B9).random
@@ -320,7 +363,7 @@ def _traffic(state, paths, times, buffer, log) -> None:
         q.append((pid, hop))
 
     def start_hop(t: float, pid: int, hop: tuple, attempt: int) -> None:
-        nonlocal ordinal
+        nonlocal ordinal, clamped
         u = hop[0]
         if not alive[u]:
             drop(pid)
@@ -332,9 +375,12 @@ def _traffic(state, paths, times, buffer, log) -> None:
             for entry in heap:
                 if entry[0] == t and busy[entry[3][0]] <= t:
                     active.discard(entry[3][0])
-        delay = hop[5] + access_delay + contention_delay * carrier_sense(u)
+        n = len(active & hop[5])
+        end = t + (hop[6] + contention_delay * n if n else hop[6])
         joules = hop[2]
-        ledger_add(u, joules, joules > initial[u] - spent[u])
+        if joules > initial[u] - spent[u]:
+            clamped += 1
+        debited[u] += joules
         spent[u] += joules
         if spent[u] >= initial[u]:
             alive[u] = False
@@ -342,43 +388,29 @@ def _traffic(state, paths, times, buffer, log) -> None:
         # The success draw always happens, keeping the stream aligned across
         # alternate outcomes; a dead receiver forces failure.
         ok = link_random() < hop[4] and alive[hop[1]]
-        end = t + delay
         busy[u] = end
         active.add(u)
         heappush(heap, (end, ordinal, pid, hop, attempt, ok))
         ordinal += 1
         if log is not None:
-            emit(t, "hop-start", u, hop[1], pid, hop[6], hop[7], joules)
+            emit(t, "hop-start", u, hop[1], pid, hop[7], hop[8], joules)
 
     born = expired = 0  # packets whose birth, or deadline, has run
     next_birth = times[0] if times else math.inf
     next_deadline = deadlines[0] if times else math.inf
     while True:
-        # A birth or deadline has a lower ordinal than any hop end, so a hop
-        # end runs first only if it is strictly earlier.
-        if heap and heap[0][0] < next_birth and heap[0][0] < next_deadline:
+        # A birth or deadline has a lower ordinal than any hop end, so hop
+        # ends run first only while strictly earlier than both.
+        horizon = next_birth if next_birth < next_deadline else next_deadline
+        while heap and heap[0][0] < horizon:
             t, _, pid, hop, attempt, ok = heappop(heap)
-            kind = _HOP_END
-        elif next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
-            if born == n_packets:
-                break
-            t = next_birth
-            pid = born
-            born += 1
-            next_birth = times[born] if born < n_packets else math.inf
-            kind = _BORN
-        else:
-            t = next_deadline
-            pid = expired
-            expired += 1
-            next_deadline = deadlines[expired] if expired < n_packets else math.inf
-            kind = _DEADLINE
-        if kind == _HOP_END:
-            u, v, _tx_j, rx_j, _p, _t_tx, seq, wire, frag_bits, next_hop = hop
+            u, v, _tx_j, rx_j, _p, _near, _base, seq, wire, frag_bits, next_hop = hop
             if busy[u] <= t:
                 active.discard(u)
             if ok and alive[v]:
-                ledger_add(v, rx_j, rx_j > initial[v] - spent[v])
+                if rx_j > initial[v] - spent[v]:
+                    clamped += 1
+                debited[v] += rx_j
                 spent[v] += rx_j
                 if spent[v] >= initial[v]:
                     alive[v] = False
@@ -406,7 +438,13 @@ def _traffic(state, paths, times, buffer, log) -> None:
             if q and busy[u] <= t and alive[u]:
                 npid, nhop = q.popleft()
                 start_hop(t, npid, nhop, 1)
-        elif kind == _BORN:
+        if next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
+            if born == n_packets:
+                break
+            t = next_birth
+            pid = born
+            born += 1
+            next_birth = times[born] if born < n_packets else math.inf
             if log is not None:
                 emit(t, "packet-born", source, None, pid, None, packet_bits)
             for hop in first_hops:
@@ -416,13 +454,22 @@ def _traffic(state, paths, times, buffer, log) -> None:
                     start_hop(t, pid, hop, 1)
                 else:
                     enqueue(source, pid, hop)
-        else:  # _DEADLINE
+        else:
+            t = next_deadline
+            pid = expired
+            expired += 1
+            next_deadline = deadlines[expired] if expired < n_packets else math.inf
             if buffer.expire(pid, t) and log is not None:
                 emit(t, "deadline-expired", sink, None, pid)
 
     for i in range(n_nodes):
         nodes[i].spent_energy = spent[i]
         nodes[i].alive = alive[i]
+        # Debits are positive, so a node that has none still reads 0.0 and
+        # gets no entry, as under EnergyLedger.add.
+        if debited[i]:
+            per_node_joules[i] = debited[i]
+    state.ledger.clamped_debits += clamped
 
 
 def _run_cell(args) -> tuple:

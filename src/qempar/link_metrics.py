@@ -77,9 +77,7 @@ class NetworkState:
         self._send_agg: dict[int, list[int]] = {}
         self._recv_agg: dict[int, list[int]] = {}
         self._nbr_cache: dict[int, list[int]] = {}
-        # Per node, the other nodes within carrier-sense range. Nodes never
-        # move, so each set is built once, on the node's first query.
-        self._cs_near: dict[int, frozenset[int]] = {}
+        self._cs_near: dict[int, frozenset[int]] = {}  # see carrier_sense_set
 
     def record_send(self, a: int, b: int, ok: bool) -> None:
         """Count one a-to-b send attempt against sender a."""
@@ -123,15 +121,18 @@ class NetworkState:
         active = self.active_tx
         if not active:
             return 0
+        return len(active & self.carrier_sense_set(node_id))
+
+    def carrier_sense_set(self, node_id: int) -> frozenset[int]:
+        """The other nodes within carrier-sense range (carrier_sense_factor
+        times the radio range) of node_id. Nodes never move, so each set is
+        built once, on the node's first query."""
         near = self._cs_near.get(node_id)
         if near is None:
-            near = self._cs_near[node_id] = self._carrier_sense_set(node_id)
-        return len(active & near)
-
-    def _carrier_sense_set(self, node_id: int) -> frozenset[int]:
-        topo = self.topology
-        cs = self.config.carrier_sense_factor * topo.radio_range
-        return frozenset(topo.distances.within(node_id, cs))
+            topo = self.topology
+            cs = self.config.carrier_sense_factor * topo.radio_range
+            near = self._cs_near[node_id] = frozenset(topo.distances.within(node_id, cs))
+        return near
 
 
 def appr(neighbor_id: int, state: NetworkState) -> float:

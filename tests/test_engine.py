@@ -1,6 +1,7 @@
 """End-to-end simulation runs: MAC timing, lifecycle accounting, determinism,
 and the event log contract."""
 
+import copy
 import io
 import json
 import math
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from qempar import ScenarioConfig, compare, engine, run
 from qempar.engine import (Event, arrival_times, discover, link_success_probability, setup,
                            simulate)
+from qempar.energy import EnergyLedger
 from qempar.errors import ConfigError
+from qempar.link_metrics import NetworkState
 
 from conftest import hop_spans, replay_mean_delay, valid_configs
 
@@ -186,6 +189,30 @@ def test_drawn_event_json_matches_compact_json_dumps(event):
     assert event.to_json() == _compact_json(event)
 
 
+def test_event_text_reuse_is_exact_and_bounded():
+    """to_json reuses the previous event's time text when the time is the
+    same object, and joule texts from a bounded memo. Values that compare
+    equal but print differently (0.0 and -0.0, 1 and 1.0) keep their own
+    text, one float may be both time and joules, and an early float asked
+    for again after the memo has been cleared still gets its own text."""
+    x = 0.1 + 0.2
+    bound = engine._JOULE_TEXT_BOUND
+    floats = [i + 0.5 for i in range(bound + 10)]
+    events = [Event(0.0, "hop-start", joules=0.0), Event(-0.0, "hop-start", joules=-0.0),
+              Event(0.0, "hop-start", joules=0.0),
+              Event(1, "hop-complete", joules=1), Event(1.0, "hop-complete", joules=1.0),
+              Event(1, "hop-complete", joules=1),
+              Event(x, "hop-start", joules=x), Event(x, "hop-failed", joules=x),
+              Event(-x, "hop-start", joules=-x), Event(x, "hop-start", joules=0.3),
+              *(Event(f, "hop-complete", joules=f) for f in floats),
+              Event(floats[0], "hop-start", joules=floats[0]),
+              Event(floats[-1], "hop-start", joules=floats[-1]),
+              Event(floats[-1], "packet-born", 0, None, 1, None, 4096)]
+    for event in events:
+        assert event.to_json() == _compact_json(event)
+        assert len(engine._JOULE_TEXT) <= bound
+
+
 def test_deterministic_arrivals_are_evenly_spaced():
     cfg = ScenarioConfig(rate_pkts_per_s=10.0, duration_s=1.0)
     times = arrival_times(cfg, seed=1)
@@ -264,6 +291,67 @@ def test_packet_born_at_a_dying_source_is_dropped():
     m = run(ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, initial_energy_j=2e-3,
                            router="minhop"), 1)
     assert (m.generated, m.delivered, m.expired, m.dropped) == (100, 3, 0, 97)
+
+
+def _bits(per_node):
+    return {i: j.hex() for i, j in per_node.items()}
+
+
+@pytest.mark.parametrize("router, beacon_accounting", [("minhop", True), ("qempar", True),
+                                                       ("qempar", False)])
+def test_ledger_fold_equals_ledger_add_replayed_from_the_log(router, beacon_accounting):
+    """The loop's flat per-node debits and its clamp count, folded into the
+    ledger at the end, equal EnergyLedger.add applied to every logged debit
+    in log order, starting from the ledger and node energies of setup().
+    Nodes die here, so some debits are clamped; without beacon accounting
+    the ledger starts empty and only nodes the traffic debits get entries."""
+    cfg = ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, initial_energy_j=2e-3,
+                         router=router, beacon_accounting=beacon_accounting, seed=1)
+    state = setup(cfg)
+    oracle = copy.deepcopy(state.ledger)
+    nodes = copy.deepcopy(state.topology.nodes)
+    log = io.StringIO()
+    m = simulate(state, discover(state), log)
+    for line in log.getvalue().splitlines():
+        e = json.loads(line)
+        if e["kind"] in ("hop-start", "hop-complete"):
+            oracle.add(e["node"], e["joules"], nodes[e["node"]].spend(e["joules"]))
+    assert m.clamped_debits > 0
+    assert _bits(state.ledger.per_node()) == _bits(oracle.per_node())
+    assert state.ledger.total().hex() == oracle.total().hex() == m.ledger_total_j.hex()
+    assert state.ledger.clamped_debits == oracle.clamped_debits == m.clamped_debits
+
+
+class _CountingLog(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_traffic_debits_and_senses_inline_and_writes_one_line_per_event(monkeypatch):
+    """During simulate() neither EnergyLedger.add nor
+    active_transmitters_near is called (the beacon round calls add), and
+    every logged event is one to_json() call, one write() and one line."""
+    calls = Counter()
+    for owner, name in ((EnergyLedger, "add"), (NetworkState, "active_transmitters_near"),
+                        (Event, "to_json")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    state = setup(replace(DENSE, duration_s=0.5, rate_pkts_per_s=30.0, seed=1))
+    paths = discover(state)
+    assert calls["add"] > 0
+    calls.clear()
+    log = _CountingLog()
+    m = simulate(state, paths, log)
+    assert m.delivered > 0
+    assert calls["add"] == calls["active_transmitters_near"] == 0
+    lines = log.getvalue().splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines)
+    assert calls["to_json"] == log.writes == len(lines) > 0
 
 
 def test_zero_packet_run_has_no_delivery_ratio():

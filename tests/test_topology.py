@@ -246,7 +246,7 @@ def test_distance_table_matches_the_all_pairs_scans(field_spec):
     state = make_state(topo, carrier_sense_factor=cs_factor)
     for i in positions:
         assert neighbors(topo, i) == _scan_neighbors(topo, i)
-        assert state._carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
+        assert state.carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
 
 
 def test_set_up_calls_distance_linearly_often(monkeypatch):
