@@ -221,7 +221,7 @@ def simulate(state, paths, log=None) -> RunMetrics:
     liveness and ledger then carry the traffic; log is a file or None."""
     config, nodes = state.config, state.topology.nodes
     setup_spent = {i: n.spent_energy for i, n in nodes.items()}
-    setup_energy = math.fsum(setup_spent[i] for i in sorted(setup_spent))
+    setup_energy = math.fsum(setup_spent.values())
 
     times = arrival_times(config, config.seed)
     n_packets = len(times)
@@ -241,10 +241,11 @@ def simulate(state, paths, log=None) -> RunMetrics:
                         if status[pid] == DELIVERED and buffer.out_of_order(pid))
                     / delivered if delivered else 0.0)
 
-    participants = sorted(set().union(*(p.node_ids for p in paths)))
+    # fsum is correctly rounded, so the order of its inputs cannot matter.
+    participants = set().union(*(p.node_ids for p in paths))
     participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
-    total_energy = math.fsum(nodes[i].spent_energy for i in sorted(nodes))
-    residual_total = math.fsum(nodes[i].residual_energy for i in sorted(nodes))
+    total_energy = math.fsum(n.spent_energy for n in nodes.values())
+    residual_total = math.fsum(n.residual_energy for n in nodes.values())
     mean_energy = participant_energy / delivered if delivered else None
 
     return RunMetrics(
@@ -421,9 +422,7 @@ def _traffic(state, paths, times, buffer, log) -> None:
                     if log is not None:
                         emit(t, "fragment-delivered", v, None, pid, seq, frag_bits)
                     reassemble(pid, seq, t)
-                elif not alive[v]:
-                    drop(pid)
-                elif busy[v] <= t:
+                elif busy[v] <= t or not alive[v]:
                     start_hop(t, pid, next_hop, 1)
                 else:
                     enqueue(v, pid, next_hop)
@@ -434,8 +433,9 @@ def _traffic(state, paths, times, buffer, log) -> None:
                     start_hop(t, pid, hop, attempt + 1)
                 else:
                     drop(pid)
+            # A dead node's queue is empty: drain_dead clears it, nothing joins.
             q = queues[u]
-            if q and busy[u] <= t and alive[u]:
+            if q and busy[u] <= t:
                 npid, nhop = q.popleft()
                 start_hop(t, npid, nhop, 1)
         if next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
@@ -448,8 +448,8 @@ def _traffic(state, paths, times, buffer, log) -> None:
             if log is not None:
                 emit(t, "packet-born", source, None, pid, None, packet_bits)
             for hop in first_hops:
-                # start_hop drops the packet of a dead source, which may
-                # still be busy with the frame that killed it.
+                # As at a hop's end: start_hop drops the packet of a dead
+                # sender, which may still be busy with the frame that killed it.
                 if busy[source] <= t or not alive[source]:
                     start_hop(t, pid, hop, 1)
                 else:

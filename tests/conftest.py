@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, strategies as st
 
-from qempar import NetworkState, ScenarioConfig
-from qempar.topology import NodeState, Position, Topology
+from qempar import NetworkState, ScenarioConfig, run
+from qempar.engine import arrival_times, discover, setup
+from qempar.topology import NodeState, Position, Topology, distance
 
 
 def manual_topology(positions, radio_range, initial_energy=2.0, sink_id=0,
@@ -26,39 +30,94 @@ def make_state(topo: Topology, **config_overrides) -> NetworkState:
     return NetworkState(topo, cfg.radio_params(), cfg)
 
 
-def replay_mean_delay(log_text, k, deadline):
-    """Recompute the mean end-to-end delay from event-log lines alone."""
-    born, arrivals = {}, {}
-    for line in log_text.splitlines():
+KINDS = ("packet-born", "hop-start", "hop-complete", "hop-failed",
+         "fragment-delivered", "deadline-expired")
+
+
+def replay_run(config, seed, log_text):
+    """The one event-log oracle: run(config, seed).to_dict() rebuilt from
+    setup(), discover() and the log alone, as {"metrics", "contention" (each
+    hop's carrier-sense count), "spans" (each hop's node, start, end, wire
+    bits, start and end line) in start order, "ledger" (per-node joules)}.
+    Asserts that every hop ends at start + bits/bit_rate + access_delay +
+    contention_delay x (other nodes within carrier_sense_factor x
+    radio_range whose latest hop ends after the start), and the invariants
+    named in its assertion messages."""
+    config = replace(config, seed=seed)
+    state = setup(config)
+    paths = discover(state)
+    nodes, ledger = state.topology.nodes, state.ledger
+    setup_spent = {i: n.spent_energy for i, n in nodes.items()}
+    born, arrivals, expired = {}, {}, set()
+    spans, in_flight, reached = [], {}, set()
+    for line_no, line in enumerate(log_text.splitlines()):
         e = json.loads(line)
-        if e["kind"] == "packet-born":
+        kind, key = e["kind"], (e["packet"], e["seq"])
+        assert kind in KINDS, kind
+        if kind == "packet-born":
             born[e["packet"]] = e["t"]
-        elif e["kind"] == "fragment-delivered":
-            arrivals.setdefault(e["packet"], []).append(e["t"])
-    delays = []
-    for pid in sorted(born):
-        times = arrivals.get(pid, [])
-        if len(times) == k and all(t < born[pid] + deadline for t in times):
-            delays.append(max(times) - born[pid])
-    return (sum(delays) / len(delays) if delays else None), len(delays)
-
-
-def hop_spans(log_text):
-    """(node, start, end, wire bits) of every hop attempt in an event log, in
-    start order. A hop ends with its hop-complete or hop-failed event; at
-    most one hop of a (packet, seq) is in flight at a time."""
-    spans, in_flight = [], {}
-    for line in log_text.splitlines():
-        e = json.loads(line)
-        key = (e["packet"], e["seq"])
-        if e["kind"] == "hop-start":
-            assert key not in in_flight
+        elif kind == "hop-start":
+            assert key not in in_flight, ("two hops of one fragment in flight", key)
             in_flight[key] = len(spans)
-            spans.append([e["node"], e["t"], None, e["bits"]])
-        elif e["kind"] in ("hop-complete", "hop-failed"):
-            spans[in_flight.pop(key)][2] = e["t"]
-    assert not in_flight
-    return [tuple(s) for s in spans]
+            spans.append([e["node"], e["t"], None, e["bits"], line_no, None])
+        elif kind in ("hop-complete", "hop-failed"):
+            span = spans[in_flight.pop(key)]
+            span[2], span[5] = e["t"], line_no
+        elif kind == "fragment-delivered":
+            assert key not in reached, ("a fragment reached the sink twice", key)
+            reached.add(key)
+            arrivals.setdefault(e["packet"], []).append((e["t"], e["seq"]))
+        else:
+            expired.add(e["packet"])
+        if kind in ("hop-start", "hop-complete"):
+            ledger.add(e["node"], e["joules"], nodes[e["node"]].spend(e["joules"]))
+    assert not in_flight, "a hop never ended"
+    cs_range = config.carrier_sense_factor * state.topology.radio_range
+    latest_end, contention = {}, []
+    for node, start, end, bits, _, _ in spans:
+        n = sum(1 for other, other_end in latest_end.items()
+                if other != node and other_end > start
+                and distance(nodes[node].position, nodes[other].position) <= cs_range)
+        assert end == start + (bits / config.bit_rate_bps + config.access_delay_s
+                               + config.contention_delay_s * n), ("hop timing", node, start)
+        latest_end[node] = end
+        contention.append(n)
+    assert paths or not log_text, "a run without paths logs nothing"
+    generated = len(born) if paths else len(arrival_times(config, seed))
+    k = config.fragment_count if config.router == "qempar" else 1
+    delays, out_of_order = [], 0
+    for pid, t0 in born.items():
+        got = arrivals.get(pid, [])
+        if len(got) == k and all(t < t0 + config.reassembly_deadline_s for t, _ in got):
+            assert pid not in expired, ("a packet delivered and expired", pid)
+            delays.append(got[-1][0] - t0)
+            out_of_order += any(a[1] > b[1] for a, b in zip(got, got[1:]))
+    delivered = len(delays)
+    participants = set().union(*(p.node_ids for p in paths))
+    participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
+    metrics = dict(
+        router=config.router, rate_pkts_per_s=config.rate_pkts_per_s, seed=seed,
+        n_paths=len(paths), path_hops=[p.hop_count for p in paths], generated=generated,
+        delivered=delivered, expired=len(expired), dropped=generated - delivered - len(expired),
+        delivery_ratio=delivered / generated if generated else None,
+        mean_delay_s=sum(delays) / delivered if delivered else None,
+        mean_energy_j=participant_energy / delivered if delivered else None,
+        participant_energy_j=participant_energy, setup_energy_j=math.fsum(setup_spent.values()),
+        total_energy_j=math.fsum(n.spent_energy for n in nodes.values()),
+        ledger_total_j=ledger.total(), clamped_debits=ledger.clamped_debits,
+        residual_total_j=math.fsum(n.residual_energy for n in nodes.values()),
+        out_of_order_ratio=out_of_order / delivered if delivered else 0.0)
+    return {"metrics": metrics, "contention": contention,
+            "spans": [tuple(s) for s in spans], "ledger": ledger.per_node()}
+
+
+def run_and_replay(config, seed):
+    """(metrics, log text, replay_run) of a logged run whose metrics it rebuilds."""
+    log = io.StringIO()
+    m = run(config, seed, event_log=log)
+    replay = replay_run(config, seed, log.getvalue())
+    assert replay["metrics"] == m.to_dict()
+    return m, log.getvalue(), replay
 
 
 @st.composite

@@ -15,7 +15,7 @@ prints one pass/fail line per requirement:
 6. on 500 small random topologies the min-hop router's first path length
    equals an independent breadth-first-search oracle;
 7. every run balances its energy ledger to 1e-12 relative and its event
-   log replays each delivered packet's delay exactly;
+   log replays to the run's metrics exactly;
 8. repeated runs are byte-identical (metrics, event logs, reports);
 9. fragment sizing and reassembly timing match independent oracles on
    200 randomized cases each.
@@ -36,7 +36,7 @@ from qempar.dispatch import DELIVERED, ReassemblyBuffer, fragment
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
 
-from conftest import replay_mean_delay
+from conftest import run_and_replay
 
 RATES = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SEEDS = list(range(1, 21))
@@ -183,15 +183,7 @@ def test_ledger_balances_and_event_log_replays_delays_exactly(sweep):
         assert drained == pytest.approx(m.ledger_total_j, rel=1e-12)
     for router in ("qempar", "minhop"):
         for seed in (1, 2):
-            cfg = replace(SWEEP_CONFIG, rate_pkts_per_s=25.0, router=router)
-            buf = io.StringIO()
-            m = run(cfg, seed=seed, event_log=buf)
-            assert m.delivered + m.expired + m.dropped == m.generated
-            k = cfg.fragment_count if router == "qempar" else 1
-            mean, delivered = replay_mean_delay(
-                buf.getvalue(), k, cfg.reassembly_deadline_s)
-            assert delivered == m.delivered
-            assert mean == m.mean_delay_s  # bit-exact, not approximate
+            run_and_replay(replace(SWEEP_CONFIG, rate_pkts_per_s=25.0, router=router), seed)
 
 
 DETERMINISM_SCENARIOS = [

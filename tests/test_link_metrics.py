@@ -1,19 +1,18 @@
 """Per-node counters, the four-term suitability score, and next-hop selection."""
 
-import io
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qempar import ScenarioConfig, place_nodes, run
+from qempar import ScenarioConfig
 
 from qempar.errors import UnknownNodeError
 from qempar.link_metrics import (RoutePath, appr, interference, pick_best,
                                  select_next_hop, suitability, total_merit)
-from qempar.topology import distance
 
-from conftest import hop_spans, make_state, manual_topology, valid_configs
+from conftest import make_state, manual_topology, run_and_replay, valid_configs
+from test_byte_identity import DEFAULT_TIES
 
 
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
@@ -165,39 +164,9 @@ def test_route_path_validation_and_properties():
         RoutePath((1, 2, 1), 0.0)
 
 
-def _replayed_contention(cfg, seed):
-    """Check every hop's duration in a run's event log against a carrier-sense
-    count rebuilt from the log alone, and return those counts.
-
-    Walking the log in order, a node transmits until the end of its latest
-    hop. At each hop-start at time t, the count is the number of other nodes
-    within carrier-sense range whose latest hop ends after t.
-    """
-    log = io.StringIO()
-    run(cfg, seed=seed, event_log=log)
-    topo = place_nodes(cfg, seed)
-    pos = {i: n.position for i, n in topo.nodes.items()}
-    cs = cfg.carrier_sense_factor * topo.radio_range
-    latest_end = {}
-    counts = []
-    for node, t, end, bits in hop_spans(log.getvalue()):
-        count = sum(1 for n, n_end in latest_end.items()
-                    if n != node and n_end > t and distance(pos[node], pos[n]) <= cs)
-        assert end == t + (bits / cfg.bit_rate_bps + cfg.access_delay_s
-                           + cfg.contention_delay_s * count), (node, t)
-        latest_end[node] = end
-        counts.append(count)
-    return counts
-
-
-# The default field under a load at which a node is offered a fragment at
-# the instant its own hop ends, before that hop's end event is handled.
-TIE_CASE = ScenarioConfig(router="qempar", duration_s=1.0, rate_pkts_per_s=100.0)
-
-
 def test_active_transmitters_counted_within_carrier_sense_range():
     for seed in (16, 31):
-        assert max(_replayed_contention(TIE_CASE, seed)) > 0
+        assert max(run_and_replay(DEFAULT_TIES, seed)[2]["contention"]) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,5 +182,5 @@ def test_active_transmitters_counted_within_carrier_sense_range():
 def test_cached_carrier_sense_matches_a_full_scan(cfg, seed):
     """Over drawn valid configs, including a two-node field, nodes that die
     mid-run and carrier_sense_factor 0, every hop's contention term counts
-    exactly the other nodes in range still transmitting."""
-    _replayed_contention(cfg, seed)
+    exactly the other nodes in range still transmitting (replay_run's count)."""
+    run_and_replay(cfg, seed)
