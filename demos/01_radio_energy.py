@@ -6,14 +6,14 @@ Where the d^2 / d^4 amplifier crossover sits, what a transmission costs,
 and why distance dominates the budget on long hops.
 """
 
-from qempar import RadioParams, rx_energy, threshold_distance, tx_energy
+from qempar import RadioParams, rx_energy, tx_energy
 
 params = RadioParams()
 
 # The crossover distance d0 falls out of the two amplifier constants:
 # below it the open-space d^2 term applies, above it multi-path fading
 # forces the much steeper d^4 term.
-d0 = threshold_distance(params)
+d0 = params.d0
 print(f"amplifier threshold d0 = {d0:.6f} m")
 
 # One 512-byte packet is 4096 bits. Receiving costs electronics energy

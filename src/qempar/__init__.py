@@ -2,7 +2,7 @@
 wireless sensor networks, with a minimum-hop baseline for comparison."""
 
 from .config import ScenarioConfig
-from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
+from .energy import RadioParams, rx_energy, tx_energy
 from .engine import compare, run
 from .link_metrics import NetworkState
 from .routing import beacon_exchange, discover_paths, minhop_paths
@@ -13,5 +13,5 @@ __version__ = "0.1.0"
 __all__ = [
     "NetworkState", "RadioParams", "ScenarioConfig", "beacon_exchange",
     "compare", "discover_paths", "minhop_paths", "place_nodes", "run",
-    "rx_energy", "threshold_distance", "tx_energy",
+    "rx_energy", "tx_energy",
 ]

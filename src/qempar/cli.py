@@ -16,7 +16,6 @@ import traceback
 from dataclasses import replace
 
 from .config import load_config
-from .energy import threshold_distance
 from .engine import compare, run
 from .errors import ConfigError
 from .report import aggregate, emit_report
@@ -206,7 +205,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     config, provenance = _resolve_config(args)
     _print_config(config, provenance)
-    d0 = threshold_distance(config.radio_params())
+    d0 = config.radio_params().d0
     print("configuration is valid")
     print(f"amplifier threshold distance d0 = {d0:.6f} m")
     print(f"packet size = {config.packet_bits} bits "

@@ -38,11 +38,6 @@ class RadioParams:
         return math.sqrt(self.eps_fs / self.eps_mp)
 
 
-def threshold_distance(params: RadioParams) -> float:
-    """d0 = sqrt(eps_fs / eps_mp)."""
-    return params.d0
-
-
 def tx_energy(bits: int, distance_m: float, params: RadioParams) -> float:
     """Energy to transmit `bits` over `distance_m` meters, joules.
 

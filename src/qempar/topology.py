@@ -122,9 +122,6 @@ class Topology:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id}") from None
 
-    def positions(self) -> dict[int, Position]:
-        return {i: n.position for i, n in self.nodes.items()}
-
     @cached_property
     def distances(self) -> DistanceTable:
         """The distance table, built on first use; nodes never move."""

@@ -13,7 +13,8 @@ prints one pass/fail line per requirement:
 5. over 1000 random topologies every path set from both routers is
    node-disjoint apart from the endpoints;
 6. on 500 small random topologies the min-hop router's first path length
-   equals an independent breadth-first-search oracle;
+   equals an independent breadth-first-search oracle, and no multi-path
+   route is shorter than it or longer than the hop budget;
 7. every run balances its energy ledger to 1e-12 relative and its event
    log replays to the run's metrics exactly;
 8. repeated runs are byte-identical (metrics, event logs, reports);
@@ -22,6 +23,7 @@ prints one pass/fail line per requirement:
 """
 
 import io
+import math
 import random
 import time
 from collections import deque
@@ -31,8 +33,8 @@ import pytest
 
 from qempar import (NetworkState, RadioParams, ScenarioConfig, compare,
                     discover_paths, minhop_paths, place_nodes, run, rx_energy,
-                    threshold_distance, tx_energy)
-from qempar.dispatch import DELIVERED, ReassemblyBuffer, fragment
+                    tx_energy)
+from qempar.dispatch import DELIVERED, EXPIRED, PENDING, ReassemblyBuffer, fragment
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
 
@@ -59,10 +61,11 @@ def _per_rate(cells, router, column):
 
 
 def test_amplifier_threshold_is_87_706_m_within_a_millimeter():
-    d0 = threshold_distance(RadioParams())
-    assert d0 == pytest.approx(87.706, abs=1e-3)
-    # the model is continuous where the d^2 and d^4 amplifiers meet
     params = RadioParams()
+    d0 = params.d0
+    assert d0 == pytest.approx(87.706, abs=1e-3)
+    assert d0 == pytest.approx(87.70580193070292, rel=1e-12)
+    # the model is continuous where the d^2 and d^4 amplifiers meet
     below = tx_energy(4096, d0 * (1 - 1e-12), params)
     above = tx_energy(4096, d0 * (1 + 1e-12), params)
     assert above == pytest.approx(below, rel=1e-9)
@@ -71,6 +74,7 @@ def test_amplifier_threshold_is_87_706_m_within_a_millimeter():
 def test_radio_energy_point_values_are_exact_to_1e_12():
     params = RadioParams()
     assert tx_energy(4096, 40.0, params) == pytest.approx(270.336e-6, rel=1e-12)
+    assert tx_energy(4096, 100.0, params) == pytest.approx(737.28e-6, rel=1e-12)  # d^4
     assert rx_energy(4096, params) == pytest.approx(204.8e-6, rel=1e-12)
 
 
@@ -159,7 +163,10 @@ def _bfs_oracle_hops(topo):
 
 def test_min_hop_path_length_matches_bfs_oracle_on_500_topologies():
     rng = random.Random(97)
-    budget_factor = ScenarioConfig().hop_budget_factor
+    defaults = ScenarioConfig()
+    budget_factor = defaults.hop_budget_factor
+    # qempar's hop budget: the factor times the straight-line hop estimate
+    cap = math.ceil(budget_factor * math.ceil(math.hypot(120, 120) / defaults.radio_range_m))
     for _ in range(500):
         n = rng.randrange(5, 26)
         cfg = ScenarioConfig(node_count=n, field_width=150.0, field_height=150.0,
@@ -172,6 +179,8 @@ def test_min_hop_path_length_matches_bfs_oracle_on_500_topologies():
         assert got == want
         best = discover_paths(1, 0, 1, state).paths[0].hop_count
         assert want <= best <= max(want * budget_factor, want + 2)
+        for p in discover_paths(1, 0, 4, state).paths:
+            assert want <= p.hop_count <= cap
 
 
 def test_ledger_balances_and_event_log_replays_delays_exactly(sweep):
@@ -232,9 +241,11 @@ def test_fragment_sizes_and_reassembly_delays_match_oracles():
         m = rng.randrange(0, k + 1)
         seqs = rng.sample(range(1, k + 1), m)
         times = sorted(born + rng.uniform(0.0, 1.5 * deadline) for _ in seqs)
-        for seq, t in zip(seqs, times):
-            buffer.reassemble(0, seq, t)
+        for i, (seq, t) in enumerate(zip(seqs, times), start=1):
+            want = EXPIRED if t >= born + deadline else DELIVERED if i == k else PENDING
+            assert buffer.reassemble(0, seq, t) == want
         complete = m == k and all(t < born + deadline for t in times)
         assert (buffer.status[0] == DELIVERED) == complete
         if complete:
             assert buffer.delay_of(0) == max(times) - born
+            assert buffer.out_of_order(0) == any(a > b for a, b in zip(seqs, seqs[1:]))

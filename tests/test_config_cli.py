@@ -217,6 +217,8 @@ def test_bad_configuration_exits_2(capsys):
     ["sweep", "--rates", "5", "--seeds", ","],
     ["sweep", "--rates", "5", "--seeds", "1,1", "--router", "qempar"],
     ["sweep", "--rates", "5,5.0", "--seeds", "1", "--router", "qempar"],
+    ["sweep", "--rates", "5", "--seeds", "1..x"],
+    ["sweep", "--rates", ","],
 ])
 def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     ran = []

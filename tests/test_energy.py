@@ -4,21 +4,9 @@ import random
 
 import pytest
 
-from qempar.energy import (EnergyLedger, RadioParams, record_rx, record_tx,
-                           rx_energy, threshold_distance, tx_energy)
+from qempar.energy import (EnergyLedger, RadioParams, record_rx, record_tx, rx_energy,
+                           tx_energy)
 from qempar.topology import NodeState, Position
-
-
-def test_threshold_distance_value():
-    assert threshold_distance(RadioParams()) == pytest.approx(
-        87.70580193070292, rel=1e-12)
-
-
-def test_transmit_energy_point_values():
-    p = RadioParams()
-    assert tx_energy(4096, 40.0, p) == pytest.approx(0.000270336, rel=1e-12)
-    assert tx_energy(4096, 100.0, p) == pytest.approx(0.00073728, rel=1e-12)
-    assert rx_energy(4096, p) == pytest.approx(0.0002048, rel=1e-12)
 
 
 def test_amplifier_regimes_meet_continuously_at_threshold():
@@ -71,15 +59,6 @@ def test_clamped_debit_kills_node_but_ledger_keeps_full_cost():
     assert node.residual_energy == 0.0
     assert ledger.clamped_debits == 1
     assert ledger.total() == pytest.approx(0.0002048, rel=1e-12)
-
-
-def test_ledger_without_entries_still_keeps_totals():
-    node = NodeState(6, Position(0, 0), initial_energy=2.0)
-    ledger = EnergyLedger()
-    record_tx(node, 4096, 40.0, RadioParams(), ledger)
-    record_rx(node, 4096, RadioParams(), ledger)
-    assert ledger.total() == pytest.approx(0.000270336 + 0.0002048, rel=1e-12)
-    assert ledger.per_node()[6] == pytest.approx(ledger.total(), rel=1e-12)
 
 
 def test_energy_conservation_over_random_debits():

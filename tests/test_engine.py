@@ -218,15 +218,6 @@ def _small(**kw):
     return ScenarioConfig(**base)
 
 
-def test_every_packet_settles_exactly_once():
-    for cfg in (_small(), _small(base_success=0.6), _small(router="minhop"),
-                _small(reassembly_deadline_s=0.02), _small(traffic_model="poisson")):
-        for seed in (1, 2):
-            m = run(cfg, seed=seed)
-            assert m.delivered + m.expired + m.dropped == m.generated
-            assert 0.0 <= m.delivery_ratio <= 1.0
-
-
 def test_perfect_links_deliver_everything():
     m = run(_small(base_success=1.0, success_distance_slope=0.0), seed=5)
     assert m.delivery_ratio == 1.0
@@ -337,17 +328,6 @@ def test_zero_packet_run_has_no_delivery_ratio():
     assert m.out_of_order_ratio == 0.0
 
 
-def test_runs_are_deterministic():
-    cfg = _small()
-    logs, metrics = [], []
-    for _ in range(2):
-        buf = io.StringIO()
-        metrics.append(run(cfg, seed=9, event_log=buf))
-        logs.append(buf.getvalue())
-    assert metrics[0] == metrics[1]
-    assert logs[0] == logs[1]
-
-
 @pytest.mark.parametrize("config, seed", [
     (DENSE_QEMPAR, 7), (DEFAULT_MINHOP, 1), (DENSE_LITERAL, 7), (DEFAULT_TIES, 16), (EXPIRING, 16),
 ], ids=["dense-qempar", "default-minhop", "dense-literal", "default-ties", "expiring"])
@@ -397,15 +377,6 @@ def test_event_log_writes_to_a_file(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode()
 
 
-def test_compare_covers_the_grid_and_ignores_job_count():
-    cfg = _small(duration_s=1.0)
-    serial = compare(cfg, rates=[5.0, 10.0], seeds=[1, 2], jobs=1)
-    pooled = compare(cfg, rates=[5.0, 10.0], seeds=[1, 2], jobs=2)
-    assert set(serial) == {(r, rt, s) for r in (5.0, 10.0)
-                           for rt in ("qempar", "minhop") for s in (1, 2)}
-    assert serial == pooled
-
-
 def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError, match="seed"):
         run(_small(duration_s=0.1), seed=-1)
@@ -452,16 +423,6 @@ def test_compare_pool_has_at_most_one_worker_per_cell(jobs, seeds, pools, monkey
     assert set(cells) == {(5.0, "minhop", s) for s in seeds}
 
 
-def test_energy_conservation_within_float_round_off():
-    cfg = _small(base_success=0.85)
-    m = run(cfg, seed=3)
-    assert m.clamped_debits == 0
-    drained = cfg.node_count * cfg.initial_energy_j - m.residual_total_j
-    assert drained == pytest.approx(m.ledger_total_j, rel=1e-12)
-    assert m.total_energy_j == pytest.approx(m.ledger_total_j, rel=1e-12)
-    assert m.participant_energy_j <= m.total_energy_j
-
-
 def test_fragmented_router_beats_whole_packet_baseline_on_delay():
     cfg = _small(duration_s=3.0)
     a = run(cfg, seed=4)
@@ -480,6 +441,7 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
     for line in text.splitlines():
         assert line == json.dumps(json.loads(line), separators=(",", ":"))
     assert m.ledger_total_j == m.total_energy_j
+    assert m.participant_energy_j <= m.total_energy_j
     budget = cfg.node_count * cfg.initial_energy_j
     drained = budget - m.residual_total_j
     # Each residual is rounded to the precision of the initial energy, so
@@ -494,5 +456,8 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
 @settings(max_examples=10, deadline=None)
 @given(valid_configs(), st.integers(0, 2**16))
 def test_compare_ignores_job_count_over_drawn_configs(cfg, seed):
-    grid = dict(rates=[cfg.rate_pkts_per_s], seeds=[seed, seed + 1])
-    assert compare(cfg, jobs=1, **grid) == compare(cfg, jobs=2, **grid)
+    rates, seeds = [cfg.rate_pkts_per_s, cfg.rate_pkts_per_s / 2], [seed, seed + 1]
+    serial = compare(cfg, rates, seeds, jobs=1)
+    assert set(serial) == {(r, rt, s) for r in rates for rt in ("qempar", "minhop")
+                           for s in seeds}
+    assert serial == compare(cfg, rates, seeds, jobs=2)

@@ -12,7 +12,6 @@ from qempar.link_metrics import (RoutePath, appr, interference, pick_best,
                                  select_next_hop, suitability, total_merit)
 
 from conftest import make_state, manual_topology, run_and_replay, valid_configs
-from test_byte_identity import DEFAULT_TIES
 
 
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
@@ -162,11 +161,6 @@ def test_route_path_validation_and_properties():
         RoutePath((1,), 0.0)
     with pytest.raises(ValueError):
         RoutePath((1, 2, 1), 0.0)
-
-
-def test_active_transmitters_counted_within_carrier_sense_range():
-    for seed in (16, 31):
-        assert max(run_and_replay(DEFAULT_TIES, seed)[2]["contention"]) > 0
 
 
 @settings(max_examples=60, deadline=None)

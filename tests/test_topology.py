@@ -1,7 +1,5 @@
 """Node placement, the neighbor relation, and component bridging."""
 
-import math
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,8 +41,8 @@ def test_placement_deterministic_and_seed_sensitive():
     a = place_nodes(cfg, seed=11)
     b = place_nodes(cfg, seed=11)
     c = place_nodes(cfg, seed=12)
-    assert a.positions() == b.positions()
-    assert a.positions() != c.positions()
+    assert a.nodes == b.nodes
+    assert a.nodes != c.nodes
     assert a.extended_links == b.extended_links
 
 
