@@ -36,7 +36,7 @@ for name, finder in (("qempar", discover_paths), ("minhop", minhop_paths)):
     path_set = finder(1, 0, 4, state)
     print(f"\n{name}: {len(path_set)} disjoint path(s)")
     for p in path_set.paths:
-        print(f"  {p.hop_count:2d} hops  merit {p.total_merit:7.3f}  {p.node_ids}")
+        print(f"  {p.hop_count:2d} hops  merit {p.merit:7.3f}  {p.node_ids}")
 
 # Disjointness means the paths share no interior node, so one exhausted
 # relay can only take down a single path.

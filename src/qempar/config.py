@@ -60,7 +60,6 @@ class ScenarioConfig:
     # Suitability scoring
     appr_mode: str = "mean"  # mean | literal
     interference_mode: str = "normalized"  # normalized | literal
-    interference_noise: float = 1.0
     interference_reference: float = 1600.0
     interference_alpha: float = 2.0
 
@@ -95,8 +94,13 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
-        """Raise ConfigError listing every violated constraint."""
-        errs = []
+        """Raise ConfigError listing every violated constraint. A field whose
+        value is not of its declared type is reported before any range check,
+        as those cannot be evaluated on it."""
+        errs = [f"{name} must be of type {kind}" for name, kind in _FIELDS.items()
+                if not _is_of_type(getattr(self, name), kind)]
+        if errs:
+            raise ConfigError("; ".join(errs))
 
         def check(ok: bool, msg: str) -> None:
             if not ok:
@@ -133,7 +137,6 @@ class ScenarioConfig:
         check(self.appr_mode in ("mean", "literal"), "appr_mode must be mean or literal")
         check(self.interference_mode in ("normalized", "literal"),
               "interference_mode must be normalized or literal")
-        check(self.interference_noise > 0, "interference_noise must be positive")
         check(self.interference_reference > 0, "interference_reference must be positive")
         check(self.interference_alpha > 0, "interference_alpha must be positive")
         check(self.progress_mode in ("preferred", "strict"),
@@ -173,8 +176,14 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 _BOOL_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "bool"}
 _INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"}
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
+
+
+def _is_of_type(value, kind: str) -> bool:
+    """isinstance against the declared type; a bool is not a number."""
+    return isinstance(value, _TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
 
 
 def coerce_value(key: str, raw: str):

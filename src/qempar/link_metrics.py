@@ -1,11 +1,11 @@
 """Network state and the four-term next-hop suitability score.
 
 A candidate hop from a to b is scored PPS_b + APPR_b + interference term +
-residual-energy ratio. Discovery runs once, before any traffic, so PPS/PPR
-(a node's send/receive success ratios) are still the cold-start value; APPR
-averages (or, in literal mode, sums) the PPR of the candidate's neighbors;
-the interference term rewards short links, 1/(1+I_B) in normalized mode or
-1/I_B in literal mode, with I_B = noise * d^alpha / reference.
+residual-energy ratio, one float per link. Discovery runs once, before any
+traffic, so PPS/PPR (a node's send/receive success ratios) are still the
+cold-start value; APPR averages (or, in literal mode, sums) the PPR of the
+candidate's neighbors; the interference term rewards short links, 1/(1+I_B)
+in normalized mode or 1/I_B in literal mode, with I_B = d^alpha / reference.
 """
 
 from __future__ import annotations
@@ -18,29 +18,12 @@ from .topology import Topology, distance, neighbors as topo_neighbors
 
 
 @dataclass(frozen=True)
-class SuitabilityScore:
-    """The four scored terms. total is their exact sum by construction."""
-
-    pps_term: float
-    appr_term: float
-    interference_term: float
-    energy_term: float
-
-    @property
-    def total(self) -> float:
-        return self.pps_term + self.appr_term + self.interference_term + self.energy_term
-
-
-@dataclass(frozen=True)
 class RoutePath:
-    """A discovered source-to-sink path with its merit snapshot.
-
-    extended_hops flags the hops that exceed the radio range (bridge links).
-    """
+    """A discovered source-to-sink path with its merit snapshot: the sum of
+    its links' suitability scores."""
 
     node_ids: tuple[int, ...]
-    total_merit: float
-    extended_hops: tuple[tuple[int, int], ...] = ()
+    merit: float
 
     def __post_init__(self):
         if len(self.node_ids) < 2:
@@ -51,11 +34,6 @@ class RoutePath:
     @property
     def hop_count(self) -> int:
         return len(self.node_ids) - 1
-
-    @property
-    def first_interior(self) -> int:
-        """Tie-break key for path classification."""
-        return self.node_ids[1]
 
     def interior(self) -> tuple[int, ...]:
         return self.node_ids[1:-1]
@@ -147,16 +125,18 @@ def appr(neighbor_id: int, state: NetworkState) -> float:
 
 
 def interference(a: int, b: int, state: NetworkState) -> float:
-    """I_B for the a-to-b link: noise * d^alpha / reference, with no live
+    """I_B for the a-to-b link: d^alpha / reference, with no live
     contention, as discovery runs before any traffic. Always positive."""
     cfg = state.config
     d = distance(state.topology.node(a).position, state.topology.node(b).position)
-    raw = cfg.interference_noise * d ** cfg.interference_alpha / cfg.interference_reference
+    raw = d ** cfg.interference_alpha / cfg.interference_reference
     return max(raw, 1e-12)
 
 
-def suitability(a: int, b: int, state: NetworkState) -> SuitabilityScore:
-    """Score candidate b as the next hop from a. b must be a neighbor of a."""
+def suitability(a: int, b: int, state: NetworkState) -> float:
+    """Score candidate b as the next hop from a: PPS + APPR + interference
+    term + residual-energy ratio, added in that order. b must be a neighbor
+    of a."""
     if b not in state.neighbors(a):
         raise UnknownNodeError(f"no link {a}->{b}")
     i_b = interference(a, b, state)
@@ -165,50 +145,5 @@ def suitability(a: int, b: int, state: NetworkState) -> SuitabilityScore:
     else:
         interference_term = 1.0 / (1.0 + i_b)
     node_b = state.topology.node(b)
-    return SuitabilityScore(
-        pps_term=state.node_pps(b),
-        appr_term=appr(b, state),
-        interference_term=interference_term,
-        energy_term=node_b.residual_energy / node_b.initial_energy,
-    )
-
-
-def pick_best(candidates: list[int], totals: list[float]) -> int:
-    """Argmax with lowest-id tie-break. Invariant under any positive scaling
-    of all totals."""
-    best_id = candidates[0]
-    best = totals[0]
-    for cand, tot in zip(candidates[1:], totals[1:]):
-        if tot > best or (tot == best and cand < best_id):
-            best, best_id = tot, cand
-    return best_id
-
-
-def link_total(a: int, b: int, state: NetworkState, totals: dict) -> float:
-    """suitability(a, b, state).total, scored once per (a, b) into totals.
-
-    totals may be shared only while the state cannot change, as during one
-    discovery: the score reads residual energy.
-    """
-    total = totals.get((a, b))
-    if total is None:
-        total = totals[a, b] = suitability(a, b, state).total
-    return total
-
-
-def select_next_hop(current: int, candidates: list[int], state: NetworkState,
-                    totals: dict) -> int:
-    """Highest-suitability candidate; ties go to the lowest node id. totals
-    holds the link totals already scored (see link_total)."""
-    if not candidates:
-        raise ValueError(f"no candidates from node {current}")
-    return pick_best(list(candidates), [link_total(current, c, state, totals) for c in candidates])
-
-
-def total_merit(node_ids, state: NetworkState, totals: dict) -> float:
-    """Path merit: the sum of full link suitability totals along the path.
-    totals holds the link totals already scored (see link_total)."""
-    ids = tuple(node_ids)
-    if len(ids) < 2 or len(set(ids)) != len(ids):
-        raise ValueError("invalid path")
-    return sum(link_total(a, b, state, totals) for a, b in zip(ids, ids[1:]))
+    return (state.node_pps(b) + appr(b, state) + interference_term
+            + node_b.residual_energy / node_b.initial_energy)

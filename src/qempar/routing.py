@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
+from . import link_metrics
 from .errors import NoPathError
-from .link_metrics import NetworkState, RoutePath, select_next_hop, total_merit
+from .link_metrics import NetworkState, RoutePath
 from .energy import record_rx, record_tx
-from .topology import distance, is_extended_link
+from .topology import distance
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class PathSet:
     def __post_init__(self):
         ordered = tuple(sorted(
             self.paths,
-            key=lambda p: (p.hop_count, -p.total_merit, p.first_interior),
+            key=lambda p: (p.hop_count, -p.merit, p.node_ids[1]),
         ))
         object.__setattr__(self, "paths", ordered)
         seen_interiors: set[int] = set()
@@ -113,14 +114,14 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
 
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                         depth_cap: int, dist_to_sink: dict[int, float],
-                        visit_budget: int, direct_ok: bool, totals: dict):
-    """Depth-first search for one path, candidates ordered by suitability.
+                        visit_budget: int, direct_ok: bool, score):
+    """Depth-first search for one path, taking the candidate of highest
+    score(cur, v), ties to the lowest id.
 
     Progressing candidates (strictly closer to the sink) are considered
     first; in 'preferred' mode non-progressing candidates are admitted only
     when no progressing one remains, in 'strict' mode never. Without
-    direct_ok the source-to-sink link itself is skipped. totals memoizes
-    link suitability totals (see link_total). Returns
+    direct_ok the source-to-sink link itself is skipped. Returns
     (path or None, truncated, deepest_partial): truncated means the visit
     budget stopped an unfinished search.
     """
@@ -153,7 +154,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
             else:
                 cands = prog if prog else cands
             if cands:
-                nxt = select_next_hop(cur, cands, state, totals)
+                nxt = min(cands, key=lambda v: (-score(cur, v), v))
         if nxt is None:
             dead = path.pop()
             on_path.discard(dead)
@@ -172,7 +173,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
 
 def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
-               dist_to_sink: dict[int, float], totals: dict, banned: set[int],
+               dist_to_sink: dict[int, float], score, banned: set[int],
                direct_ok: bool) -> list[int] | None:
     """One path avoiding banned interiors (and, without direct_ok, the
     source-to-sink link), or None.
@@ -194,7 +195,7 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
         for cap in range(len(shortest) - 1, cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
                 state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget,
-                direct_ok, totals)
+                direct_ok, score)
             if path is not None:
                 return path
             if truncated:
@@ -222,13 +223,12 @@ def _check_endpoints(state: NetworkState, source: int, sink: int, k: int) -> Non
 
 
 def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
-                    find_path, totals: dict) -> PathSet:
+                    find_path, score) -> PathSet:
     """Up to k node-disjoint paths, accepted sequentially: each accepted
     path's interior is banned for the next, and a direct source-to-sink hop
     is taken at most once. find_path(banned, direct_ok) returns one path's
-    node ids or None; totals memoizes the link suitability totals that path
-    merits sum (see link_total). Raises NoPathError when not even one path
-    exists."""
+    node ids or None; a path's merit sums score(a, b) over its links. Raises
+    NoPathError when not even one path exists."""
     used: set[int] = set()
     paths: list[RoutePath] = []
     for _ in range(k):
@@ -236,9 +236,7 @@ def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
         ids = find_path(used, direct_ok)
         if ids is None:
             break
-        ext = tuple((a, b) for a, b in zip(ids, ids[1:])
-                    if is_extended_link(state.topology, a, b))
-        paths.append(RoutePath(tuple(ids), total_merit(ids, state, totals), ext))
+        paths.append(RoutePath(tuple(ids), sum(score(a, b) for a, b in zip(ids, ids[1:]))))
         used.update(ids[1:-1])
     if not paths:
         raise NoPathError(f"no path from {source} to {sink}")
@@ -257,12 +255,12 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     dist_to_sink = {i: distance(n.position, sink_pos) for i, n in topo.nodes.items()}
     est = max(1, math.ceil(dist_to_sink[source] / topo.radio_range))
     cap_max = math.ceil(state.config.hop_budget_factor * est)
-    # The state cannot change during discovery, so each link is scored once;
-    # the memo lives for this call only.
-    totals: dict = {}
+    # The state cannot change during one discovery, so each link is scored
+    # once; the scores read residual energy, so the memo lives for this call.
+    score = cache(lambda a, b: link_metrics.suitability(a, b, state))
     return _disjoint_paths(state, source, sink, k,
                            partial(_find_path, state, source, sink, cap_max, dist_to_sink,
-                                   totals), totals)
+                                   score), score)
 
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
@@ -270,4 +268,5 @@ def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet
     shortest path, remove its interior (or, for a direct hop, that link),
     repeat."""
     _check_endpoints(state, source, sink, k)
-    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink), {})
+    score = cache(lambda a, b: link_metrics.suitability(a, b, state))
+    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink), score)

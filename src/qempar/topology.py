@@ -225,7 +225,3 @@ def neighbors(topo: Topology, node_id: int) -> list[int]:
                 return [i]
     return sorted(out)
 
-
-def is_extended_link(topo: Topology, a: int, b: int) -> bool:
-    """True when the a-b hop exceeds the radio range (bridge or fallback)."""
-    return distance(topo.node(a).position, topo.node(b).position) > topo.radio_range

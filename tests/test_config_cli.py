@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qempar import ScenarioConfig
+from qempar import ScenarioConfig, run
 from qempar.config import load_config, parse_config_text
 from qempar.errors import ConfigError
 from qempar.cli import _parse_overrides, main
@@ -21,10 +21,11 @@ from qempar.report import COLUMNS, aggregate, emit_report
 
 def test_defaults_validate():
     ScenarioConfig().validate()
+    ScenarioConfig(source_x=20, bit_rate_bps=250_000).validate()  # ints for float fields
 
 
 def test_config_text_round_trips_exactly():
-    cfg = ScenarioConfig(rate_pkts_per_s=12.5, interference_noise=0.875,
+    cfg = ScenarioConfig(rate_pkts_per_s=12.5, interference_reference=1234.5,
                          beacon_accounting=False, node_count=37)
     parsed = parse_config_text(cfg.to_text())
     assert ScenarioConfig(**parsed) == cfg
@@ -96,6 +97,19 @@ def test_validation_rejects_non_finite_floats():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 dataclasses.replace(ScenarioConfig(), **{name: bad}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("node_count", 30.5), ("fragment_count", 2.5), ("path_retry_limit", 0.5),
+    ("beacon_accounting", "no"), ("duration_s", "5"),
+])
+def test_values_of_the_wrong_type_are_rejected_before_placement(field, value, monkeypatch):
+    def placement(*args):
+        raise AssertionError("placement ran")
+
+    monkeypatch.setattr("qempar.engine.place_nodes", placement)
+    with pytest.raises(ConfigError, match=f"^{field} must be of type "):
+        run(dataclasses.replace(ScenarioConfig(duration_s=0.5), **{field: value}))
 
 
 def test_load_config_rejects_invalid_combinations():
@@ -250,7 +264,8 @@ def test_flag_and_set_of_the_same_key_exit_2(flag, key, capsys):
 
 
 @pytest.mark.parametrize("key", ["wraparound_assignment=false", "e_da_j_per_bit=1e-9",
-                                 "stats_decay=0.5", "interference_neighbor_coeff=0.2"])
+                                 "stats_decay=0.5", "interference_neighbor_coeff=0.2",
+                                 "interference_noise=1.0"])
 def test_removed_keys_are_rejected(key, capsys):
     assert main(["run", "--set", key] + FAST) == 2
     assert "unknown configuration key" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, compare, engine, run
 from qempar.engine import (Event, arrival_times, discover, link_success_probability, setup,
@@ -433,9 +433,19 @@ def test_fragmented_router_beats_whole_packet_baseline_on_delay():
 
 @settings(max_examples=100, deadline=None)
 @given(valid_configs(), st.integers(0, 2**16))
+@example(ScenarioConfig(node_count=2, field_width=60.0, field_height=10.0,
+                        sink_x=0.0, sink_y=0.0, source_x=30.0, source_y=0.0,
+                        duration_s=0.5, rate_pkts_per_s=200.0), 1)
+@example(ScenarioConfig(node_count=30, field_width=100.0, field_height=100.0,
+                        sink_x=0.0, sink_y=0.0, source_x=90.0, source_y=90.0,
+                        initial_energy_j=1e-3, duration_s=1.0, rate_pkts_per_s=200.0), 2)
+@example(ScenarioConfig(duration_s=0.5, rate_pkts_per_s=100.0,
+                        carrier_sense_factor=0.0), 1)
 def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
-    """replay_run rebuilds the metrics, and every log line is the compact
-    json.dumps of its record (finite: validate() rejects non-finite floats)."""
+    """replay_run rebuilds the metrics, including every hop's carrier-sense
+    count, and every log line is the compact json.dumps of its record
+    (finite: validate() rejects non-finite floats). The examples pin a
+    two-node field, nodes that die mid-run and carrier_sense_factor 0."""
     cfg.validate()
     m, text, _ = run_and_replay(cfg, seed)
     for line in text.splitlines():

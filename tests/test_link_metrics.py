@@ -1,17 +1,14 @@
-"""Per-node counters, the four-term suitability score, and next-hop selection."""
+"""Per-node counters, the four-term suitability score, and path merit."""
 
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from qempar import ScenarioConfig
-
+from qempar import discover_paths
 from qempar.errors import UnknownNodeError
-from qempar.link_metrics import (RoutePath, appr, interference, pick_best,
-                                 select_next_hop, suitability, total_merit)
+from qempar.link_metrics import RoutePath, appr, interference, suitability
 
-from conftest import make_state, manual_topology, run_and_replay, valid_configs
+from conftest import make_state, manual_topology
 
 
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
@@ -45,19 +42,17 @@ def test_suitability_four_terms_add_to_known_value():
         state.record_send(1, 0, ok=i != 0)      # node 1 sends: 9/10
     for i in range(10):
         state.record_receive(1, 0, ok=i > 1)    # node 0 receives: 8/10
-    score = suitability(0, 1, state)
-    assert score.pps_term == pytest.approx(0.9, rel=1e-12)
-    assert score.appr_term == pytest.approx(0.8, rel=1e-12)  # mean PPR of 1's neighbors
-    assert score.interference_term == pytest.approx(0.5, rel=1e-12)  # I = 40^2/1600 = 1
-    assert score.energy_term == pytest.approx(1.0, rel=1e-12)
-    assert score.total == pytest.approx(3.2, rel=1e-12)
+    assert state.node_pps(1) == pytest.approx(0.9, rel=1e-12)
+    assert appr(1, state) == pytest.approx(0.8, rel=1e-12)  # mean PPR of 1's neighbors
+    assert interference(0, 1, state) == pytest.approx(1.0, rel=1e-12)  # 40^2/1600: term 0.5
+    assert suitability(0, 1, state) == pytest.approx(3.2, rel=1e-12)  # full energy adds 1.0
 
 
 def test_literal_interference_term_is_reciprocal():
     state = _two_node_state(d=20.0, interference_mode="literal")
-    score = suitability(0, 1, state)
-    # I = 20^2 / 1600 = 0.25, literal term 1/I
-    assert score.interference_term == pytest.approx(4.0, rel=1e-12)
+    # I = 20^2 / 1600 = 0.25, literal term 1/I = 4, plus 1 + 1 + 1 cold start
+    assert interference(0, 1, state) == pytest.approx(0.25, rel=1e-12)
+    assert suitability(0, 1, state) == pytest.approx(7.0, rel=1e-12)
 
 
 def test_interference_floors_at_tiny_positive_value():
@@ -67,8 +62,9 @@ def test_interference_floors_at_tiny_positive_value():
 
 def test_energy_term_tracks_residual_fraction():
     state = _two_node_state()
+    full = suitability(0, 1, state)
     state.topology.nodes[1].spend(1.0)  # half of the 2 J initial
-    assert suitability(0, 1, state).energy_term == pytest.approx(0.5, rel=1e-12)
+    assert suitability(0, 1, state) - full == pytest.approx(-0.5, rel=1e-12)
 
 
 def _star_state(appr_mode="mean"):
@@ -96,11 +92,9 @@ def test_total_merit_of_single_hop_path():
     1 + 1 + 1/(6400/1600) + 1 = 3.25."""
     topo = manual_topology({0: (0, 0), 1: (80, 0)}, radio_range=100.0)
     state = make_state(topo, interference_mode="literal")
-    assert total_merit([0, 1], state, {}) == pytest.approx(3.25, rel=1e-12)
-    with pytest.raises(ValueError):
-        total_merit([0], state, {})
-    with pytest.raises(ValueError):
-        total_merit([0, 1, 0], state, {})
+    (path,) = discover_paths(0, 1, 1, state).paths
+    assert path.node_ids == (0, 1)
+    assert path.merit == pytest.approx(3.25, rel=1e-12)
 
 
 def test_suitability_requires_a_link():
@@ -108,30 +102,6 @@ def test_suitability_requires_a_link():
     state = make_state(topo)
     with pytest.raises(UnknownNodeError):
         suitability(0, 2, state)
-
-
-def test_pick_best_argmax_with_lowest_id_tie():
-    assert pick_best([5, 2, 9], [1.0, 3.0, 2.0]) == 2
-    assert pick_best([5, 2, 9], [3.0, 3.0, 3.0]) == 2
-    assert pick_best([9, 4], [2.5, 2.5]) == 4
-
-
-def test_pick_best_invariant_under_positive_scaling():
-    rng = random.Random(99)
-    for _ in range(100):
-        n = rng.randrange(2, 8)
-        cands = rng.sample(range(100), n)
-        totals = [rng.uniform(0.5, 4.0) for _ in range(n)]
-        chosen = pick_best(cands, totals)
-        for scale in (2.0, 0.5, 4.0, 0.25):  # exact in binary floats
-            assert pick_best(cands, [scale * t for t in totals]) == chosen
-
-
-def test_select_next_hop_requires_candidates():
-    state = _two_node_state()
-    with pytest.raises(ValueError):
-        select_next_hop(0, [], state, {})
-    assert select_next_hop(0, [1], state, {}) == 1
 
 
 def test_node_ratios_match_a_recount_of_the_record_calls():
@@ -153,28 +123,10 @@ def test_node_ratios_match_a_recount_of_the_record_calls():
 
 
 def test_route_path_validation_and_properties():
-    p = RoutePath((1, 5, 3, 0), total_merit=9.0)
+    p = RoutePath((1, 5, 3, 0), merit=9.0)
     assert p.hop_count == 3
-    assert p.first_interior == 5
     assert p.interior() == (5, 3)
     with pytest.raises(ValueError):
         RoutePath((1,), 0.0)
     with pytest.raises(ValueError):
         RoutePath((1, 2, 1), 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(valid_configs(), st.integers(0, 2**16))
-@example(ScenarioConfig(node_count=2, field_width=60.0, field_height=10.0,
-                        sink_x=0.0, sink_y=0.0, source_x=30.0, source_y=0.0,
-                        duration_s=0.5, rate_pkts_per_s=200.0), 1)
-@example(ScenarioConfig(node_count=30, field_width=100.0, field_height=100.0,
-                        sink_x=0.0, sink_y=0.0, source_x=90.0, source_y=90.0,
-                        initial_energy_j=1e-3, duration_s=1.0, rate_pkts_per_s=200.0), 2)
-@example(ScenarioConfig(duration_s=0.5, rate_pkts_per_s=100.0,
-                        carrier_sense_factor=0.0), 1)
-def test_cached_carrier_sense_matches_a_full_scan(cfg, seed):
-    """Over drawn valid configs, including a two-node field, nodes that die
-    mid-run and carrier_sense_factor 0, every hop's contention term counts
-    exactly the other nodes in range still transmitting (replay_run's count)."""
-    run_and_replay(cfg, seed)

