@@ -7,6 +7,8 @@ lists (plus the extended links that keep sparse fields connected), and
 the two routers' path sets side by side.
 """
 
+import math
+
 from qempar import ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, place_nodes
 from qempar.link_metrics import NetworkState
 
@@ -28,7 +30,8 @@ print(f"extended links added to connect components: {topology.extended_links or 
 # hears. It builds no tables: the suitability score reads positions, residual
 # energy and the cold-start PPS/PPR value straight from the network state.
 beacon_exchange(state)
-print(f"beacon round cost: {state.ledger.total() * 1e3:.3f} mJ across the field")
+beacon_j = math.fsum(n.spent_energy for n in topology.nodes.values())
+print(f"beacon round cost: {beacon_j * 1e3:.3f} mJ across the field")
 
 # The QoS-aware router picks up to k node-disjoint paths, ordered by hop
 # count and total link merit; the baseline takes minimum-hop paths only.

@@ -44,8 +44,9 @@ for line in lines:
     if event["kind"] == "fragment-delivered" and event["packet"] == 0:
         break
 
-# The ledger backs an exact conservation identity: initial energy minus
-# residual energy equals everything the ledger recorded being spent.
+# An exact conservation identity: initial energy minus residual energy
+# equals the energy spent, the sum of every node's spent energy (the
+# identity holds while no debit is clamped).
 drained = config.node_count * config.initial_energy_j - metrics.residual_total_j
 print(f"\nenergy drained  {drained:.9f} J")
 print(f"ledger total    {metrics.ledger_total_j:.9f} J")

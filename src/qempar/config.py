@@ -13,7 +13,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .energy import RadioParams
+from .dispatch import fragment
+from .energy import RadioParams, tx_energy
 from .errors import ConfigError
 
 
@@ -154,6 +155,32 @@ class ScenarioConfig:
               "success_distance_slope must be in [0, 1]")
         check(self.router in ("qempar", "minhop"), "router must be qempar or minhop")
         check(self.seed >= 0, "seed must be non-negative")
+        if errs:
+            raise ConfigError("; ".join(errs))
+
+        # No link is longer than the field diagonal, so the model there bounds
+        # every interference term and debit. A node takes at most node_count
+        # beacon-round debits (its beacon and those it hears) and one traffic
+        # debit past its initial energy; the factor 2 covers round-off. The
+        # largest frame is fragment 1 with its header, or a beacon.
+        d = math.hypot(self.field_width, self.field_height)
+        n = self.node_count
+        bits = max(fragment(self.packet_bits, self.fragment_count)[0]
+                   + 8 * self.fragment_header_bytes,
+                   8 * self.beacon_bytes if self.beacon_accounting else 0)
+        for keys, bound in (
+                ("interference_alpha and interference_reference",
+                 lambda: d ** self.interference_alpha / self.interference_reference),
+                ("node_count, initial_energy_j, e_elec_j_per_bit, eps_fs_j_per_bit_m2, "
+                 "eps_mp_j_per_bit_m4, field_width, field_height, packet_bytes, fragment_count, "
+                 "fragment_header_bytes and beacon_bytes",
+                 lambda: 2.0 * n * (self.initial_energy_j
+                                    + n * tx_energy(bits, d, self.radio_params())))):
+            try:
+                ok = math.isfinite(bound())
+            except OverflowError:
+                ok = False
+            check(ok, f"{keys} overflow the model over the {d:g} m field diagonal")
         if errs:
             raise ConfigError("; ".join(errs))
 

@@ -1,15 +1,16 @@
-"""First-order radio energy model and the per-run energy ledger.
+"""First-order radio energy model and the debit that charges it to a node.
 
 Transmission costs electronics energy per bit plus amplifier energy that
 scales with d^2 up to the threshold distance d0 and with d^4 beyond it;
-reception costs electronics energy only. Every charge is folded into per-node
-ledger totals so a finished run can prove energy conservation.
+reception costs electronics energy only. Every charge lands in its node's
+spent energy, the full model joules even when the node had less left, so a
+finished run can prove energy conservation against the residuals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .topology import NodeState
 
@@ -62,48 +63,14 @@ def rx_energy(bits: int, params: RadioParams) -> float:
 
 @dataclass
 class EnergyLedger:
-    """Per-node totals of every energy charge in a run.
-
-    Totals are running accumulators, so they stay O(1) regardless of run
-    length. The beacon round charges through add; the event loop sums its
-    debits the same way in a list of its own and folds them in at the end.
-    """
+    """The set-up debit: charges a node and counts the charges that asked
+    for more than the node had left. Each node's spent_energy is the one
+    account of what it spent; the event loop debits its own flat copy of
+    those accounts and adds its clamps to clamped_debits."""
 
     clamped_debits: int = 0
-    per_node_joules: dict[int, float] = field(default_factory=dict)
 
-    def total(self) -> float:
-        """Exactly rounded sum of the per-node subtotals.
-
-        Each per-node subtotal accumulates in the same order as the node's
-        own spent-energy counter, so the two agree bit for bit and the
-        ledger-vs-residual conservation identity holds to ~1e-14 relative.
-        """
-        return math.fsum(self.per_node_joules.values())
-
-    def per_node(self) -> dict[int, float]:
-        return dict(self.per_node_joules)
-
-    def add(self, node_id: int, joules: float, clamped: bool) -> None:
-        """Fold one charge into the accumulators."""
-        self.per_node_joules[node_id] = self.per_node_joules.get(node_id, 0.0) + joules
-        if clamped:
+    def add(self, node: NodeState, joules: float) -> None:
+        """Debit joules from node, counting the debit if it clamps."""
+        if node.spend(joules):
             self.clamped_debits += 1
-
-
-def record_tx(node: NodeState, bits: int, distance_m: float, params: RadioParams,
-              ledger: EnergyLedger) -> float:
-    """Debit a transmission; returns the joules spent. The node's residual
-    clamps at zero (the node dies); the ledger keeps the full model joules
-    and counts the clamp."""
-    joules = tx_energy(bits, distance_m, params)
-    ledger.add(node.node_id, joules, node.spend(joules))
-    return joules
-
-
-def record_rx(node: NodeState, bits: int, params: RadioParams,
-              ledger: EnergyLedger) -> float:
-    """Debit a reception; returns the joules spent (clamping as record_tx)."""
-    joules = rx_energy(bits, params)
-    ledger.add(node.node_id, joules, node.spend(joules))
-    return joules

@@ -11,17 +11,17 @@ are ordered by (time, ordinal) where ordinals count event creation, so ties
 resolve in creation order and a run is reproducible bit for bit from
 (scenario, seed).
 
-The event loop holds per-node energy, liveness, busy times and ledger
-subtotals in flat lists, and every hop of a fragment as one precomputed
-record linked to the next: its energies, success probability, delay before
-contention and the sender's carrier-sense set. Births and deadlines are read
+The event loop holds per-node spent energy, liveness and busy times in flat
+lists, and every hop of a fragment as one precomputed record linked to the
+next: its energies, success probability, delay before contention and the
+sender's carrier-sense set. Births and deadlines are read
 in order from sorted lists; only hop ends go through a heap, and they run in
 an inner loop while strictly earlier than the next birth and deadline.
 Carrier sense counts the sender's carrier-sense set within the set of
-transmitting nodes, which the loop keeps exact at every instant. The loop's
-debits and its count of clamped debits are folded into the energy ledger
-once, at the end; each node's subtotal is the float EnergyLedger.add would
-have summed, and the total is an exact fsum, so the ledger reads the same.
+transmitting nodes, which the loop keeps exact at every instant. Each
+debit adds to its node's spent energy in the flat list, as NodeState.spend
+would, and one that asks for more than the node had left is counted; the
+spent energies go back to the nodes and the count into the ledger at the end.
 
 With an event log, each event becomes one Event and one line written by
 Event.to_json from a fixed format: the keys t, kind, node, peer, packet,
@@ -217,8 +217,9 @@ def discover(state) -> list:
 
 def simulate(state, paths, log=None) -> RunMetrics:
     """Run state.config's traffic over paths (none: every packet is dropped)
-    and return the metrics. It spends the state it is given, whose energy,
-    liveness and ledger then carry the traffic; log is a file or None."""
+    and return the metrics. It spends the state it is given, whose nodes'
+    energy and liveness and whose clamp count then carry the traffic; log is
+    a file or None."""
     config, nodes = state.config, state.topology.nodes
     setup_spent = {i: n.spent_energy for i, n in nodes.items()}
     setup_energy = math.fsum(setup_spent.values())
@@ -264,7 +265,7 @@ def simulate(state, paths, log=None) -> RunMetrics:
         participant_energy_j=participant_energy,
         setup_energy_j=setup_energy,
         total_energy_j=total_energy,
-        ledger_total_j=state.ledger.total(),
+        ledger_total_j=total_energy,
         residual_total_j=residual_total,
         out_of_order_ratio=out_of_order,
         clamped_debits=state.ledger.clamped_debits)
@@ -275,8 +276,9 @@ def _traffic(state, paths, times, buffer, log) -> None:
     settling each packet's status in buffer.
 
     Node ids are 0..n-1, so for the length of the loop each node's spent
-    energy, liveness, busy-until time and ledger subtotal live in flat
-    lists; they are written back to the NodeStates and the ledger at the end.
+    energy, liveness and busy-until time live in flat lists; spent energy and
+    liveness are written back to the NodeStates, and the count of clamped
+    debits added to the ledger, at the end.
     """
     config = state.config
     topo = state.topology
@@ -314,11 +316,7 @@ def _traffic(state, paths, times, buffer, log) -> None:
     alive = [nodes[i].alive for i in range(n_nodes)]
     busy = [0.0] * n_nodes
     queues: list[deque | None] = [None] * n_nodes
-    # Each debit adds to its node's ledger subtotal here, as
-    # EnergyLedger.add would, and is counted when it exceeds what the node
-    # had left; both are folded into the ledger once, at the end.
-    per_node_joules = state.ledger.per_node_joules
-    debited = [per_node_joules.get(i, 0.0) for i in range(n_nodes)]
+    # Debits beyond what their node had left, as NodeState.spend counts them.
     clamped = 0
     # Carrier sense counts state.active_tx, which the loop keeps equal to the
     # nodes whose latest hop ends after the current time: a node joins when
@@ -381,7 +379,6 @@ def _traffic(state, paths, times, buffer, log) -> None:
         joules = hop[2]
         if joules > initial[u] - spent[u]:
             clamped += 1
-        debited[u] += joules
         spent[u] += joules
         if spent[u] >= initial[u]:
             alive[u] = False
@@ -411,7 +408,6 @@ def _traffic(state, paths, times, buffer, log) -> None:
             if ok and alive[v]:
                 if rx_j > initial[v] - spent[v]:
                     clamped += 1
-                debited[v] += rx_j
                 spent[v] += rx_j
                 if spent[v] >= initial[v]:
                     alive[v] = False
@@ -465,10 +461,6 @@ def _traffic(state, paths, times, buffer, log) -> None:
     for i in range(n_nodes):
         nodes[i].spent_energy = spent[i]
         nodes[i].alive = alive[i]
-        # Debits are positive, so a node that has none still reads 0.0 and
-        # gets no entry, as under EnergyLedger.add.
-        if debited[i]:
-            per_node_joules[i] = debited[i]
     state.ledger.clamped_debits += clamped
 
 

@@ -40,10 +40,11 @@ class RoutePath:
 
 
 class NetworkState:
-    """Everything the metrics need about a running network: topology, radio
-    constants, scenario config, per-node send and receive counts, the energy
-    ledger, and active_tx, the nodes transmitting at the event loop's current
-    time."""
+    """Everything the metrics need about a running network: topology (whose
+    nodes keep their spent energy), radio constants, scenario config,
+    per-node send and receive counts, the energy ledger, which debits set-up
+    charges and counts clamped debits, and active_tx, the nodes transmitting
+    at the event loop's current time."""
 
     def __init__(self, topology: Topology, params: RadioParams, config):
         self.topology = topology

@@ -18,7 +18,7 @@ from functools import cache, partial
 from . import link_metrics
 from .errors import NoPathError
 from .link_metrics import NetworkState, RoutePath
-from .energy import record_rx, record_tx
+from .energy import rx_energy, tx_energy
 from .topology import distance
 
 
@@ -58,13 +58,15 @@ def beacon_exchange(state: NetworkState) -> None:
 
     When beacon accounting is on, every alive node broadcasts one beacon
     sized to reach its farthest neighbor and every neighbor receives it;
-    both sides are debited. Beacons never touch the link counters.
+    both sides pay for it. Beacons never touch the link counters.
     """
     cfg = state.config
     if not cfg.beacon_accounting:
         return
     topo = state.topology
     bits = cfg.beacon_bytes * 8
+    ledger, params = state.ledger, state.params
+    rx_j = rx_energy(bits, params)
     ids = sorted(i for i, n in topo.nodes.items() if n.alive)
     # Neighbor lists are taken before any energy is spent, so a node that
     # dies in this round still hears and is heard by everyone.
@@ -77,10 +79,10 @@ def beacon_exchange(state: NetworkState) -> None:
             continue
         me = topo.nodes[i]
         reach = table.farthest(i, nbrs)
-        record_tx(me, bits, reach, state.params, state.ledger)
+        ledger.add(me, tx_energy(bits, reach, params))
         any_death = any_death or not me.alive
         for v in nbrs:
-            record_rx(topo.nodes[v], bits, state.params, state.ledger)
+            ledger.add(topo.nodes[v], rx_j)
             any_death = any_death or not topo.nodes[v].alive
     if any_death:
         state.invalidate_neighbors()

@@ -38,7 +38,8 @@ def replay_run(config, seed, log_text):
     """The one event-log oracle: run(config, seed).to_dict() rebuilt from
     setup(), discover() and the log alone, as {"metrics", "contention" (each
     hop's carrier-sense count), "spans" (each hop's node, start, end, wire
-    bits, start and end line) in start order, "ledger" (per-node joules)}.
+    bits, start and end line) in start order, "spent" (the replayed
+    spent_energy of every node with a debit)}.
     Asserts that every hop ends at start + bits/bit_rate + access_delay +
     contention_delay x (other nodes within carrier_sense_factor x
     radio_range whose latest hop ends after the start), and the invariants
@@ -70,7 +71,7 @@ def replay_run(config, seed, log_text):
         else:
             expired.add(e["packet"])
         if kind in ("hop-start", "hop-complete"):
-            ledger.add(e["node"], e["joules"], nodes[e["node"]].spend(e["joules"]))
+            ledger.add(nodes[e["node"]], e["joules"])
     assert not in_flight, "a hop never ended"
     cs_range = config.carrier_sense_factor * state.topology.radio_range
     latest_end, contention = {}, []
@@ -93,6 +94,7 @@ def replay_run(config, seed, log_text):
             delays.append(got[-1][0] - t0)
             out_of_order += any(a[1] > b[1] for a, b in zip(got, got[1:]))
     delivered = len(delays)
+    total = math.fsum(n.spent_energy for n in nodes.values())
     participants = set().union(*(p.node_ids for p in paths))
     participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
     metrics = dict(
@@ -103,12 +105,12 @@ def replay_run(config, seed, log_text):
         mean_delay_s=sum(delays) / delivered if delivered else None,
         mean_energy_j=participant_energy / delivered if delivered else None,
         participant_energy_j=participant_energy, setup_energy_j=math.fsum(setup_spent.values()),
-        total_energy_j=math.fsum(n.spent_energy for n in nodes.values()),
-        ledger_total_j=ledger.total(), clamped_debits=ledger.clamped_debits,
+        total_energy_j=total, ledger_total_j=total, clamped_debits=ledger.clamped_debits,
         residual_total_j=math.fsum(n.residual_energy for n in nodes.values()),
         out_of_order_ratio=out_of_order / delivered if delivered else 0.0)
     return {"metrics": metrics, "contention": contention,
-            "spans": [tuple(s) for s in spans], "ledger": ledger.per_node()}
+            "spans": [tuple(s) for s in spans],
+            "spent": {i: n.spent_energy for i, n in nodes.items() if n.spent_energy}}
 
 
 def run_and_replay(config, seed):

@@ -112,6 +112,32 @@ def test_values_of_the_wrong_type_are_rejected_before_placement(field, value, mo
         run(dataclasses.replace(ScenarioConfig(duration_s=0.5), **{field: value}))
 
 
+@pytest.mark.parametrize("overrides, keys", [
+    ({"interference_alpha": 200.0}, ["interference_alpha", "interference_reference"]),
+    ({"interference_reference": 1e-305}, ["interference_alpha", "interference_reference"]),
+    ({"field_width": 1e200, "field_height": 1e200}, ["field_width", "eps_mp_j_per_bit_m4"]),
+    ({"initial_energy_j": 1e307}, ["node_count", "initial_energy_j"]),
+], ids=["alpha-200", "reference-1e-305", "field-1e200", "initial-energy-1e307"])
+def test_configs_whose_model_overflows_over_the_field_diagonal_are_rejected_before_placement(
+        overrides, keys, monkeypatch):
+    """Each of these passes every other check. Unchecked, the interference
+    term of a long link is infinite (reference 1e-305) or raises
+    OverflowError mid-run (d ** alpha), as do tx_energy (d ** 4) and the
+    fsum of the nodes' energies."""
+    def placement(*args):
+        raise AssertionError("placement ran")
+
+    monkeypatch.setattr("qempar.engine.place_nodes", placement)
+    with pytest.raises(ConfigError, match="overflow") as err:
+        run(ScenarioConfig(duration_s=1.0, **overrides))
+    assert all(key in str(err.value) for key in keys)
+
+
+def test_a_steep_but_finite_interference_exponent_runs():
+    m = run(ScenarioConfig(duration_s=0.5, interference_alpha=100.0), 1)
+    assert m.delivered > 0
+
+
 def test_load_config_rejects_invalid_combinations():
     with pytest.raises(ConfigError, match="coincide"):
         load_config(None, {"source_x": "0", "source_y": "0"})
@@ -233,6 +259,7 @@ def test_bad_configuration_exits_2(capsys):
     ["sweep", "--rates", "5,5.0", "--seeds", "1", "--router", "qempar"],
     ["sweep", "--rates", "5", "--seeds", "1..x"],
     ["sweep", "--rates", ","],
+    ["run", "--set", "interference_alpha=500", "--set", "duration_s=1"],
 ])
 def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     ran = []

@@ -1,11 +1,11 @@
-"""Radio energy model point values, monotonicity, and ledger conservation."""
+"""Radio energy model point values, monotonicity, and debit conservation."""
 
+import math
 import random
 
 import pytest
 
-from qempar.energy import (EnergyLedger, RadioParams, record_rx, record_tx, rx_energy,
-                           tx_energy)
+from qempar.energy import EnergyLedger, RadioParams, rx_energy, tx_energy
 from qempar.topology import NodeState, Position
 
 
@@ -45,48 +45,51 @@ def test_invalid_inputs_raise():
 def test_residual_after_one_transmission():
     node = NodeState(3, Position(0, 0), initial_energy=2.0)
     ledger = EnergyLedger()
-    spent = record_tx(node, 4096, 40.0, RadioParams(), ledger)
-    assert spent == pytest.approx(0.000270336, rel=1e-12)
+    ledger.add(node, tx_energy(4096, 40.0, RadioParams()))
+    assert node.spent_energy == pytest.approx(0.000270336, rel=1e-12)
     assert node.residual_energy == pytest.approx(1.999729664, rel=1e-12)
-    assert ledger.total() == pytest.approx(spent, rel=1e-12)
+    assert node.alive and ledger.clamped_debits == 0
 
 
 def test_clamped_debit_kills_node_but_ledger_keeps_full_cost():
     node = NodeState(4, Position(0, 0), initial_energy=1e-9)
     ledger = EnergyLedger()
-    record_rx(node, 4096, RadioParams(), ledger)
+    ledger.add(node, rx_energy(4096, RadioParams()))
     assert not node.alive
     assert node.residual_energy == 0.0
     assert ledger.clamped_debits == 1
-    assert ledger.total() == pytest.approx(0.0002048, rel=1e-12)
+    assert node.spent_energy == pytest.approx(0.0002048, rel=1e-12)
 
 
 def test_energy_conservation_over_random_debits():
-    """Sum of (initial - residual) equals the ledger total while no debit
-    clamps, to float round-off."""
+    """Each node's initial minus residual energy equals the exactly summed
+    joules charged to it while no debit clamps, to float round-off."""
     p = RadioParams()
     rng = random.Random(7)
     for _ in range(20):
         nodes = {i: NodeState(i, Position(0, 0), initial_energy=50.0) for i in range(5)}
+        charged: dict[int, list[float]] = {i: [] for i in nodes}
         ledger = EnergyLedger()
         for _ in range(200):
-            node = nodes[rng.randrange(5)]
+            i = rng.randrange(5)
             if rng.random() < 0.5:
-                record_tx(node, rng.randrange(1, 5000), rng.uniform(0, 200), p, ledger)
+                joules = tx_energy(rng.randrange(1, 5000), rng.uniform(0, 200), p)
             else:
-                record_rx(node, rng.randrange(1, 5000), p, ledger)
+                joules = rx_energy(rng.randrange(1, 5000), p)
+            ledger.add(nodes[i], joules)
+            charged[i].append(joules)
         assert ledger.clamped_debits == 0
-        drained = sum(n.initial_energy - n.residual_energy for n in nodes.values())
-        assert drained == pytest.approx(ledger.total(), rel=1e-12)
-        per_node = ledger.per_node()
         for i, n in nodes.items():
-            assert per_node.get(i, 0.0) == pytest.approx(n.spent_energy, rel=1e-12)
+            total = math.fsum(charged[i])
+            assert n.initial_energy - n.residual_energy == pytest.approx(total, rel=1e-12)
+            assert n.spent_energy == pytest.approx(total, rel=1e-12)
 
 
 def test_debit_returns_residual():
     node = NodeState(8, Position(0, 0), initial_energy=1.0)
     ledger = EnergyLedger()
-    joules = record_rx(node, 1000, RadioParams(), ledger)
-    assert joules == rx_energy(1000, RadioParams())
+    joules = rx_energy(1000, RadioParams())
+    ledger.add(node, joules)
+    assert node.spent_energy == joules
     assert node.residual_energy == pytest.approx(1.0 - joules)
-    assert ledger.per_node() == {8: joules}
+    assert vars(ledger) == {"clamped_debits": 0}

@@ -265,18 +265,14 @@ def test_packet_born_at_a_dying_source_is_dropped():
     assert (m.generated, m.delivered, m.expired, m.dropped) == (100, 3, 0, 97)
 
 
-def _bits(per_node):
-    return {i: j.hex() for i, j in per_node.items()}
-
-
 @pytest.mark.parametrize("router, beacon_accounting", [("minhop", True), ("qempar", True),
                                                        ("qempar", False)])
-def test_ledger_fold_equals_ledger_add_replayed_from_the_log(router, beacon_accounting):
-    """The loop's flat per-node debits and its clamp count, folded into the
-    ledger at the end, equal EnergyLedger.add applied to every logged debit
-    in log order (replay_run), from the ledger and nodes of setup(). Nodes
-    die here, so some debits are clamped; without beacon accounting the
-    ledger starts empty and only nodes the traffic debits get entries."""
+def test_spent_energy_equals_ledger_add_replayed_from_the_log(router, beacon_accounting):
+    """Every node's spent energy after simulate(), bit for bit, and the clamp
+    count equal EnergyLedger.add applied to every logged debit in log order
+    (replay_run), from the nodes and ledger of setup(). Nodes die here, so
+    some debits are clamped; without beacon accounting only nodes the
+    traffic debits have spent anything."""
     cfg = ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, initial_energy_j=2e-3,
                          router=router, beacon_accounting=beacon_accounting, seed=1)
     state = setup(cfg)
@@ -285,7 +281,8 @@ def test_ledger_fold_equals_ledger_add_replayed_from_the_log(router, beacon_acco
     replay = replay_run(cfg, 1, log.getvalue())
     assert m.clamped_debits > 0
     assert replay["metrics"] == m.to_dict()
-    assert _bits(state.ledger.per_node()) == _bits(replay["ledger"])
+    spent = {i: n.spent_energy.hex() for i, n in state.topology.nodes.items() if n.spent_energy}
+    assert spent == {i: j.hex() for i, j in replay["spent"].items()}
 
 
 class _CountingLog(io.StringIO):
@@ -332,7 +329,16 @@ def test_zero_packet_run_has_no_delivery_ratio():
     (DENSE_QEMPAR, 7), (DEFAULT_MINHOP, 1), (DENSE_LITERAL, 7), (DEFAULT_TIES, 16), (EXPIRING, 16),
 ], ids=["dense-qempar", "default-minhop", "dense-literal", "default-ties", "expiring"])
 def test_replay_rebuilds_the_pinned_runs(config, seed):
-    run_and_replay(config, seed)
+    """The replay rebuilds each pinned run's metrics, and each node's spent
+    energy is the one energy account: ledger_total_j is their fsum, bit for
+    bit, and the ledger keeps nothing but the count of clamped debits."""
+    state = setup(replace(config, seed=seed))
+    log = io.StringIO()
+    m = simulate(state, discover(state), log)
+    assert replay_run(config, seed, log.getvalue())["metrics"] == m.to_dict()
+    spent = math.fsum(n.spent_energy for n in state.topology.nodes.values())
+    assert m.ledger_total_j.hex() == spent.hex()
+    assert vars(state.ledger) == {"clamped_debits": m.clamped_debits}
 
 
 @pytest.mark.parametrize("kind, change", [

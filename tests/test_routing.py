@@ -1,5 +1,6 @@
 """Beacon exchange accounting and multi-path discovery."""
 
+import math
 import random
 from collections import Counter, defaultdict, deque
 from dataclasses import replace
@@ -29,7 +30,9 @@ def test_beacon_exchange_debits_exact_energy(line_topology):
     assert nodes[0].spent_energy == pytest.approx(tx30 + rx, rel=1e-12)
     assert nodes[1].spent_energy == pytest.approx(tx30 + 2 * rx, rel=1e-12)
     assert nodes[2].spent_energy == pytest.approx(tx30 + rx, rel=1e-12)
-    assert state.ledger.total() == pytest.approx(3 * tx30 + 4 * rx, rel=1e-12)
+    assert math.fsum(n.spent_energy for n in nodes.values()) == pytest.approx(
+        3 * tx30 + 4 * rx, rel=1e-12)
+    assert state.ledger.clamped_debits == 0
 
 
 def test_beacons_never_touch_link_counters(line_topology):
@@ -43,7 +46,7 @@ def test_beacon_accounting_can_be_disabled(line_topology):
     state = make_state(line_topology, beacon_accounting=False)
     beacon_exchange(state)
     assert all(n.spent_energy == 0.0 for n in line_topology.nodes.values())
-    assert state.ledger.total() == 0.0
+    assert math.fsum(n.spent_energy for n in line_topology.nodes.values()) == 0.0
 
 
 def test_path_set_orders_and_validates():

@@ -1,5 +1,7 @@
 """Node placement, the neighbor relation, and component bridging."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -253,5 +255,5 @@ def test_set_up_calls_distance_linearly_often(monkeypatch):
         monkeypatch.setattr(module, "distance", counted)
     cfg = ScenarioConfig(node_count=300, seed=3)
     state = setup(cfg)
-    assert state.ledger.total() > 0
+    assert math.fsum(n.spent_energy for n in state.topology.nodes.values()) > 0
     assert calls <= cfg.node_count
