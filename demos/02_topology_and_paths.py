@@ -19,7 +19,7 @@ config = ScenarioConfig(node_count=80, field_width=200.0, field_height=200.0,
 topology = place_nodes(config, seed=18)
 state = NetworkState(topology, config.radio_params(), config)
 
-# Nodes 0 and 1 are always the sink and the source.
+# Node i is topology.nodes[i]; nodes 0 and 1 are always the sink and the source.
 print(f"{config.node_count} nodes, radio range {config.radio_range_m} m")
 print(f"sink   0 at {topology.nodes[0].position}")
 print(f"source 1 at {topology.nodes[1].position}")
@@ -30,7 +30,7 @@ print(f"extended links added to connect components: {topology.extended_links or 
 # hears. It builds no tables: the suitability score reads positions, residual
 # energy and the cold-start PPS/PPR value straight from the network state.
 beacon_exchange(state)
-beacon_j = math.fsum(n.spent_energy for n in topology.nodes.values())
+beacon_j = math.fsum(n.spent_energy for n in topology.nodes)
 print(f"beacon round cost: {beacon_j * 1e3:.3f} mJ across the field")
 
 # The QoS-aware router picks up to k node-disjoint paths, ordered by hop

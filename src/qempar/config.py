@@ -162,25 +162,29 @@ class ScenarioConfig:
         # every interference term and debit. A node takes at most node_count
         # beacon-round debits (its beacon and those it hears) and one traffic
         # debit past its initial energy; the factor 2 covers round-off. The
-        # largest frame is fragment 1 with its header, or a beacon.
+        # largest frame is fragment 1 with its header, or a beacon. The
+        # packet count is about rate times duration.
         d = math.hypot(self.field_width, self.field_height)
         n = self.node_count
         bits = max(fragment(self.packet_bits, self.fragment_count)[0]
                    + 8 * self.fragment_header_bytes,
                    8 * self.beacon_bytes if self.beacon_accounting else 0)
-        for keys, bound in (
-                ("interference_alpha and interference_reference",
+        diagonal = f"over the {d:g} m field diagonal"
+        for keys, where, bound in (
+                ("interference_alpha and interference_reference", diagonal,
                  lambda: d ** self.interference_alpha / self.interference_reference),
                 ("node_count, initial_energy_j, e_elec_j_per_bit, eps_fs_j_per_bit_m2, "
                  "eps_mp_j_per_bit_m4, field_width, field_height, packet_bytes, fragment_count, "
-                 "fragment_header_bytes and beacon_bytes",
+                 "fragment_header_bytes and beacon_bytes", diagonal,
                  lambda: 2.0 * n * (self.initial_energy_j
-                                    + n * tx_energy(bits, d, self.radio_params())))):
+                                    + n * tx_energy(bits, d, self.radio_params()))),
+                ("rate_pkts_per_s and duration_s", "in the packet count",
+                 lambda: self.rate_pkts_per_s * self.duration_s)):
             try:
                 ok = math.isfinite(bound())
             except OverflowError:
                 ok = False
-            check(ok, f"{keys} overflow the model over the {d:g} m field diagonal")
+            check(ok, f"{keys} overflow the model {where}")
         if errs:
             raise ConfigError("; ".join(errs))
 

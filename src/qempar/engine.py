@@ -221,8 +221,8 @@ def simulate(state, paths, log=None) -> RunMetrics:
     energy and liveness and whose clamp count then carry the traffic; log is
     a file or None."""
     config, nodes = state.config, state.topology.nodes
-    setup_spent = {i: n.spent_energy for i, n in nodes.items()}
-    setup_energy = math.fsum(setup_spent.values())
+    setup_spent = [n.spent_energy for n in nodes]
+    setup_energy = math.fsum(setup_spent)
 
     times = arrival_times(config, config.seed)
     n_packets = len(times)
@@ -245,8 +245,8 @@ def simulate(state, paths, log=None) -> RunMetrics:
     # fsum is correctly rounded, so the order of its inputs cannot matter.
     participants = set().union(*(p.node_ids for p in paths))
     participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
-    total_energy = math.fsum(n.spent_energy for n in nodes.values())
-    residual_total = math.fsum(n.residual_energy for n in nodes.values())
+    total_energy = math.fsum(n.spent_energy for n in nodes)
+    residual_total = math.fsum(n.residual_energy for n in nodes)
     mean_energy = participant_energy / delivered if delivered else None
 
     return RunMetrics(
@@ -275,10 +275,10 @@ def _traffic(state, paths, times, buffer, log) -> None:
     """Drive every packet through the MAC along its fragments' paths,
     settling each packet's status in buffer.
 
-    Node ids are 0..n-1, so for the length of the loop each node's spent
-    energy, liveness and busy-until time live in flat lists; spent energy and
-    liveness are written back to the NodeStates, and the count of clamped
-    debits added to the ledger, at the end.
+    Node i is topology.nodes[i], so for the length of the loop each node's
+    spent energy, liveness and busy-until time live in flat lists indexed by
+    id; spent energy and liveness are written back to the NodeStates, and
+    the count of clamped debits added to the ledger, at the end.
     """
     config = state.config
     topo = state.topology
@@ -311,9 +311,9 @@ def _traffic(state, paths, times, buffer, log) -> None:
                    seq, wire, frag_bits, hop)
         first_hops.append(hop)
 
-    initial = [nodes[i].initial_energy for i in range(n_nodes)]
-    spent = [nodes[i].spent_energy for i in range(n_nodes)]
-    alive = [nodes[i].alive for i in range(n_nodes)]
+    initial = [n.initial_energy for n in nodes]
+    spent = [n.spent_energy for n in nodes]
+    alive = [n.alive for n in nodes]
     busy = [0.0] * n_nodes
     queues: list[deque | None] = [None] * n_nodes
     # Debits beyond what their node had left, as NodeState.spend counts them.
@@ -458,9 +458,9 @@ def _traffic(state, paths, times, buffer, log) -> None:
             if buffer.expire(pid, t) and log is not None:
                 emit(t, "deadline-expired", sink, None, pid)
 
-    for i in range(n_nodes):
-        nodes[i].spent_energy = spent[i]
-        nodes[i].alive = alive[i]
+    for node, node_spent, node_alive in zip(nodes, spent, alive):
+        node.spent_energy = node_spent
+        node.alive = node_alive
     state.ledger.clamped_debits += clamped
 
 

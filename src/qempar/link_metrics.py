@@ -109,6 +109,7 @@ class NetworkState:
         near = self._cs_near.get(node_id)
         if near is None:
             topo = self.topology
+            topo.node(node_id)
             cs = self.config.carrier_sense_factor * topo.radio_range
             near = self._cs_near[node_id] = frozenset(topo.distances.within(node_id, cs))
         return near

@@ -67,7 +67,7 @@ def beacon_exchange(state: NetworkState) -> None:
     bits = cfg.beacon_bytes * 8
     ledger, params = state.ledger, state.params
     rx_j = rx_energy(bits, params)
-    ids = sorted(i for i, n in topo.nodes.items() if n.alive)
+    ids = [i for i, n in enumerate(topo.nodes) if n.alive]
     # Neighbor lists are taken before any energy is spent, so a node that
     # dies in this round still hears and is heard by everyone.
     nbr_map = {i: state.neighbors(i) for i in ids}
@@ -115,7 +115,7 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
 
 
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
-                        depth_cap: int, dist_to_sink: dict[int, float],
+                        depth_cap: int, dist_to_sink: list[float],
                         visit_budget: int, direct_ok: bool, score):
     """Depth-first search for one path, taking the candidate of highest
     score(cur, v), ties to the lowest id.
@@ -175,7 +175,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
 
 def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
-               dist_to_sink: dict[int, float], score, banned: set[int],
+               dist_to_sink: list[float], score, banned: set[int],
                direct_ok: bool) -> list[int] | None:
     """One path avoiding banned interiors (and, without direct_ok, the
     source-to-sink link), or None.
@@ -254,9 +254,12 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     _check_endpoints(state, source, sink, k)
     topo = state.topology
     sink_pos = topo.node(sink).position
-    dist_to_sink = {i: distance(n.position, sink_pos) for i, n in topo.nodes.items()}
-    est = max(1, math.ceil(dist_to_sink[source] / topo.radio_range))
-    cap_max = math.ceil(state.config.hop_budget_factor * est)
+    dist_to_sink = [distance(n.position, sink_pos) for n in topo.nodes]
+    # No simple path has more than n-1 hops, and every cap beyond that
+    # repeats the same search, so both bounds stop there (and stay finite).
+    longest = len(topo.nodes) - 1
+    est = max(1, math.ceil(min(dist_to_sink[source] / topo.radio_range, longest)))
+    cap_max = math.ceil(min(state.config.hop_budget_factor * est, longest))
     # The state cannot change during one discovery, so each link is scored
     # once; the scores read residual energy, so the memo lives for this call.
     score = cache(lambda a, b: link_metrics.suitability(a, b, state))

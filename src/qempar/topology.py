@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,6 @@ class NodeState:
     """Mutable per-node state. residual_energy is derived from spent_energy
     so that energy conservation holds to float round-off."""
 
-    node_id: int
     position: Position
     initial_energy: float  # joules, > 0
     spent_energy: float = 0.0
@@ -67,15 +67,12 @@ class NodeState:
 
 class DistanceTable:
     """Pairwise distances of a field's nodes, row and column k standing for
-    the k-th smallest node id. Entry (a, b) equals distance() of the two
-    positions bit for bit."""
+    node k. Entry (a, b) equals distance() of the two positions bit for bit."""
 
-    def __init__(self, nodes: dict[int, NodeState]):
-        self.ids = sorted(nodes)
-        self.index = {i: k for k, i in enumerate(self.ids)}
-        xs = np.array([nodes[i].position.x for i in self.ids])
-        ys = np.array([nodes[i].position.y for i in self.ids])
-        n = len(self.ids)
+    def __init__(self, nodes: list[NodeState]):
+        xs = np.array([node.position.x for node in nodes])
+        ys = np.array([node.position.y for node in nodes])
+        n = len(nodes)
         d = np.zeros((n, n))
         # Upper triangle row by row; math.hypot ignores the signs of the
         # differences, so the mirrored entry is the same float.
@@ -87,29 +84,25 @@ class DistanceTable:
 
     def within(self, node_id: int, radius: float) -> list[int]:
         """Ids of the other nodes at distance <= radius, ascending."""
-        k = self.index[node_id]
-        ids = self.ids
-        return [ids[j] for j in np.flatnonzero(self.d[k] <= radius).tolist() if j != k]
+        return [j for j in np.flatnonzero(self.d[node_id] <= radius).tolist() if j != node_id]
 
     def by_distance(self, node_id: int) -> list[int]:
         """Ids of the other nodes by ascending (distance, id)."""
-        k = self.index[node_id]
-        ids = self.ids
-        return [ids[j] for j in np.argsort(self.d[k], kind="stable").tolist() if j != k]
+        return [j for j in np.argsort(self.d[node_id], kind="stable").tolist() if j != node_id]
 
     def farthest(self, node_id: int, others) -> float:
         """The largest distance from node_id to any of others."""
-        index = self.index
-        return float(self.d[index[node_id], [index[j] for j in others]].max())
+        return float(self.d[node_id, others].max())
 
 
 @dataclass
 class Topology:
-    """A placed field: nodes keyed by id plus the neighbor relation inputs."""
+    """A placed field: node i at nodes[i], the sink node 0 and the source
+    node 1, plus the neighbor relation inputs."""
 
-    nodes: dict[int, NodeState]
-    sink_id: int
-    source_id: int
+    sink_id: ClassVar[int] = 0
+    source_id: ClassVar[int] = 1
+    nodes: list[NodeState]
     radio_range: float  # meters
     fallback_enabled: bool = True
     # Symmetric extended-range links added at placement to connect the field;
@@ -117,10 +110,9 @@ class Topology:
     extended_links: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def node(self, node_id: int) -> NodeState:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node id {node_id}") from None
+        if not 0 <= node_id < len(self.nodes):
+            raise UnknownNodeError(f"unknown node id {node_id}")
+        return self.nodes[node_id]
 
     @cached_property
     def distances(self) -> DistanceTable:
@@ -131,23 +123,18 @@ class Topology:
 def place_nodes(config, seed: int) -> Topology:
     """Place config.node_count nodes in the field deterministically for a seed.
 
-    Id 0 is the sink pinned at the sink position, id 1 the source pinned at
-    the source position; remaining ids are uniform over the field using
+    Node 0 is the sink pinned at the sink position, node 1 the source pinned
+    at the source position; nodes 2..n-1 are uniform over the field using
     numpy's default PCG64 stream so seeds reproduce across platforms.
     """
     n = config.node_count
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, config.field_width, size=n - 2) if n > 2 else []
     ys = rng.uniform(0.0, config.field_height, size=n - 2) if n > 2 else []
-    nodes: dict[int, NodeState] = {}
-    nodes[0] = NodeState(0, Position(config.sink_x, config.sink_y), config.initial_energy_j)
-    nodes[1] = NodeState(1, Position(config.source_x, config.source_y), config.initial_energy_j)
-    for i in range(n - 2):
-        nodes[i + 2] = NodeState(i + 2, Position(float(xs[i]), float(ys[i])), config.initial_energy_j)
+    points = [(config.sink_x, config.sink_y), (config.source_x, config.source_y),
+              *zip(map(float, xs), map(float, ys))]
     topo = Topology(
-        nodes=nodes,
-        sink_id=0,
-        source_id=1,
+        nodes=[NodeState(Position(x, y), config.initial_energy_j) for x, y in points],
         radio_range=config.radio_range_m,
         fallback_enabled=config.extended_range_fallback,
     )
@@ -164,9 +151,8 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     bridges exceed the radio range by construction, so transmissions over
     them pay the long-distance amplifier cost.
     """
-    table = topo.distances
-    ids, d = table.ids, table.d
-    parent = list(range(len(ids)))
+    d = topo.distances.d
+    parent = list(range(len(d)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -176,7 +162,7 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
 
     for a, b in zip(*(v.tolist() for v in np.nonzero(np.triu(d <= topo.radio_range, 1)))):
         parent[find(a)] = find(b)
-    comp = np.array([find(i) for i in range(len(ids))])
+    comp = np.array([find(i) for i in range(len(d))])
     components = len(set(comp.tolist()))
     cross = np.triu(comp[:, None] != comp[None, :], 1)
     top = d.max(initial=0.0)
@@ -196,8 +182,8 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
             if ra == rb:
                 continue
             parent[ra] = rb
-            bridges.setdefault(ids[a], []).append(ids[b])
-            bridges.setdefault(ids[b], []).append(ids[a])
+            bridges.setdefault(a, []).append(b)
+            bridges.setdefault(b, []).append(a)
             components -= 1
             if components == 1:
                 break

@@ -15,13 +15,11 @@ from qempar.engine import arrival_times, discover, setup
 from qempar.topology import NodeState, Position, Topology, distance
 
 
-def manual_topology(positions, radio_range, initial_energy=2.0, sink_id=0,
-                    source_id=1, fallback=False, extended=None) -> Topology:
-    """Topology with hand-picked positions: {node_id: (x, y)}."""
-    nodes = {i: NodeState(i, Position(float(x), float(y)), initial_energy)
-             for i, (x, y) in positions.items()}
+def manual_topology(positions, radio_range, initial_energy=2.0, fallback=False,
+                    extended=None) -> Topology:
+    """Topology with hand-picked positions: node i at positions[i] = (x, y)."""
     return Topology(
-        nodes=nodes, sink_id=sink_id, source_id=source_id,
+        nodes=[NodeState(Position(float(x), float(y)), initial_energy) for x, y in positions],
         radio_range=radio_range, fallback_enabled=fallback, extended_links=extended or {})
 
 
@@ -48,7 +46,7 @@ def replay_run(config, seed, log_text):
     state = setup(config)
     paths = discover(state)
     nodes, ledger = state.topology.nodes, state.ledger
-    setup_spent = {i: n.spent_energy for i, n in nodes.items()}
+    setup_spent = [n.spent_energy for n in nodes]
     born, arrivals, expired = {}, {}, set()
     spans, in_flight, reached = [], {}, set()
     for line_no, line in enumerate(log_text.splitlines()):
@@ -94,7 +92,7 @@ def replay_run(config, seed, log_text):
             delays.append(got[-1][0] - t0)
             out_of_order += any(a[1] > b[1] for a, b in zip(got, got[1:]))
     delivered = len(delays)
-    total = math.fsum(n.spent_energy for n in nodes.values())
+    total = math.fsum(n.spent_energy for n in nodes)
     participants = set().union(*(p.node_ids for p in paths))
     participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
     metrics = dict(
@@ -104,13 +102,13 @@ def replay_run(config, seed, log_text):
         delivery_ratio=delivered / generated if generated else None,
         mean_delay_s=sum(delays) / delivered if delivered else None,
         mean_energy_j=participant_energy / delivered if delivered else None,
-        participant_energy_j=participant_energy, setup_energy_j=math.fsum(setup_spent.values()),
+        participant_energy_j=participant_energy, setup_energy_j=math.fsum(setup_spent),
         total_energy_j=total, ledger_total_j=total, clamped_debits=ledger.clamped_debits,
-        residual_total_j=math.fsum(n.residual_energy for n in nodes.values()),
+        residual_total_j=math.fsum(n.residual_energy for n in nodes),
         out_of_order_ratio=out_of_order / delivered if delivered else 0.0)
     return {"metrics": metrics, "contention": contention,
             "spans": [tuple(s) for s in spans],
-            "spent": {i: n.spent_energy for i, n in nodes.items() if n.spent_energy}}
+            "spent": {i: n.spent_energy for i, n in enumerate(nodes) if n.spent_energy}}
 
 
 def run_and_replay(config, seed):
@@ -166,4 +164,4 @@ def valid_configs(draw):
 def line_topology() -> Topology:
     """Three collinear nodes 30 m apart with 40 m range: 0-1 and 1-2 link,
     0-2 does not."""
-    return manual_topology({0: (0, 0), 1: (30, 0), 2: (60, 0)}, radio_range=40.0)
+    return manual_topology([(0, 0), (30, 0), (60, 0)], radio_range=40.0)

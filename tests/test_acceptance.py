@@ -136,7 +136,7 @@ def test_path_sets_are_node_disjoint_on_1000_random_topologies():
 def _bfs_oracle_hops(topo):
     """Brute-force hop distance on the same adjacency the routers see,
     written against raw positions so it shares no code with the search."""
-    ids = sorted(topo.nodes)
+    ids = range(len(topo.nodes))
     adj = {i: set() for i in ids}
     for i in ids:
         for j in ids:

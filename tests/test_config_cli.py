@@ -117,19 +117,21 @@ def test_values_of_the_wrong_type_are_rejected_before_placement(field, value, mo
     ({"interference_reference": 1e-305}, ["interference_alpha", "interference_reference"]),
     ({"field_width": 1e200, "field_height": 1e200}, ["field_width", "eps_mp_j_per_bit_m4"]),
     ({"initial_energy_j": 1e307}, ["node_count", "initial_energy_j"]),
-], ids=["alpha-200", "reference-1e-305", "field-1e200", "initial-energy-1e307"])
+    ({"duration_s": 1.7e308}, ["rate_pkts_per_s", "duration_s"]),
+], ids=["alpha-200", "reference-1e-305", "field-1e200", "initial-energy-1e307", "duration-1.7e308"])
 def test_configs_whose_model_overflows_over_the_field_diagonal_are_rejected_before_placement(
         overrides, keys, monkeypatch):
     """Each of these passes every other check. Unchecked, the interference
     term of a long link is infinite (reference 1e-305) or raises
     OverflowError mid-run (d ** alpha), as do tx_energy (d ** 4) and the
-    fsum of the nodes' energies."""
+    fsum of the nodes' energies, and the packet count (rate x duration)
+    cannot be converted to an int."""
     def placement(*args):
         raise AssertionError("placement ran")
 
     monkeypatch.setattr("qempar.engine.place_nodes", placement)
     with pytest.raises(ConfigError, match="overflow") as err:
-        run(ScenarioConfig(duration_s=1.0, **overrides))
+        run(ScenarioConfig(**{"duration_s": 1.0, **overrides}))
     assert all(key in str(err.value) for key in keys)
 
 
@@ -260,6 +262,7 @@ def test_bad_configuration_exits_2(capsys):
     ["sweep", "--rates", "5", "--seeds", "1..x"],
     ["sweep", "--rates", ","],
     ["run", "--set", "interference_alpha=500", "--set", "duration_s=1"],
+    ["run", "--set", "duration_s=1.7e308"],
 ])
 def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     ran = []
@@ -268,6 +271,13 @@ def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     assert main(argv) == 2
     assert ran == []
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["hop_budget_factor=1e308", "radio_range_m=1e-310"])
+def test_a_depth_cap_beyond_any_path_runs(key, capsys):
+    """The hop estimate or its product with the factor is infinite here;
+    discovery caps both at n - 1 hops, the longest simple path."""
+    assert main(["run", "--set", key, "--set", "duration_s=0.1"]) == 0
 
 
 def test_repeated_set_key_exits_2(capsys):

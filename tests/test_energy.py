@@ -43,7 +43,7 @@ def test_invalid_inputs_raise():
 
 
 def test_residual_after_one_transmission():
-    node = NodeState(3, Position(0, 0), initial_energy=2.0)
+    node = NodeState(Position(0, 0), initial_energy=2.0)
     ledger = EnergyLedger()
     ledger.add(node, tx_energy(4096, 40.0, RadioParams()))
     assert node.spent_energy == pytest.approx(0.000270336, rel=1e-12)
@@ -52,7 +52,7 @@ def test_residual_after_one_transmission():
 
 
 def test_clamped_debit_kills_node_but_ledger_keeps_full_cost():
-    node = NodeState(4, Position(0, 0), initial_energy=1e-9)
+    node = NodeState(Position(0, 0), initial_energy=1e-9)
     ledger = EnergyLedger()
     ledger.add(node, rx_energy(4096, RadioParams()))
     assert not node.alive
@@ -67,7 +67,7 @@ def test_energy_conservation_over_random_debits():
     p = RadioParams()
     rng = random.Random(7)
     for _ in range(20):
-        nodes = {i: NodeState(i, Position(0, 0), initial_energy=50.0) for i in range(5)}
+        nodes = {i: NodeState(Position(0, 0), initial_energy=50.0) for i in range(5)}
         charged: dict[int, list[float]] = {i: [] for i in nodes}
         ledger = EnergyLedger()
         for _ in range(200):
@@ -86,7 +86,7 @@ def test_energy_conservation_over_random_debits():
 
 
 def test_debit_returns_residual():
-    node = NodeState(8, Position(0, 0), initial_energy=1.0)
+    node = NodeState(Position(0, 0), initial_energy=1.0)
     ledger = EnergyLedger()
     joules = rx_energy(1000, RadioParams())
     ledger.add(node, joules)

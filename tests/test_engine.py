@@ -281,7 +281,7 @@ def test_spent_energy_equals_ledger_add_replayed_from_the_log(router, beacon_acc
     replay = replay_run(cfg, 1, log.getvalue())
     assert m.clamped_debits > 0
     assert replay["metrics"] == m.to_dict()
-    spent = {i: n.spent_energy.hex() for i, n in state.topology.nodes.items() if n.spent_energy}
+    spent = {i: n.spent_energy.hex() for i, n in enumerate(state.topology.nodes) if n.spent_energy}
     assert spent == {i: j.hex() for i, j in replay["spent"].items()}
 
 
@@ -336,7 +336,7 @@ def test_replay_rebuilds_the_pinned_runs(config, seed):
     log = io.StringIO()
     m = simulate(state, discover(state), log)
     assert replay_run(config, seed, log.getvalue())["metrics"] == m.to_dict()
-    spent = math.fsum(n.spent_energy for n in state.topology.nodes.values())
+    spent = math.fsum(n.spent_energy for n in state.topology.nodes)
     assert m.ledger_total_j.hex() == spent.hex()
     assert vars(state.ledger) == {"clamped_debits": m.clamped_debits}
 

@@ -1,4 +1,5 @@
-"""Every top-level import in the package, the tests and the demos is used."""
+"""Every top-level import in the package, the tests and the demos is used,
+and every field of a package class is read by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,47 @@ def test_every_top_level_import_is_used():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8"))
              for p in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+# to_dict() serialises every field of RunMetrics, none of them by name.
+UNREAD_EXEMPT = {"RunMetrics"}
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """Class.field for each field of a class in sources that no module of
+    sources reads as an attribute. A class's fields are its annotated
+    class-body names and the self.x its __init__ assigns; classes named in
+    UNREAD_EXEMPT are skipped."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in UNREAD_EXEMPT:
+                continue
+            fields = [stmt.target.id for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            inits = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            for node in (node for init in inits for node in ast.walk(init)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                fields += [t.attr for t in targets if isinstance(t, ast.Attribute)
+                           and isinstance(t.value, ast.Name) and t.value.id == "self"]
+            unread += [f"{cls.name}.{name}" for name in fields if name not in read]
+    return unread
+
+
+def test_the_scan_finds_an_unread_field():
+    assert unread_fields([
+        "class Node:\n    x: int\n    tag: str\n"
+        "class Ledger:\n    def __init__(self):\n        self.total = 0\n"
+        "        self.spare: int = 0\n"
+        "class RunMetrics:\n    unused: int\n",
+        "def f(node, ledger):\n    ledger.total += 1\n    return node.x + ledger.total\n",
+    ]) == ["Node.tag", "Ledger.spare"]
+
+
+def test_every_field_of_a_package_class_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
+    assert unread_fields(sources) == []

@@ -12,7 +12,7 @@ from conftest import make_state, manual_topology
 
 
 def _two_node_state(d=40.0, radio_range=40.0, **cfg):
-    topo = manual_topology({0: (0, 0), 1: (d, 0)}, radio_range=radio_range)
+    topo = manual_topology([(0, 0), (d, 0)], radio_range=radio_range)
     return make_state(topo, **cfg)
 
 
@@ -70,7 +70,7 @@ def test_energy_term_tracks_residual_fraction():
 def _star_state(appr_mode="mean"):
     """Node 1 with neighbors 2, 3, 4 whose PPRs are 0.9, 0.6, 0.6."""
     topo = manual_topology(
-        {0: (200, 0), 1: (0, 0), 2: (30, 0), 3: (0, 30), 4: (-30, 0)},
+        [(200, 0), (0, 0), (30, 0), (0, 30), (-30, 0)],
         radio_range=40.0)
     state = make_state(topo, appr_mode=appr_mode)
     for i in range(10):
@@ -90,7 +90,7 @@ def test_appr_mean_and_literal_sum():
 def test_total_merit_of_single_hop_path():
     """Cold-start literal-mode hop at 80 m with 100 m range:
     1 + 1 + 1/(6400/1600) + 1 = 3.25."""
-    topo = manual_topology({0: (0, 0), 1: (80, 0)}, radio_range=100.0)
+    topo = manual_topology([(0, 0), (80, 0)], radio_range=100.0)
     state = make_state(topo, interference_mode="literal")
     (path,) = discover_paths(0, 1, 1, state).paths
     assert path.node_ids == (0, 1)
@@ -98,7 +98,7 @@ def test_total_merit_of_single_hop_path():
 
 
 def test_suitability_requires_a_link():
-    topo = manual_topology({0: (0, 0), 1: (30, 0), 2: (500, 0)}, radio_range=40.0)
+    topo = manual_topology([(0, 0), (30, 0), (500, 0)], radio_range=40.0)
     state = make_state(topo)
     with pytest.raises(UnknownNodeError):
         suitability(0, 2, state)
@@ -107,7 +107,7 @@ def test_suitability_requires_a_link():
 def test_node_ratios_match_a_recount_of_the_record_calls():
     """PPS and PPR equal a plain per-node recount over a random sequence of
     record_send/record_receive calls."""
-    topo = manual_topology({i: (10 * i, 0) for i in range(6)}, radio_range=100.0)
+    topo = manual_topology([(10 * i, 0) for i in range(6)], radio_range=100.0)
     rng = random.Random(5)
     state = make_state(topo, cold_start_value=0.25)
     calls = []

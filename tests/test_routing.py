@@ -10,7 +10,7 @@ import pytest
 from qempar import (NetworkState, ScenarioConfig, beacon_exchange,
                     discover_paths, minhop_paths, place_nodes, run, rx_energy,
                     tx_energy)
-from qempar import link_metrics
+from qempar import link_metrics, routing
 from qempar.engine import setup
 from qempar.errors import NoPathError
 from qempar.link_metrics import RoutePath, suitability
@@ -30,7 +30,7 @@ def test_beacon_exchange_debits_exact_energy(line_topology):
     assert nodes[0].spent_energy == pytest.approx(tx30 + rx, rel=1e-12)
     assert nodes[1].spent_energy == pytest.approx(tx30 + 2 * rx, rel=1e-12)
     assert nodes[2].spent_energy == pytest.approx(tx30 + rx, rel=1e-12)
-    assert math.fsum(n.spent_energy for n in nodes.values()) == pytest.approx(
+    assert math.fsum(n.spent_energy for n in nodes) == pytest.approx(
         3 * tx30 + 4 * rx, rel=1e-12)
     assert state.ledger.clamped_debits == 0
 
@@ -38,15 +38,15 @@ def test_beacon_exchange_debits_exact_energy(line_topology):
 def test_beacons_never_touch_link_counters(line_topology):
     state = make_state(line_topology, cold_start_value=0.4)
     beacon_exchange(state)
-    for node in line_topology.nodes:
+    for node in range(len(line_topology.nodes)):
         assert state.node_pps(node) == state.node_ppr(node) == 0.4
 
 
 def test_beacon_accounting_can_be_disabled(line_topology):
     state = make_state(line_topology, beacon_accounting=False)
     beacon_exchange(state)
-    assert all(n.spent_energy == 0.0 for n in line_topology.nodes.values())
-    assert math.fsum(n.spent_energy for n in line_topology.nodes.values()) == 0.0
+    assert all(n.spent_energy == 0.0 for n in line_topology.nodes)
+    assert math.fsum(n.spent_energy for n in line_topology.nodes) == 0.0
 
 
 def test_path_set_orders_and_validates():
@@ -109,7 +109,7 @@ def test_adjacent_source_run_reports_distinct_paths(router, node_count, qempar_h
 def _diamond_state():
     """Source 1 and sink 0 joined by two symmetric two-hop corridors."""
     topo = manual_topology(
-        {0: (100, 0), 1: (0, 0), 2: (50, 10), 3: (50, -10)}, radio_range=60.0)
+        [(100, 0), (0, 0), (50, 10), (50, -10)], radio_range=60.0)
     return make_state(topo)
 
 
@@ -138,7 +138,7 @@ def test_discover_rejects_bad_arguments():
 
 
 def test_no_route_raises():
-    topo = manual_topology({0: (0, 0), 1: (500, 0)}, radio_range=40.0)
+    topo = manual_topology([(0, 0), (500, 0)], radio_range=40.0)
     with pytest.raises(NoPathError):
         minhop_paths(1, 0, 1, make_state(topo))
     with pytest.raises(NoPathError):
@@ -153,7 +153,7 @@ def test_discovery_ignores_mac_state():
     for seed in range(1, 21):
         fresh = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
         busy = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
-        busy.active_tx = set(busy.topology.nodes)
+        busy.active_tx = set(range(len(busy.topology.nodes)))
         assert discover_paths(1, 0, 4, busy) == discover_paths(1, 0, 4, fresh), f"seed {seed}"
 
 
@@ -185,12 +185,30 @@ def test_a_later_discovery_sees_a_changed_residual():
 
 
 def test_paths_flag_extended_hops():
-    topo = manual_topology({0: (0, 0), 1: (300, 0), 2: (30, 0)},
+    topo = manual_topology([(0, 0), (300, 0), (30, 0)],
                            radio_range=40.0, fallback=True,
                            extended={1: (2,), 2: (1,)})
     state = make_state(topo)
     # Node 1 reaches the sink only over its 270 m bridge to node 2.
     assert minhop_paths(1, 0, 1, state).paths[0].node_ids == (1, 2, 0)
+
+
+def test_a_huge_hop_budget_searches_no_cap_beyond_n_minus_1(monkeypatch):
+    """Strict progress finds no path on seed 2, so every cap up to cap_max
+    is searched; capped at n - 1 hops, that takes a few dozen passes, not
+    one per unit of the factor."""
+    calls = 0
+    dfs = routing._bounded_greedy_dfs
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10_000, "the depth cap grew with the factor"
+        return dfs(*args)
+
+    monkeypatch.setattr(routing, "_bounded_greedy_dfs", counted)
+    cfg = ScenarioConfig(progress_mode="strict", duration_s=0.1, hop_budget_factor=1e12)
+    assert run(cfg, 2).n_paths == 0
 
 
 def _max_disjoint_paths(state, source, sink):
@@ -207,7 +225,7 @@ def _max_disjoint_paths(state, source, sink):
         adj[a].add(b)
         adj[b].add(a)
 
-    for u in state.topology.nodes:
+    for u in range(len(state.topology.nodes)):
         if u not in (source, sink):
             link((u, 0), (u, 1))
         for v in state.neighbors(u):
@@ -241,8 +259,8 @@ def _graph_state(links):
     for a, b in links:
         extended[a] += (b,)
         extended[b] += (a,)
-    ids = {i for link in links for i in link}
-    return make_state(manual_topology({i: (100 * i, 0) for i in ids}, radio_range=1.0,
+    n = max(i for link in links for i in link) + 1
+    return make_state(manual_topology([(100 * i, 0) for i in range(n)], radio_range=1.0,
                                       extended=dict(extended)))
 
 

@@ -32,7 +32,7 @@ def test_placement_stays_inside_field():
     cfg = ScenarioConfig(node_count=60)
     for seed in range(5):
         topo = place_nodes(cfg, seed)
-        for node in topo.nodes.values():
+        for node in topo.nodes:
             assert 0.0 <= node.position.x <= cfg.field_width
             assert 0.0 <= node.position.y <= cfg.field_height
 
@@ -48,7 +48,7 @@ def test_placement_deterministic_and_seed_sensitive():
 
 
 def test_residual_energy_clamps_and_node_dies():
-    node = NodeState(7, Position(0, 0), initial_energy=1.0)
+    node = NodeState(Position(0, 0), initial_energy=1.0)
     assert not node.spend(0.6)
     assert node.alive and node.residual_energy == pytest.approx(0.4)
     assert node.spend(0.6)  # clamped: only 0.4 remained
@@ -58,15 +58,14 @@ def test_residual_energy_clamps_and_node_dies():
 
 
 def test_neighbors_sorted_and_range_is_closed():
-    topo = manual_topology({0: (0, 0), 1: (40, 0), 2: (80, 0), 3: (39, 0)},
-                           radio_range=40.0)
+    topo = manual_topology([(0, 0), (40, 0), (80, 0), (39, 0)], radio_range=40.0)
     assert neighbors(topo, 0) == [1, 3]  # 1 sits exactly at the range
     assert neighbors(topo, 1) == [0, 2, 3]
     assert neighbors(topo, 2) == [1]
 
 
 def test_neighbors_excludes_dead_nodes():
-    topo = manual_topology({0: (0, 0), 1: (30, 0), 2: (60, 0)}, radio_range=40.0)
+    topo = manual_topology([(0, 0), (30, 0), (60, 0)], radio_range=40.0)
     topo.nodes[1].spend(10.0)
     assert not topo.nodes[1].alive
     assert neighbors(topo, 0) == []  # fallback disabled in manual topologies
@@ -74,16 +73,21 @@ def test_neighbors_excludes_dead_nodes():
 
 
 def test_unknown_node_raises():
-    topo = manual_topology({0: (0, 0), 1: (10, 0)}, radio_range=40.0)
-    with pytest.raises(UnknownNodeError):
-        topo.node(99)
-    with pytest.raises(UnknownNodeError):
-        neighbors(topo, 99)
+    # Ids index a list: a negative id must not wrap around to the last node.
+    topo = manual_topology([(0, 0), (10, 0)], radio_range=40.0)
+    state = make_state(topo)
+    for bad in (-1, 2, 99):
+        with pytest.raises(UnknownNodeError):
+            topo.node(bad)
+        with pytest.raises(UnknownNodeError):
+            neighbors(topo, bad)
+        with pytest.raises(UnknownNodeError):
+            state.carrier_sense_set(bad)
 
 
 def _component_count(topo) -> int:
-    ids = sorted(topo.nodes)
-    parent = {i: i for i in ids}
+    ids = range(len(topo.nodes))
+    parent = list(ids)
 
     def find(i):
         while parent[i] != i:
@@ -123,13 +127,12 @@ def test_bridges_are_symmetric_and_beyond_range():
 
 
 def test_isolated_node_falls_back_to_nearest():
-    topo = manual_topology({0: (0, 0), 1: (30, 0), 2: (500, 0)},
-                           radio_range=40.0, fallback=True)
+    topo = manual_topology([(0, 0), (30, 0), (500, 0)], radio_range=40.0, fallback=True)
     assert neighbors(topo, 2) == [1]  # nearest alive node, 470 m away
 
 
 def test_fallback_prefers_lowest_id_on_distance_tie():
-    topo = manual_topology({0: (0, 0), 1: (200, 100), 2: (200, -100), 3: (200, 0)},
+    topo = manual_topology([(0, 0), (200, 100), (200, -100), (200, 0)],
                            radio_range=40.0, fallback=True)
     # node 3 is 100 m from both 1 and 2 and 200 m from 0
     assert neighbors(topo, 3) == [1]
@@ -142,25 +145,25 @@ def test_fallback_tie_break_holds_on_a_long_row():
             (-40, 30), (30, -40), (40, -30), (-30, -40), (-40, -30)]
     far = [(100 + 3 * i, 100 + 7 * (i % 5)) for i in range(30)]
     points = [(0, 0)] + far[:15] + ring + far[15:]
-    topo = manual_topology(dict(enumerate(points)), radio_range=10.0, fallback=True)
+    topo = manual_topology(points, radio_range=10.0, fallback=True)
     assert neighbors(topo, 0) == [16]
 
 
 def test_equal_distance_bridges_follow_the_id_pair_order():
     # Four isolated corners of a 100 m square: the four sides tie at 100 m,
-    # and Kruskal takes them in (a, b) order, (2, 7), (2, 11), (4, 7), leaving
-    # (4, 11) out.
-    topo = manual_topology({7: (0, 0), 2: (100, 0), 11: (100, 100), 4: (0, 100)},
+    # and Kruskal takes them in (a, b) order, (0, 2), (0, 3), (1, 2), leaving
+    # (1, 3) out.
+    topo = manual_topology([(100, 0), (0, 100), (0, 0), (100, 100)],
                            radio_range=40.0, fallback=True)
-    assert _bridge_components(topo) == {2: (7, 11), 7: (2, 4), 11: (2,), 4: (7,)}
+    assert _bridge_components(topo) == {0: (2, 3), 2: (0, 1), 3: (0,), 1: (2,)}
 
 
 # The all-pairs scans that the distance table replaced, kept as the oracle.
 
 def _scan_bridges(topo):
-    ids = sorted(topo.nodes)
-    pos = {i: topo.nodes[i].position for i in ids}
-    parent = {i: i for i in ids}
+    pos = [node.position for node in topo.nodes]
+    ids = range(len(pos))
+    parent = list(ids)
 
     def find(i):
         while parent[i] != i:
@@ -189,7 +192,7 @@ def _scan_bridges(topo):
 
 def _scan_neighbors(topo, node_id):
     me = topo.nodes[node_id]
-    out = [i for i, other in topo.nodes.items()
+    out = [i for i, other in enumerate(topo.nodes)
            if i != node_id and other.alive
            and distance(me.position, other.position) <= topo.radio_range]
     for i in topo.extended_links.get(node_id, ()):
@@ -197,7 +200,7 @@ def _scan_neighbors(topo, node_id):
             out.append(i)
     if not out and topo.fallback_enabled:
         alive = [(distance(me.position, other.position), i)
-                 for i, other in topo.nodes.items() if i != node_id and other.alive]
+                 for i, other in enumerate(topo.nodes) if i != node_id and other.alive]
         if alive:
             return [min(alive)[1]]
     return sorted(out)
@@ -205,26 +208,26 @@ def _scan_neighbors(topo, node_id):
 
 def _scan_carrier_sense(topo, node_id, cs):
     here = topo.nodes[node_id].position
-    return frozenset(i for i, other in topo.nodes.items()
+    return frozenset(i for i, other in enumerate(topo.nodes)
                      if i != node_id and distance(here, other.position) <= cs)
 
 
 @st.composite
 def fields(draw):
-    """Small fields with non-contiguous ids. Lattice coordinates put pairs
-    exactly at range, repeat positions and tie distances between components;
-    free coordinates fill in the rest."""
-    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=24, unique=True))
+    """Small fields of 1 to 24 nodes. Lattice coordinates put pairs exactly
+    at range, repeat positions and tie distances between components; free
+    coordinates fill in the rest."""
+    n = draw(st.integers(1, 24))
     coord = st.integers(0, 16).map(lambda v: 8.0 * v) | st.floats(0.0, 130.0)
-    positions = {i: (draw(coord), draw(coord)) for i in ids}
+    positions = [(draw(coord), draw(coord)) for _ in range(n)]
     radius = draw(st.sampled_from([8.0, 24.0, 40.0]) | st.floats(1.0, 60.0))
-    dead = draw(st.sets(st.sampled_from(ids)))
+    dead = draw(st.sets(st.integers(0, n - 1)))
     return positions, radius, draw(st.booleans()), dead, draw(st.sampled_from([0.0, 1.0, 2.0, 2.5]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields())
-@example(({0: (0.0, 0.0), 1: (24.0, 32.0), 2: (24.0, 32.0), 5: (300.0, 0.0)}, 40.0, True, {1}, 1.0))
+@example(([(0.0, 0.0), (24.0, 32.0), (24.0, 32.0), (300.0, 0.0)], 40.0, True, {1}, 1.0))
 def test_distance_table_matches_the_all_pairs_scans(field_spec):
     """Bridges, neighbor lists (dead nodes and the nearest-alive fallback
     included) and carrier-sense sets equal the brute-force scans."""
@@ -236,7 +239,7 @@ def test_distance_table_matches_the_all_pairs_scans(field_spec):
     for i in dead:
         topo.nodes[i].alive = False
     state = make_state(topo, carrier_sense_factor=cs_factor)
-    for i in positions:
+    for i in range(len(positions)):
         assert neighbors(topo, i) == _scan_neighbors(topo, i)
         assert state.carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
 
@@ -255,5 +258,5 @@ def test_set_up_calls_distance_linearly_often(monkeypatch):
         monkeypatch.setattr(module, "distance", counted)
     cfg = ScenarioConfig(node_count=300, seed=3)
     state = setup(cfg)
-    assert math.fsum(n.spent_energy for n in state.topology.nodes.values()) > 0
+    assert math.fsum(n.spent_energy for n in state.topology.nodes) > 0
     assert calls <= cfg.node_count
