@@ -87,6 +87,11 @@ class ScenarioConfig:
     def packet_bits(self) -> int:
         return self.packet_bytes * 8
 
+    @property
+    def fragments_per_packet(self) -> int:
+        """fragment_count under qempar; minhop sends whole packets."""
+        return self.fragment_count if self.router == "qempar" else 1
+
     def radio_params(self) -> RadioParams:
         return RadioParams(
             e_elec=self.e_elec_j_per_bit,
@@ -162,13 +167,15 @@ class ScenarioConfig:
         # every interference term and debit. A node takes at most node_count
         # beacon-round debits (its beacon and those it hears) and one traffic
         # debit past its initial energy; the factor 2 covers round-off. The
-        # largest frame is fragment 1 with its header, or a beacon. The
-        # packet count is about rate times duration.
+        # largest frame is fragment 1 with its header, or a beacon. A hop
+        # starts at one of about rate x duration births or at an earlier hop's
+        # end, and a fragment makes at most retries + 1 attempts on each of
+        # at most n - 1 hops, so no event is later than the last deadline
+        # plus all those attempts in a row, each at its longest.
         d = math.hypot(self.field_width, self.field_height)
-        n = self.node_count
-        bits = max(fragment(self.packet_bits, self.fragment_count)[0]
-                   + 8 * self.fragment_header_bytes,
-                   8 * self.beacon_bytes if self.beacon_accounting else 0)
+        n, k = self.node_count, self.fragments_per_packet
+        frame = fragment(self.packet_bits, k)[0] + 8 * self.fragment_header_bytes
+        bits = max(frame, 8 * self.beacon_bytes if self.beacon_accounting else 0)
         diagonal = f"over the {d:g} m field diagonal"
         for keys, where, bound in (
                 ("interference_alpha and interference_reference", diagonal,
@@ -178,8 +185,13 @@ class ScenarioConfig:
                  "fragment_header_bytes and beacon_bytes", diagonal,
                  lambda: 2.0 * n * (self.initial_energy_j
                                     + n * tx_energy(bits, d, self.radio_params()))),
-                ("rate_pkts_per_s and duration_s", "in the packet count",
-                 lambda: self.rate_pkts_per_s * self.duration_s)):
+                ("rate_pkts_per_s, duration_s, reassembly_deadline_s, node_count, fragment_count, "
+                 "hop_retry_limit, packet_bytes, fragment_header_bytes, bit_rate_bps, "
+                 "access_delay_s and contention_delay_s", "in the latest event time",
+                 lambda: 2.0 * (self.duration_s + self.reassembly_deadline_s
+                                + (self.rate_pkts_per_s * self.duration_s + 1) * k * (n - 1)
+                                * (self.hop_retry_limit + 1) * (frame / self.bit_rate_bps
+                                + self.access_delay_s + self.contention_delay_s * n)))):
             try:
                 ok = math.isfinite(bound())
             except OverflowError:

@@ -64,9 +64,8 @@ def rx_energy(bits: int, params: RadioParams) -> float:
 @dataclass
 class EnergyLedger:
     """The set-up debit: charges a node and counts the charges that asked
-    for more than the node had left. Each node's spent_energy is the one
-    account of what it spent; the event loop debits its own flat copy of
-    those accounts and adds its clamps to clamped_debits."""
+    for more than the node had left. The event loop debits a copy of the
+    nodes' accounts, counts its own clamps and changes neither."""
 
     clamped_debits: int = 0
 

@@ -20,8 +20,10 @@ an inner loop while strictly earlier than the next birth and deadline.
 Carrier sense counts the sender's carrier-sense set within the set of
 transmitting nodes, which the loop keeps exact at every instant. Each
 debit adds to its node's spent energy in the flat list, as NodeState.spend
-would, and one that asks for more than the node had left is counted; the
-spent energies go back to the nodes and the count into the ledger at the end.
+would, and one that asks for more than the node had left is counted. The
+metrics are read from those lists and that count; simulate() writes nothing
+to the state it is given, so one post-discovery state can be simulated
+again with the same result.
 
 With an event log, each event becomes one Event and one line written by
 Event.to_json from a fixed format: the keys t, kind, node, peer, packet,
@@ -200,36 +202,37 @@ def setup(config) -> NetworkState:
     return state
 
 
-def _fragments_per_packet(config) -> int:
-    return config.fragment_count if config.router == "qempar" else 1
-
-
 def discover(state) -> list:
     """The ranked paths of state.config.router, [] with no route: qempar asks
     discover_paths for fragment_count paths, minhop asks minhop_paths for 1."""
     config, topo = state.config, state.topology
     find = discover_paths if config.router == "qempar" else minhop_paths
     try:
-        return list(find(topo.source_id, topo.sink_id, _fragments_per_packet(config), state).paths)
+        return list(find(topo.source_id, topo.sink_id, config.fragments_per_packet, state).paths)
     except NoPathError:
         return []
 
 
 def simulate(state, paths, log=None) -> RunMetrics:
     """Run state.config's traffic over paths (none: every packet is dropped)
-    and return the metrics. It spends the state it is given, whose nodes'
-    energy and liveness and whose clamp count then carry the traffic; log is
-    a file or None."""
+    and return the metrics; log is a file or None. The state is only read,
+    so simulating it again gives equal metrics and log bytes."""
+    return _simulate(state, paths, log)[0]
+
+
+def _simulate(state, paths, log) -> tuple[RunMetrics, list[float]]:
+    """simulate()'s metrics and node i's spent energy at the end at index i."""
     config, nodes = state.config, state.topology.nodes
     setup_spent = [n.spent_energy for n in nodes]
     setup_energy = math.fsum(setup_spent)
 
     times = arrival_times(config, config.seed)
     n_packets = len(times)
-    buffer = ReassemblyBuffer(times, _fragments_per_packet(config), config.reassembly_deadline_s)
+    buffer = ReassemblyBuffer(times, config.fragments_per_packet, config.reassembly_deadline_s)
     if paths:
-        _traffic(state, paths, times, buffer, log)
+        spent, clamped = _traffic(state, paths, times, buffer, log)
     else:
+        spent, clamped = setup_spent, 0
         for pid in range(n_packets):
             buffer.drop(pid)
 
@@ -244,9 +247,9 @@ def simulate(state, paths, log=None) -> RunMetrics:
 
     # fsum is correctly rounded, so the order of its inputs cannot matter.
     participants = set().union(*(p.node_ids for p in paths))
-    participant_energy = math.fsum(nodes[i].spent_energy - setup_spent[i] for i in participants)
-    total_energy = math.fsum(n.spent_energy for n in nodes)
-    residual_total = math.fsum(n.residual_energy for n in nodes)
+    participant_energy = math.fsum(spent[i] - setup_spent[i] for i in participants)
+    total_energy = math.fsum(spent)
+    residual_total = math.fsum(max(0.0, n.initial_energy - s) for n, s in zip(nodes, spent))
     mean_energy = participant_energy / delivered if delivered else None
 
     return RunMetrics(
@@ -268,18 +271,17 @@ def simulate(state, paths, log=None) -> RunMetrics:
         ledger_total_j=total_energy,
         residual_total_j=residual_total,
         out_of_order_ratio=out_of_order,
-        clamped_debits=state.ledger.clamped_debits)
+        clamped_debits=state.ledger.clamped_debits + clamped), spent
 
 
-def _traffic(state, paths, times, buffer, log) -> None:
+def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     """Drive every packet through the MAC along its fragments' paths,
-    settling each packet's status in buffer.
+    settling each packet's status in buffer; returns every node's spent
+    energy at the end and the count of the loop's clamped debits.
 
-    Node i is topology.nodes[i], so for the length of the loop each node's
-    spent energy, liveness and busy-until time live in flat lists indexed by
-    id; spent energy and liveness are written back to the NodeStates, and
-    the count of clamped debits added to the ledger, at the end.
-    """
+    Node i is topology.nodes[i], so each node's spent energy, liveness,
+    busy-until time and queue live in flat lists indexed by id, starting
+    from the nodes as setup() left them, which the loop never changes."""
     config = state.config
     topo = state.topology
     params = state.params
@@ -318,12 +320,12 @@ def _traffic(state, paths, times, buffer, log) -> None:
     queues: list[deque | None] = [None] * n_nodes
     # Debits beyond what their node had left, as NodeState.spend counts them.
     clamped = 0
-    # Carrier sense counts state.active_tx, which the loop keeps equal to the
-    # nodes whose latest hop ends after the current time: a node joins when
-    # it starts a hop and leaves when a hop end of its runs with no later hop
+    # Carrier sense counts active, which the loop keeps equal to the nodes
+    # whose latest hop ends after the current time: a node joins when it
+    # starts a hop and leaves when a hop end of its runs with no later hop
     # started. Hop ends due at the current time that have not run yet are
     # settled by start_hop before it senses the carrier.
-    active = state.active_tx
+    active: set[int] = set()
     reassemble = buffer.reassemble
     drop = buffer.drop
     link_random = random.Random(config.seed ^ 0x9E3779B9).random
@@ -458,10 +460,7 @@ def _traffic(state, paths, times, buffer, log) -> None:
             if buffer.expire(pid, t) and log is not None:
                 emit(t, "deadline-expired", sink, None, pid)
 
-    for node, node_spent, node_alive in zip(nodes, spent, alive):
-        node.spent_energy = node_spent
-        node.alive = node_alive
-    state.ledger.clamped_debits += clamped
+    return spent, clamped
 
 
 def _run_cell(args) -> tuple:

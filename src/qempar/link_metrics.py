@@ -40,18 +40,16 @@ class RoutePath:
 
 
 class NetworkState:
-    """Everything the metrics need about a running network: topology (whose
-    nodes keep their spent energy), radio constants, scenario config,
-    per-node send and receive counts, the energy ledger, which debits set-up
-    charges and counts clamped debits, and active_tx, the nodes transmitting
-    at the event loop's current time."""
+    """A field as set-up leaves it, which discovery and the event loop only
+    read: topology (whose nodes keep their set-up spent energy), radio
+    constants, scenario config, per-node send and receive counts, and the
+    energy ledger, which debits set-up charges and counts their clamps."""
 
     def __init__(self, topology: Topology, params: RadioParams, config):
         self.topology = topology
         self.params = params
         self.config = config
         self.ledger = EnergyLedger()
-        self.active_tx: set[int] = set()
         # Per-node [attempted, succeeded] send and receive counts.
         self._send_agg: dict[int, list[int]] = {}
         self._recv_agg: dict[int, list[int]] = {}
@@ -92,14 +90,8 @@ class NetworkState:
         """Drop cached neighbor lists (call after any node death)."""
         self._nbr_cache.clear()
 
-    def active_transmitters_near(self, node_id: int) -> int:
-        """Nodes of active_tx, other than node_id, within carrier-sense range
-        (carrier_sense_factor times the radio range) of node_id. The event
-        loop keeps a node that died mid-transmission in active_tx until its
-        transmission ends."""
-        active = self.active_tx
-        if not active:
-            return 0
+    def active_transmitters_near(self, node_id: int, active: set[int]) -> int:
+        """Nodes of active within carrier_sense_set(node_id)."""
         return len(active & self.carrier_sense_set(node_id))
 
     def carrier_sense_set(self, node_id: int) -> frozenset[int]:

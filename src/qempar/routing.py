@@ -72,19 +72,14 @@ def beacon_exchange(state: NetworkState) -> None:
     # dies in this round still hears and is heard by everyone.
     nbr_map = {i: state.neighbors(i) for i in ids}
     table = topo.distances
-    any_death = False
     for i in ids:
         nbrs = nbr_map[i]
         if not nbrs:
             continue
-        me = topo.nodes[i]
-        reach = table.farthest(i, nbrs)
-        ledger.add(me, tx_energy(bits, reach, params))
-        any_death = any_death or not me.alive
+        ledger.add(topo.nodes[i], tx_energy(bits, table.farthest(i, nbrs), params))
         for v in nbrs:
             ledger.add(topo.nodes[v], rx_j)
-            any_death = any_death or not topo.nodes[v].alive
-    if any_death:
+    if not all(topo.nodes[i].alive for i in ids):
         state.invalidate_neighbors()
 
 

@@ -42,13 +42,17 @@ def distance(a: Position, b: Position) -> float:
 
 @dataclass
 class NodeState:
-    """Mutable per-node state. residual_energy is derived from spent_energy
-    so that energy conservation holds to float round-off."""
+    """A node and what set-up spent of its energy. Liveness and residual
+    energy are derived from spent_energy, so a node is dead exactly when it
+    has spent its energy and conservation holds to float round-off."""
 
     position: Position
     initial_energy: float  # joules, > 0
     spent_energy: float = 0.0
-    alive: bool = True
+
+    @property
+    def alive(self) -> bool:
+        return self.spent_energy < self.initial_energy
 
     @property
     def residual_energy(self) -> float:
@@ -56,12 +60,10 @@ class NodeState:
         return max(0.0, self.initial_energy - self.spent_energy)
 
     def spend(self, joules: float) -> bool:
-        """Deduct joules; kill the node at zero. Returns True if the charge
-        was clamped (requested more than remained)."""
+        """Deduct joules, which kills the node at zero. Returns True if the
+        charge was clamped (requested more than remained)."""
         clamped = joules > self.initial_energy - self.spent_energy
         self.spent_energy += joules
-        if self.spent_energy >= self.initial_energy:
-            self.alive = False
         return clamped
 
 

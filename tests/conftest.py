@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from qempar import NetworkState, ScenarioConfig, run
-from qempar.engine import arrival_times, discover, setup
+from qempar.engine import _simulate, arrival_times, discover, setup
 from qempar.topology import NodeState, Position, Topology, distance
 
 
@@ -120,11 +120,33 @@ def run_and_replay(config, seed):
     return m, log.getvalue(), replay
 
 
+def simulate_twice(config, seed):
+    """(metrics, log text, spent) of simulate() on one post-discovery state,
+    spent being every node's spent energy at the end of the run. The state
+    is simulated twice: asserts that both runs give equal metrics, log bytes
+    and energies, and that neither changes the nodes' spent energies, the
+    ledger or what discover() finds."""
+    state = setup(replace(config, seed=seed))
+    paths = discover(state)
+    nodes = state.topology.nodes
+    before = [n.spent_energy.hex() for n in nodes], dict(vars(state.ledger))
+    runs = []
+    for _ in range(2):
+        log = io.StringIO()
+        m, spent = _simulate(state, paths, log)
+        runs.append((m, log.getvalue(), [s.hex() for s in spent]))
+        assert ([n.spent_energy.hex() for n in nodes], vars(state.ledger)) == before
+    assert runs[0] == runs[1], "a second simulate() of one state differs"
+    assert discover(state) == paths
+    return m, log.getvalue(), spent
+
+
 @st.composite
 def valid_configs(draw):
     """Small configs that pass validate(): tiny and degenerate fields (two
     nodes, a source next to the sink, no bridging), short horizons, nodes
-    that die from their first beacons, and search budgets that truncate."""
+    that die from their first beacons, search budgets that truncate, and
+    both scoring modes over drawn radio, MAC and interference constants."""
     width = draw(st.floats(1.0, 120.0))
     height = draw(st.floats(1.0, 120.0))
     frac = st.floats(0.0, 1.0)
@@ -155,6 +177,18 @@ def valid_configs(draw):
         base_success=draw(st.floats(0.01, 1.0)),
         success_distance_slope=draw(st.floats(0.0, 1.0)),
         router=draw(st.sampled_from(["qempar", "minhop"])),
+        bit_rate_bps=draw(st.floats(1e4, 1e7)),
+        access_delay_s=draw(st.floats(0.0, 0.005)),
+        contention_delay_s=draw(st.floats(0.0, 0.005)),
+        e_elec_j_per_bit=draw(st.floats(1e-9, 1e-6)),
+        eps_fs_j_per_bit_m2=draw(st.floats(1e-13, 1e-10)),
+        eps_mp_j_per_bit_m4=draw(st.floats(1e-16, 1e-12)),
+        beacon_bytes=draw(st.integers(1, 64)),
+        cold_start_value=draw(st.floats(0.0, 1.0)),
+        appr_mode=draw(st.sampled_from(["mean", "literal"])),
+        interference_mode=draw(st.sampled_from(["normalized", "literal"])),
+        interference_reference=draw(st.floats(1.0, 1e4)),
+        interference_alpha=draw(st.floats(0.5, 4.0)),
     )
 
 

@@ -118,14 +118,23 @@ def test_values_of_the_wrong_type_are_rejected_before_placement(field, value, mo
     ({"field_width": 1e200, "field_height": 1e200}, ["field_width", "eps_mp_j_per_bit_m4"]),
     ({"initial_energy_j": 1e307}, ["node_count", "initial_energy_j"]),
     ({"duration_s": 1.7e308}, ["rate_pkts_per_s", "duration_s"]),
-], ids=["alpha-200", "reference-1e-305", "field-1e200", "initial-energy-1e307", "duration-1.7e308"])
+    ({"access_delay_s": 1e308, "duration_s": 0.5}, ["access_delay_s", "latest event time"]),
+    ({"bit_rate_bps": 5e-324, "duration_s": 0.5}, ["bit_rate_bps", "latest event time"]),
+    ({"router": "minhop", "packet_bytes": 100000, "fragment_count": 800000,
+      "fragment_header_bytes": 0, "beacon_accounting": False, "e_elec_j_per_bit": 3e302,
+      "node_count": 2}, ["packet_bytes", "e_elec_j_per_bit"]),
+], ids=["alpha-200", "reference-1e-305", "field-1e200", "initial-energy-1e307", "duration-1.7e308",
+        "access-delay-1e308", "bit-rate-5e-324", "minhop-whole-packet"])
 def test_configs_whose_model_overflows_over_the_field_diagonal_are_rejected_before_placement(
         overrides, keys, monkeypatch):
     """Each of these passes every other check. Unchecked, the interference
     term of a long link is infinite (reference 1e-305) or raises
     OverflowError mid-run (d ** alpha), as do tx_energy (d ** 4) and the
-    fsum of the nodes' energies, and the packet count (rate x duration)
-    cannot be converted to an int."""
+    fsum of the nodes' energies, the packet count (rate x duration) cannot
+    be converted to an int, a hop ends at an infinite time and so never ends
+    in the log (access delay 1e308, a subnormal bit rate), and a minhop
+    frame, the whole packet, costs infinite energy where fragment 1 would
+    not."""
     def placement(*args):
         raise AssertionError("placement ran")
 
@@ -263,6 +272,8 @@ def test_bad_configuration_exits_2(capsys):
     ["sweep", "--rates", ","],
     ["run", "--set", "interference_alpha=500", "--set", "duration_s=1"],
     ["run", "--set", "duration_s=1.7e308"],
+    ["run", "--set", "access_delay_s=1e308", "--set", "duration_s=0.5"],
+    ["run", "--set", "bit_rate_bps=5e-324", "--set", "duration_s=0.5"],
 ])
 def test_invalid_values_exit_2_before_any_cell_runs(argv, monkeypatch, capsys):
     ran = []

@@ -18,7 +18,7 @@ from qempar.energy import EnergyLedger
 from qempar.errors import ConfigError
 from qempar.link_metrics import NetworkState
 
-from conftest import KINDS, replay_run, run_and_replay, valid_configs
+from conftest import KINDS, replay_run, run_and_replay, simulate_twice, valid_configs
 from test_byte_identity import DEFAULT_MINHOP, DEFAULT_TIES, DENSE_LITERAL, DENSE_QEMPAR, EXPIRING
 
 
@@ -265,24 +265,25 @@ def test_packet_born_at_a_dying_source_is_dropped():
     assert (m.generated, m.delivered, m.expired, m.dropped) == (100, 3, 0, 97)
 
 
+def _spent_hex(spent: dict) -> dict:
+    return {i: j.hex() for i, j in spent.items() if j}
+
+
 @pytest.mark.parametrize("router, beacon_accounting", [("minhop", True), ("qempar", True),
                                                        ("qempar", False)])
 def test_spent_energy_equals_ledger_add_replayed_from_the_log(router, beacon_accounting):
-    """Every node's spent energy after simulate(), bit for bit, and the clamp
-    count equal EnergyLedger.add applied to every logged debit in log order
-    (replay_run), from the nodes and ledger of setup(). Nodes die here, so
-    some debits are clamped; without beacon accounting only nodes the
-    traffic debits have spent anything."""
+    """Every node's spent energy at the end of simulate(), bit for bit, and
+    the clamp count equal EnergyLedger.add applied to every logged debit in
+    log order (replay_run), from the nodes and ledger of setup(). Nodes die
+    here, so some debits are clamped; without beacon accounting only nodes
+    the traffic debits have spent anything."""
     cfg = ScenarioConfig(duration_s=2.0, rate_pkts_per_s=50.0, initial_energy_j=2e-3,
-                         router=router, beacon_accounting=beacon_accounting, seed=1)
-    state = setup(cfg)
-    log = io.StringIO()
-    m = simulate(state, discover(state), log)
-    replay = replay_run(cfg, 1, log.getvalue())
+                         router=router, beacon_accounting=beacon_accounting)
+    m, text, spent = simulate_twice(cfg, 1)
+    replay = replay_run(cfg, 1, text)
     assert m.clamped_debits > 0
     assert replay["metrics"] == m.to_dict()
-    spent = {i: n.spent_energy.hex() for i, n in enumerate(state.topology.nodes) if n.spent_energy}
-    assert spent == {i: j.hex() for i, j in replay["spent"].items()}
+    assert _spent_hex(dict(enumerate(spent))) == _spent_hex(replay["spent"])
 
 
 class _CountingLog(io.StringIO):
@@ -329,16 +330,17 @@ def test_zero_packet_run_has_no_delivery_ratio():
     (DENSE_QEMPAR, 7), (DEFAULT_MINHOP, 1), (DENSE_LITERAL, 7), (DEFAULT_TIES, 16), (EXPIRING, 16),
 ], ids=["dense-qempar", "default-minhop", "dense-literal", "default-ties", "expiring"])
 def test_replay_rebuilds_the_pinned_runs(config, seed):
-    """The replay rebuilds each pinned run's metrics, and each node's spent
-    energy is the one energy account: ledger_total_j is their fsum, bit for
-    bit, and the ledger keeps nothing but the count of clamped debits."""
-    state = setup(replace(config, seed=seed))
-    log = io.StringIO()
-    m = simulate(state, discover(state), log)
-    assert replay_run(config, seed, log.getvalue())["metrics"] == m.to_dict()
-    spent = math.fsum(n.spent_energy for n in state.topology.nodes)
-    assert m.ledger_total_j.hex() == spent.hex()
-    assert vars(state.ledger) == {"clamped_debits": m.clamped_debits}
+    """The replay rebuilds each pinned run's metrics and every node's spent
+    energy, simulate() leaves the state it is given as it was, and each
+    node's spent energy is the one energy account: ledger_total_j is their
+    fsum, bit for bit, and the ledger keeps nothing but the count of clamped
+    debits."""
+    m, text, spent = simulate_twice(config, seed)
+    replay = replay_run(config, seed, text)
+    assert replay["metrics"] == m.to_dict()
+    assert _spent_hex(dict(enumerate(spent))) == _spent_hex(replay["spent"])
+    assert m.ledger_total_j.hex() == math.fsum(spent).hex()
+    assert list(vars(setup(replace(config, seed=seed)).ledger)) == ["clamped_debits"]
 
 
 @pytest.mark.parametrize("kind, change", [
@@ -451,9 +453,15 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
     """replay_run rebuilds the metrics, including every hop's carrier-sense
     count, and every log line is the compact json.dumps of its record
     (finite: validate() rejects non-finite floats). The examples pin a
-    two-node field, nodes that die mid-run and carrier_sense_factor 0."""
+    two-node field, nodes that die mid-run and carrier_sense_factor 0.
+    simulate() of one set-up, run twice, leaves that state as it was and
+    gives run()'s metrics and log bytes and the replayed energies both
+    times."""
     cfg.validate()
-    m, text, _ = run_and_replay(cfg, seed)
+    m, text, replay = run_and_replay(cfg, seed)
+    sim_m, sim_text, spent = simulate_twice(cfg, seed)
+    assert (sim_m, sim_text) == (m, text)
+    assert _spent_hex(dict(enumerate(spent))) == _spent_hex(replay["spent"])
     for line in text.splitlines():
         assert line == json.dumps(json.loads(line), separators=(",", ":"))
     assert m.ledger_total_j == m.total_energy_j

@@ -1,5 +1,6 @@
 """Beacon exchange accounting and multi-path discovery."""
 
+import hashlib
 import math
 import random
 from collections import Counter, defaultdict, deque
@@ -7,11 +8,10 @@ from dataclasses import replace
 
 import pytest
 
-from qempar import (NetworkState, ScenarioConfig, beacon_exchange,
-                    discover_paths, minhop_paths, place_nodes, run, rx_energy,
-                    tx_energy)
+from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, run,
+                    rx_energy, tx_energy)
 from qempar import link_metrics, routing
-from qempar.engine import setup
+from qempar.engine import discover, setup, simulate
 from qempar.errors import NoPathError
 from qempar.link_metrics import RoutePath, suitability
 from qempar.routing import PathSet
@@ -146,15 +146,15 @@ def test_no_route_raises():
 
 
 def test_discovery_ignores_mac_state():
-    """Discovery scores what exists before traffic: a state with every node
-    mid-transmission yields the same paths and merits as a fresh one."""
+    """Discovery scores what exists before traffic: after traffic has run on
+    a state, it yields the same paths and merits as before."""
     cfg = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
-                         source_x=212.1, source_y=212.1)
+                         source_x=212.1, source_y=212.1, duration_s=0.5, rate_pkts_per_s=30.0)
     for seed in range(1, 21):
-        fresh = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
-        busy = NetworkState(place_nodes(cfg, seed), cfg.radio_params(), cfg)
-        busy.active_tx = set(range(len(busy.topology.nodes)))
-        assert discover_paths(1, 0, 4, busy) == discover_paths(1, 0, 4, fresh), f"seed {seed}"
+        state = setup(replace(cfg, seed=seed))
+        paths = discover(state)
+        assert simulate(state, paths).generated > 0
+        assert discover(state) == paths, f"seed {seed}"
 
 
 def test_discovery_scores_each_link_at_most_once(monkeypatch):
@@ -294,3 +294,33 @@ def test_routers_find_no_more_paths_than_max_flow_allows():
             except NoPathError:
                 n_paths = 0
             assert n_paths <= bound, (cfg, find.__name__)
+
+
+# Fields whose discovery the path hash pins: the default; a dense field with
+# several disjoint paths; literal scoring; strict progress under a visit
+# budget that truncates; a sparse field without bridging; strict progress
+# with the tightest hop budget; and nodes that die in the beacon round.
+PINNED_DISCOVERY = [
+    ScenarioConfig(),
+    ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                   source_x=212.1, source_y=212.1),
+    ScenarioConfig(node_count=200, appr_mode="literal", interference_mode="literal"),
+    ScenarioConfig(node_count=300, progress_mode="strict", search_visit_budget=50),
+    ScenarioConfig(node_count=60, extended_range_fallback=False),
+    ScenarioConfig(node_count=40, progress_mode="strict", hop_budget_factor=1.0),
+    ScenarioConfig(node_count=120, initial_energy_j=2e-4),
+]
+
+
+def test_discovered_paths_are_pinned():
+    """Every path both routers find on seeds 1-30 of each pinned field, its
+    node ids and the exact bits of its merit, fed in order into one hash."""
+    digest, n_paths = hashlib.sha256(), 0
+    for cfg in PINNED_DISCOVERY:
+        for router in ("qempar", "minhop"):
+            for seed in range(1, 31):
+                for p in discover(setup(replace(cfg, router=router, seed=seed))):
+                    digest.update(repr((p.node_ids, p.merit.hex())).encode())
+                    n_paths += 1
+    assert n_paths == 322
+    assert digest.hexdigest() == "d16e5c304a678c379288c2a97981610deda970ed68d58b30b145c9079228e0df"

@@ -237,7 +237,7 @@ def test_distance_table_matches_the_all_pairs_scans(field_spec):
         topo.extended_links = _bridge_components(topo)
         assert topo.extended_links == _scan_bridges(topo)
     for i in dead:
-        topo.nodes[i].alive = False
+        topo.nodes[i].spend(topo.nodes[i].initial_energy)
     state = make_state(topo, carrier_sense_factor=cs_factor)
     for i in range(len(positions)):
         assert neighbors(topo, i) == _scan_neighbors(topo, i)
