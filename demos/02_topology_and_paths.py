@@ -27,8 +27,10 @@ print(f"source neighbors: {state.neighbors(1)}")
 print(f"extended links added to connect components: {topology.extended_links or 'none'}")
 
 # One beacon round debits every node for its own beacon and for each one it
-# hears. It builds no tables: the suitability score reads positions, residual
-# energy and the cold-start PPS/PPR value straight from the network state.
+# hears. It keeps no per-node neighbor table: placement's distance table
+# already gives every node its in-range list, and the suitability score
+# reads positions, residual energy and the cold-start PPS/PPR value straight
+# from the network state.
 beacon_exchange(state)
 beacon_j = math.fsum(n.spent_energy for n in topology.nodes)
 print(f"beacon round cost: {beacon_j * 1e3:.3f} mJ across the field")

@@ -6,6 +6,12 @@ the protocol router searches greedily by link suitability (progressing
 candidates first) with backtracking under an iteratively deepened hop budget;
 the baseline router takes minimum-hop paths by breadth-first search. Paths
 share only the source and sink.
+
+The greedy search ranks a node's candidates once each time it enters the
+node and tries them in that order, which takes the same steps and scores
+the same links as re-ranking the eligible candidates at every step: while a
+node is on top of the path, nothing entered deeper in its subtree can rule
+out one of its own candidates (see _bounded_greedy_dfs).
 """
 
 from __future__ import annotations
@@ -121,50 +127,65 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
     direct_ok the source-to-sink link itself is skipped. Returns
     (path or None, truncated, deepest_partial): truncated means the visit
     budget stopped an unfinished search.
+
+    Each node ranks its candidates once each time it is entered, and the
+    search then tries them in that order. That is the step re-ranking at
+    every step would take: while a node is on top of the path, only its own
+    pushes change which of its candidates are eligible, since the path
+    below it is fixed and a node entered deeper in its subtree is entered
+    deeper than the node's children, with `entered` only falling. The
+    non-progressing candidates are ranked only when the progressing ones
+    run out, as re-ranking would first score them then, so the same links
+    are scored.
     """
-    strict = state.config.progress_mode == "strict"
+    # Shallowest depth each node has been entered at during this cap. A
+    # candidate is entered only strictly shallower than before; without
+    # this the backtracking search re-explores subtrees exponentially. The
+    # nodes on the path and those already tried from the current node sit
+    # no deeper than its children would, so this one test rules them out;
+    # banned nodes count as entered at the source's depth 0, so it rules
+    # them out too.
+    entered = [depth_cap + 1] * len(dist_to_sink)
+    for v in banned:
+        if v != sink:
+            entered[v] = 0
+    entered[source] = 0
+    tiers = (True,) if state.config.progress_mode == "strict" else (True, False)
+
+    def next_hops(cur: int, depth: int):
+        """cur's candidates entered at depth, best first."""
+        here = dist_to_sink[cur]
+        links = state.neighbors(cur)
+        if cur == source and not direct_ok:
+            links = [v for v in links if v != sink]
+        # Neighbor lists ascend by id and sorted() is stable, reverse=True
+        # included, so equal scores keep the lowest id first.
+        by_score = partial(score, cur)
+        for progressing in tiers:
+            yield from sorted([v for v in links if (dist_to_sink[v] < here) is progressing
+                               and entered[v] > depth], key=by_score, reverse=True)
+
     path = [source]
-    on_path = {source}
-    tried: dict[int, set[int]] = {source: set()}
-    # Shallowest depth each node has been expanded at during this cap. A
-    # candidate is re-entered only strictly shallower than before; without
-    # this the backtracking search re-explores subtrees exponentially.
-    entered = {source: 0}
+    hops = []  # next_hops of path[i], made when path[i] first extends
     deepest = [source]
     visits = 0
     while path:
-        cur = path[-1]
-        if cur == sink:
+        depth = len(path)
+        if path[-1] == sink:
             return path, False, deepest
         nxt = None
-        if len(path) - 1 < depth_cap and visits < visit_budget:
-            depth = len(path)
-            cands = [v for v in state.neighbors(cur)
-                     if v not in on_path and v not in tried[cur]
-                     and entered.get(v, depth_cap + 1) > depth
-                     and (v == sink or v not in banned)
-                     and (direct_ok or cur != source or v != sink)]
-            here = dist_to_sink[cur]
-            prog = [v for v in cands if dist_to_sink[v] < here]
-            if strict:
-                cands = prog
-            else:
-                cands = prog if prog else cands
-            if cands:
-                nxt = min(cands, key=lambda v: (-score(cur, v), v))
+        if depth <= depth_cap and visits < visit_budget:
+            if len(hops) < depth:
+                hops.append(next_hops(path[-1], depth))
+            nxt = next(hops[-1], None)
         if nxt is None:
-            dead = path.pop()
-            on_path.discard(dead)
-            tried.pop(dead, None)
-            if path:
-                tried[path[-1]].add(dead)
+            path.pop()
+            del hops[depth - 1:]
         else:
             visits += 1
-            tried[nxt] = set()
-            entered[nxt] = len(path)
+            entered[nxt] = depth
             path.append(nxt)
-            on_path.add(nxt)
-            if len(path) > len(deepest):
+            if depth >= len(deepest):
                 deepest = list(path)
     return None, visits >= visit_budget, deepest
 

@@ -7,8 +7,10 @@ extended-range links (repeatedly joining the two closest components) so every
 node can reach every other; these long links are flagged and transmissions
 over them pay the multi-path amplifier cost.
 
-Bridging, neighbor lists and carrier-sense sets all read one pairwise
-distance table per field, built on first use. Its entries are exactly
+Bridging, neighbor lists, the beacon round and carrier-sense sets all read
+one pairwise distance table per field, built on first use; the first two
+read every node's in-range list, split from one comparison of the whole
+table with the radio range. Its entries are exactly
 distance(): numpy takes the coordinate differences, which is IEEE subtraction
 as in Python, but each entry is math.hypot of them. np.hypot cannot stand in,
 as it differs from math.hypot in the last bit on about 0.6% of pairs, which
@@ -69,7 +71,10 @@ class NodeState:
 
 class DistanceTable:
     """Pairwise distances of a field's nodes, row and column k standing for
-    node k. Entry (a, b) equals distance() of the two positions bit for bit."""
+    node k. Entry (a, b) equals distance() of the two positions bit for bit.
+    Every node's in-range list comes from one comparison of the whole table
+    (within_each); carrier-sense sets and the nearest-alive fallback read
+    single rows."""
 
     def __init__(self, nodes: list[NodeState]):
         xs = np.array([node.position.x for node in nodes])
@@ -88,13 +93,23 @@ class DistanceTable:
         """Ids of the other nodes at distance <= radius, ascending."""
         return [j for j in np.flatnonzero(self.d[node_id] <= radius).tolist() if j != node_id]
 
+    def within_each(self, radius: float) -> list[list[int]]:
+        """within(k, radius) of every node k, from one comparison of the
+        whole table with radius split by row."""
+        near = self.d <= radius
+        np.fill_diagonal(near, False)
+        rows, cols = np.nonzero(near)  # row-major, so ascending (row, col)
+        cols = cols.tolist()
+        ends = np.bincount(rows, minlength=len(near)).cumsum().tolist()
+        return [cols[start:end] for start, end in zip([0, *ends], ends)]
+
     def by_distance(self, node_id: int) -> list[int]:
         """Ids of the other nodes by ascending (distance, id)."""
         return [j for j in np.argsort(self.d[node_id], kind="stable").tolist() if j != node_id]
 
     def farthest(self, node_id: int, others) -> float:
-        """The largest distance from node_id to any of others."""
-        return float(self.d[node_id, others].max())
+        """The largest distance from node_id to any of others (not empty)."""
+        return max(map(self.d[node_id].item, others))
 
 
 @dataclass
@@ -120,6 +135,12 @@ class Topology:
     def distances(self) -> DistanceTable:
         """The distance table, built on first use; nodes never move."""
         return DistanceTable(self.nodes)
+
+    @cached_property
+    def in_range(self) -> list[list[int]]:
+        """in_range[k]: the other nodes within the closed radio range of
+        node k, dead or alive, ascending by id; built on first use."""
+        return self.distances.within_each(self.radio_range)
 
 
 def place_nodes(config, seed: int) -> Topology:
@@ -154,7 +175,19 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     them pay the long-distance amplifier cost.
     """
     d = topo.distances.d
-    parent = list(range(len(d)))
+    in_range = topo.in_range
+    # Label each component of the in-range graph by its lowest node, which
+    # is also its root in the union-find forest below.
+    parent = [-1] * len(d)
+    for root in range(len(d)):
+        if parent[root] < 0:
+            parent[root] = root
+            stack = [root]
+            while stack:
+                for b in in_range[stack.pop()]:
+                    if parent[b] < 0:
+                        parent[b] = root
+                        stack.append(b)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -162,10 +195,11 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
             i = parent[i]
         return i
 
-    for a, b in zip(*(v.tolist() for v in np.nonzero(np.triu(d <= topo.radio_range, 1)))):
-        parent[find(a)] = find(b)
-    comp = np.array([find(i) for i in range(len(d))])
-    components = len(set(comp.tolist()))
+    # The comparison below buffers its broadcast operands 8192 at a time, so
+    # the labels take the narrowest dtype: as int64 that buffer was 0.13 MB,
+    # the largest transient allocation of a 100-node set-up.
+    comp = np.array(parent, dtype=np.min_scalar_type(len(d)))
+    components = sum(i == root for i, root in enumerate(parent))
     cross = np.triu(comp[:, None] != comp[None, :], 1)
     top = d.max(initial=0.0)
     bridges: dict[int, list[int]] = {}
@@ -195,20 +229,20 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
 
 def neighbors(topo: Topology, node_id: int) -> list[int]:
     """Alive nodes within the closed radio range of node_id, plus any
-    extended-range links, ascending by id.
+    extended-range links, ascending by id: topo.in_range[node_id], filtered
+    by liveness, plus the bridges.
 
     Dead nodes never appear. If the list comes up empty and the fallback is
     enabled, returns the single nearest alive node regardless of distance.
     """
     topo.node(node_id)
     nodes = topo.nodes
-    table = topo.distances
-    out = [i for i in table.within(node_id, topo.radio_range) if nodes[i].alive]
+    out = [i for i in topo.in_range[node_id] if nodes[i].alive]
     for i in topo.extended_links.get(node_id, ()):
         if nodes[i].alive and i not in out:
             out.append(i)
     if not out and topo.fallback_enabled:
-        for i in table.by_distance(node_id):
+        for i in topo.distances.by_distance(node_id):
             if nodes[i].alive:
                 return [i]
     return sorted(out)

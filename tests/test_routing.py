@@ -7,16 +7,17 @@ from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, run,
                     rx_energy, tx_energy)
 from qempar import link_metrics, routing
 from qempar.engine import discover, setup, simulate
 from qempar.errors import NoPathError
-from qempar.link_metrics import RoutePath, suitability
+from qempar.link_metrics import NetworkState, RoutePath, suitability
 from qempar.routing import PathSet
 
-from conftest import make_state, manual_topology
+from conftest import make_state, manual_topology, valid_configs
 
 
 def test_beacon_exchange_debits_exact_energy(line_topology):
@@ -252,6 +253,82 @@ def _max_disjoint_paths(state, source, sink):
         flow += 1
 
 
+def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
+                           depth_cap: int, dist_to_sink: list[float],
+                           visit_budget: int, direct_ok: bool, score):
+    """Oracle for routing._bounded_greedy_dfs: the same search as it was
+    first written, rebuilding, re-filtering and re-scoring the current
+    node's candidates at every step, backtracking included."""
+    strict = state.config.progress_mode == "strict"
+    path = [source]
+    on_path = {source}
+    tried: dict[int, set[int]] = {source: set()}
+    # Shallowest depth each node has been expanded at during this cap. A
+    # candidate is re-entered only strictly shallower than before; without
+    # this the backtracking search re-explores subtrees exponentially.
+    entered = {source: 0}
+    deepest = [source]
+    visits = 0
+    while path:
+        cur = path[-1]
+        if cur == sink:
+            return path, False, deepest
+        nxt = None
+        if len(path) - 1 < depth_cap and visits < visit_budget:
+            depth = len(path)
+            cands = [v for v in state.neighbors(cur)
+                     if v not in on_path and v not in tried[cur]
+                     and entered.get(v, depth_cap + 1) > depth
+                     and (v == sink or v not in banned)
+                     and (direct_ok or cur != source or v != sink)]
+            here = dist_to_sink[cur]
+            prog = [v for v in cands if dist_to_sink[v] < here]
+            if strict:
+                cands = prog
+            else:
+                cands = prog if prog else cands
+            if cands:
+                nxt = min(cands, key=lambda v: (-score(cur, v), v))
+        if nxt is None:
+            dead = path.pop()
+            on_path.discard(dead)
+            tried.pop(dead, None)
+            if path:
+                tried[path[-1]].add(dead)
+        else:
+            visits += 1
+            tried[nxt] = set()
+            entered[nxt] = len(path)
+            path.append(nxt)
+            on_path.add(nxt)
+            if len(path) > len(deepest):
+                deepest = list(path)
+    return None, visits >= visit_budget, deepest
+
+
+_greedy_dfs = routing._bounded_greedy_dfs
+_find_path = routing._find_path
+
+
+def _same_search(state, source, sink, banned, depth_cap, dist_to_sink, visit_budget,
+                 direct_ok, score):
+    """Runs the search and its oracle on one input, asserts that they return
+    the same (path, truncated, deepest) and score the same set of links, and
+    returns that result."""
+    outcomes = []
+    for dfs in (_rebuilding_greedy_dfs, _greedy_dfs):
+        scored = set()
+
+        def recording(a, b):
+            scored.add((a, b))
+            return score(a, b)
+
+        outcomes.append((dfs(state, source, sink, banned, depth_cap, dist_to_sink,
+                             visit_budget, direct_ok, recording), scored))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[1][0]
+
+
 def _graph_state(links):
     """A state whose neighbor graph is exactly the given links: nodes lie
     100 m apart with a 1 m range, joined only by extended links."""
@@ -324,3 +401,55 @@ def test_discovered_paths_are_pinned():
                     n_paths += 1
     assert n_paths == 322
     assert digest.hexdigest() == "d16e5c304a678c379288c2a97981610deda970ed68d58b30b145c9079228e0df"
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs())
+def test_greedy_search_matches_its_oracle_on_drawn_configs(config):
+    """Every search discovery makes, and for each set of banned nodes it
+    searches around, every depth cap from the BFS hop count to cap_max with
+    the direct hop both allowed and not."""
+    state = setup(config)
+    finds = []
+
+    def recorded_find(*args):
+        finds.append(args)
+        return _find_path(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_bounded_greedy_dfs", _same_search)
+        mp.setattr(routing, "_find_path", recorded_find)
+        try:
+            discover_paths(1, 0, config.fragments_per_packet, state)
+        except NoPathError:
+            pass
+    for _, source, sink, cap_max, dist_to_sink, score, banned, _ in finds:
+        for direct_ok in (True, False):
+            shortest = routing._bfs_path(state, source, sink, banned, direct_ok)
+            if shortest is None:
+                continue
+            for cap in range(len(shortest) - 1, cap_max + 1):
+                _same_search(state, source, sink, banned, cap, dist_to_sink,
+                             config.search_visit_budget, direct_ok, score)
+
+
+@pytest.mark.parametrize("budget, searches, truncated, n_paths", [
+    (400, 115, 104, 11),
+    (800, 61, 20, 41),
+])
+def test_greedy_search_matches_its_oracle_under_truncating_budgets(
+        monkeypatch, budget, searches, truncated, n_paths):
+    """The dense pinned field at visit budgets that stop most searches, seeds
+    1-30. The pinned path hash cannot see a change in truncation; these
+    counts of searches, truncated searches and paths found can."""
+    outcomes = []
+
+    def compared(*args):
+        outcomes.append(_same_search(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(routing, "_bounded_greedy_dfs", compared)
+    cfg = replace(PINNED_DISCOVERY[1], search_visit_budget=budget)
+    found = sum(len(discover(setup(replace(cfg, seed=seed)))) for seed in range(1, 31))
+    assert (len(outcomes), sum(t for _, t, _ in outcomes), found) == (
+        searches, truncated, n_paths)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qempar import ScenarioConfig, place_nodes
+from qempar import ScenarioConfig, beacon_exchange, place_nodes, rx_energy, tx_energy
 from qempar import link_metrics, routing, topology
 from qempar.engine import setup
 from qempar.errors import UnknownNodeError
@@ -206,6 +206,31 @@ def _scan_neighbors(topo, node_id):
     return sorted(out)
 
 
+def _scan_beacon_round(state):
+    """Every node's spent energy and the clamp count after the beacon round,
+    replayed in beacon_exchange's order from the brute-force neighbor scans
+    taken before any beacon."""
+    topo, params = state.topology, state.params
+    nodes = topo.nodes
+    spent = [node.spent_energy for node in nodes]
+    clamps = 0
+    bits = state.config.beacon_bytes * 8
+
+    def debit(i, joules):
+        nonlocal clamps
+        clamps += joules > nodes[i].initial_energy - spent[i]
+        spent[i] += joules
+
+    heard = {i: _scan_neighbors(topo, i) for i, node in enumerate(nodes) if node.alive}
+    for i, nbrs in heard.items():
+        if nbrs:
+            reach = max(distance(nodes[i].position, nodes[j].position) for j in nbrs)
+            debit(i, tx_energy(bits, reach, params))
+            for j in nbrs:
+                debit(j, rx_energy(bits, params))
+    return spent, clamps
+
+
 def _scan_carrier_sense(topo, node_id, cs):
     here = topo.nodes[node_id].position
     return frozenset(i for i, other in enumerate(topo.nodes)
@@ -222,17 +247,22 @@ def fields(draw):
     positions = [(draw(coord), draw(coord)) for _ in range(n)]
     radius = draw(st.sampled_from([8.0, 24.0, 40.0]) | st.floats(1.0, 60.0))
     dead = draw(st.sets(st.integers(0, n - 1)))
-    return positions, radius, draw(st.booleans()), dead, draw(st.sampled_from([0.0, 1.0, 2.0, 2.5]))
+    # 1e-5 J lasts a node about two beacon receptions.
+    energy = draw(st.sampled_from([2.0, 1e-5]))
+    return (positions, radius, draw(st.booleans()), dead,
+            draw(st.sampled_from([0.0, 1.0, 2.0, 2.5])), energy)
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields())
-@example(([(0.0, 0.0), (24.0, 32.0), (24.0, 32.0), (300.0, 0.0)], 40.0, True, {1}, 1.0))
+@example(([(0.0, 0.0), (24.0, 32.0), (24.0, 32.0), (300.0, 0.0)], 40.0, True, {1}, 1.0, 2.0))
 def test_distance_table_matches_the_all_pairs_scans(field_spec):
     """Bridges, neighbor lists (dead nodes and the nearest-alive fallback
-    included) and carrier-sense sets equal the brute-force scans."""
-    positions, radius, fallback, dead, cs_factor = field_spec
-    topo = manual_topology(positions, radio_range=radius, fallback=fallback)
+    included), carrier-sense sets and the beacon round's debits and clamps
+    equal the brute-force scans."""
+    positions, radius, fallback, dead, cs_factor, energy = field_spec
+    topo = manual_topology(positions, radio_range=radius, initial_energy=energy,
+                           fallback=fallback)
     if fallback:
         topo.extended_links = _bridge_components(topo)
         assert topo.extended_links == _scan_bridges(topo)
@@ -242,6 +272,10 @@ def test_distance_table_matches_the_all_pairs_scans(field_spec):
     for i in range(len(positions)):
         assert neighbors(topo, i) == _scan_neighbors(topo, i)
         assert state.carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
+    spent, clamps = _scan_beacon_round(state)
+    beacon_exchange(state)
+    assert [node.spent_energy.hex() for node in topo.nodes] == [j.hex() for j in spent]
+    assert state.ledger.clamped_debits == clamps
 
 
 def test_set_up_calls_distance_linearly_often(monkeypatch):
