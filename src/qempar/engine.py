@@ -25,14 +25,15 @@ metrics are read from those lists and that count; simulate() writes nothing
 to the state it is given, so one post-discovery state can be simulated
 again with the same result.
 
-With an event log, each event becomes one Event and one line written by
-Event.to_json from a fixed format: the keys t, kind, node, peer, packet,
-seq, bits and joules in that order, null for absent fields, numbers as
-their shortest round-trip repr, and a "\n" line end on every platform.
-The line is byte for byte what json.dumps(record, separators=(",", ":"))
-writes. to_json takes kind texts from a table, reuses the previous event's
-time text when the time is the same object, and takes joule texts from a
-small bounded memo. Without a log, the loop builds no Event.
+With an event log, each event is one line written by Event.to_json from a
+fixed format: the keys t, kind, node, peer, packet, seq, bits and joules in
+that order, null for absent fields, numbers as their shortest round-trip
+repr, and a "\n" line end on every platform. The line is byte for byte what
+json.dumps(record, separators=(",", ":")) writes. Each hop record carries
+its Events, built once per run; a line sets its Event's time and packet, and
+to_json keeps the other six fields' text from its first call and reuses the
+previous line's time text for the same time object. Without a log, the loop
+builds no Event.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import random
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -66,27 +67,25 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
     return min(1.0, max(0.01, p))
 
 
-# One event-log line: the eight keys in a fixed order, compact separators.
-_LINE = ('{"t":%s,"kind":%s,"node":%s,"peer":%s,"packet":%s,"seq":%s,'
-         '"bits":%s,"joules":%s}')
-_KIND_TEXT = {kind: encode_basestring_ascii(kind) for kind in (
-    "packet-born", "hop-start", "hop-complete", "hop-failed",
-    "fragment-delivered", "deadline-expired")}
-# Texts that Event.to_json reuses instead of formatting a float again: the
-# previous event's time object with its text, and the text of recent joule
-# floats. Each holds only what str() gives its value, so no caller sees
-# another's; the joule memo is cleared when full, so it stays small across a
-# sweep.
+# Event.to_json reuses the previous event's time object with its text instead
+# of formatting the float again; the text is what str() gives the time, so no
+# caller sees another's.
 _last_time: tuple = (None, "null")
-_JOULE_TEXT: dict[float, str] = {}
-_JOULE_TEXT_BOUND = 256
+
+
+def _text(value) -> str:
+    return "null" if value is None else str(value)
 
 
 @dataclass(slots=True)
 class Event:
-    """One simulation event as it appears in the event log."""
+    """One simulation event as it appears in the event log.
 
-    sim_time: float
+    The first to_json() keeps the text of kind, node, peer, seq, bits and
+    joules, so an Event logged many times formats only its time and packet:
+    after that call only sim_time and packet may change."""
+
+    sim_time: float | None
     kind: str
     node: int | None = None
     peer: int | None = None
@@ -94,6 +93,8 @@ class Event:
     seq: int | None = None
     bits: int | None = None
     joules: float | None = None
+    _fixed_text: tuple[str, str] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def to_json(self) -> str:
         """The line json.dumps(record, separators=(",", ":")) writes for
@@ -105,31 +106,17 @@ class Event:
         if t is last[0]:
             t_text = last[1]
         else:
-            t_text = "null" if t is None else str(t)
+            t_text = _text(t)
             _last_time = (t, t_text)
-        j = self.joules
-        if j is None:
-            j_text = "null"
-        elif type(j) is float and j:
-            # Equal nonzero floats have one text; 0.0 == -0.0 and 1 == 1.0
-            # do not, so zeros and non-floats never reach the memo.
-            j_text = _JOULE_TEXT.get(j)
-            if j_text is None:
-                if len(_JOULE_TEXT) >= _JOULE_TEXT_BOUND:
-                    _JOULE_TEXT.clear()
-                j_text = _JOULE_TEXT[j] = str(j)
-        else:
-            j_text = str(j)
-        kind = self.kind
-        return _LINE % (
-            t_text,
-            _KIND_TEXT.get(kind) or encode_basestring_ascii(kind),
-            "null" if self.node is None else self.node,
-            "null" if self.peer is None else self.peer,
-            "null" if self.packet is None else self.packet,
-            "null" if self.seq is None else self.seq,
-            "null" if self.bits is None else self.bits,
-            j_text)
+        fixed = self._fixed_text
+        if fixed is None:
+            fixed = self._fixed_text = (
+                f',"kind":{encode_basestring_ascii(self.kind)},"node":{_text(self.node)},'
+                f'"peer":{_text(self.peer)},"packet":',
+                f',"seq":{_text(self.seq)},"bits":{_text(self.bits)},'
+                f'"joules":{_text(self.joules)}}}')
+        packet = self.packet
+        return f'{{"t":{t_text}{fixed[0]}{"null" if packet is None else packet}{fixed[1]}'
 
 
 @dataclass(frozen=True)
@@ -292,11 +279,13 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     access_delay = config.access_delay_s
     contention_delay = config.contention_delay_s
 
-    # Hop records: every packet splits the same way, so wire bits, energies,
-    # success probabilities, the sender's carrier-sense set and the delay
-    # before contention are computed once per (seq, hop). A record is
-    # (u, v, tx_j, rx_j, p_ok, near, t_tx + access_delay, seq, wire,
-    # frag_bits, next_hop), next_hop being None on the hop into the sink.
+    # Hop records: every packet splits the same way, so energies, success
+    # probabilities, the sender's carrier-sense set, the delay before
+    # contention and the log Events are built once per (seq, hop). A record
+    # is (u, v, tx_j, rx_j, p_ok, near, t_tx + access_delay, seq, events,
+    # next_hop), next_hop being None on the hop into the sink; events is None
+    # without a log, else its hop-start, hop-complete, hop-failed and (into
+    # the sink, else None) fragment-delivered Events.
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
     first_hops = []
@@ -307,10 +296,15 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
         hop = None
         for u, v in reversed(list(zip(route, route[1:]))):
             d = distance(nodes[u].position, nodes[v].position)
-            hop = (u, v, tx_energy(wire, d, params), rx_energy(wire, params),
-                   link_success_probability(config, d, topo.radio_range),
-                   state.carrier_sense_set(u), t_tx + access_delay,
-                   seq, wire, frag_bits, hop)
+            tx_j = tx_energy(wire, d, params)
+            rx_j = rx_energy(wire, params)
+            events = None if log is None else (
+                Event(None, "hop-start", u, v, None, seq, wire, tx_j),
+                Event(None, "hop-complete", v, u, None, seq, wire, rx_j),
+                Event(None, "hop-failed", u, v, None, seq, wire),
+                None if hop else Event(None, "fragment-delivered", v, None, None, seq, frag_bits))
+            hop = (u, v, tx_j, rx_j, link_success_probability(config, d, topo.radio_range),
+                   state.carrier_sense_set(u), t_tx + access_delay, seq, events, hop)
         first_hops.append(hop)
 
     initial = [n.initial_energy for n in nodes]
@@ -344,10 +338,15 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    # Callers pass Event's fields by position (t, kind, node, peer, packet,
-    # seq, bits, joules): a keyword call costs more per event.
-    def emit(t, kind, node, peer=None, packet=None, seq=None, bits=None, joules=None):
-        log.write(Event(t, kind, node, peer, packet, seq, bits, joules).to_json() + "\n")
+    if log is not None:
+        write = log.write
+        born_event = Event(None, "packet-born", source, None, None, None, packet_bits)
+        expired_event = Event(None, "deadline-expired", sink)
+
+    def log_line(ev: Event, t: float, pid: int) -> None:
+        ev.sim_time = t
+        ev.packet = pid
+        write(ev.to_json() + "\n")
 
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
@@ -393,7 +392,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
         heappush(heap, (end, ordinal, pid, hop, attempt, ok))
         ordinal += 1
         if log is not None:
-            emit(t, "hop-start", u, hop[1], pid, hop[7], hop[8], joules)
+            log_line(hop[8][0], t, pid)
 
     born = expired = 0  # packets whose birth, or deadline, has run
     next_birth = times[0] if times else math.inf
@@ -404,7 +403,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
         horizon = next_birth if next_birth < next_deadline else next_deadline
         while heap and heap[0][0] < horizon:
             t, _, pid, hop, attempt, ok = heappop(heap)
-            u, v, _tx_j, rx_j, _p, _near, _base, seq, wire, frag_bits, next_hop = hop
+            u, v, _tx_j, rx_j, _p, _near, _base, seq, events, next_hop = hop
             if busy[u] <= t:
                 active.discard(u)
             if ok and alive[v]:
@@ -415,10 +414,10 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     alive[v] = False
                     drain_dead(v)
                 if log is not None:
-                    emit(t, "hop-complete", v, u, pid, seq, wire, rx_j)
+                    log_line(events[1], t, pid)
                 if next_hop is None:
                     if log is not None:
-                        emit(t, "fragment-delivered", v, None, pid, seq, frag_bits)
+                        log_line(events[3], t, pid)
                     reassemble(pid, seq, t)
                 elif busy[v] <= t or not alive[v]:
                     start_hop(t, pid, next_hop, 1)
@@ -426,7 +425,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     enqueue(v, pid, next_hop)
             else:
                 if log is not None:
-                    emit(t, "hop-failed", u, v, pid, seq, wire)
+                    log_line(events[2], t, pid)
                 if attempt <= retry_limit:
                     start_hop(t, pid, hop, attempt + 1)
                 else:
@@ -444,7 +443,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             born += 1
             next_birth = times[born] if born < n_packets else math.inf
             if log is not None:
-                emit(t, "packet-born", source, None, pid, None, packet_bits)
+                log_line(born_event, t, pid)
             for hop in first_hops:
                 # As at a hop's end: start_hop drops the packet of a dead
                 # sender, which may still be busy with the frame that killed it.
@@ -458,7 +457,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             expired += 1
             next_deadline = deadlines[expired] if expired < n_packets else math.inf
             if buffer.expire(pid, t) and log is not None:
-                emit(t, "deadline-expired", sink, None, pid)
+                log_line(expired_event, t, pid)
 
     return spent, clamped
 

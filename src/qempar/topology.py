@@ -80,14 +80,14 @@ class DistanceTable:
         xs = np.array([node.position.x for node in nodes])
         ys = np.array([node.position.y for node in nodes])
         n = len(nodes)
-        d = np.zeros((n, n))
-        # Upper triangle row by row; math.hypot ignores the signs of the
-        # differences, so the mirrored entry is the same float.
+        d = self.d = np.zeros((n, n))
+        # Row by row above the diagonal, each row written to its mirror
+        # column too: math.hypot ignores the signs of the differences, so
+        # the mirrored entry is the same float.
         for k in range(n - 1):
-            d[k, k + 1:] = np.fromiter(
+            d[k, k + 1:] = d[k + 1:, k] = np.fromiter(
                 map(math.hypot, (xs[k + 1:] - xs[k]).tolist(), (ys[k + 1:] - ys[k]).tolist()),
                 float, n - 1 - k)
-        self.d = d + d.T
 
     def within(self, node_id: int, radius: float) -> list[int]:
         """Ids of the other nodes at distance <= radius, ascending."""

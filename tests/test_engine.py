@@ -139,6 +139,8 @@ FIELD_VALUES = st.one_of(
     st.none(), st.integers(), st.integers(2**63, 2**80), st.integers(-2**80, -2**63),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([5e-324, -0.0, 1e16, 1e22, 0.1 + 0.2]))
+EVENTS = st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
+                   FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES)
 
 
 def _compact_json(event):
@@ -162,23 +164,31 @@ def test_event_json_matches_compact_json_dumps(event):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
-                 FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
+@given(EVENTS)
 def test_drawn_event_json_matches_compact_json_dumps(event):
     """Every value is finite: validate() rejects non-finite floats, so no run
     logs one (json.dumps would write NaN or Infinity)."""
     assert event.to_json() == _compact_json(event)
 
 
-def test_event_text_reuse_is_exact_and_bounded():
+@settings(max_examples=200, deadline=None)
+@given(EVENTS, st.lists(st.tuples(FIELD_VALUES, FIELD_VALUES), min_size=1, max_size=5))
+def test_restamped_event_json_matches_compact_json_dumps(event, stamps):
+    """After its first to_json() an Event keeps the text of its other six
+    fields; restamping sim_time and packet still gives the exact line."""
+    assert event.to_json() == _compact_json(event)
+    for sim_time, packet in stamps:
+        event.sim_time, event.packet = sim_time, packet
+        assert event.to_json() == _compact_json(event)
+
+
+def test_event_text_reuse_is_exact():
     """to_json reuses the previous event's time text when the time is the
-    same object, and joule texts from a bounded memo. Values that compare
-    equal but print differently (0.0 and -0.0, 1 and 1.0) keep their own
-    text, one float may be both time and joules, and an early float asked
-    for again after the memo has been cleared still gets its own text."""
+    same object. Values that compare equal but print differently (0.0 and
+    -0.0, 1 and 1.0) keep their own text, one float may be both time and
+    joules, and many distinct joule floats each get their own text."""
     x = 0.1 + 0.2
-    bound = engine._JOULE_TEXT_BOUND
-    floats = [i + 0.5 for i in range(bound + 10)]
+    floats = [i + 0.5 for i in range(266)]
     events = [Event(0.0, "hop-start", joules=0.0), Event(-0.0, "hop-start", joules=-0.0),
               Event(0.0, "hop-start", joules=0.0),
               Event(1, "hop-complete", joules=1), Event(1.0, "hop-complete", joules=1.0),
@@ -191,7 +201,6 @@ def test_event_text_reuse_is_exact_and_bounded():
               Event(floats[-1], "packet-born", 0, None, 1, None, 4096)]
     for event in events:
         assert event.to_json() == _compact_json(event)
-        assert len(engine._JOULE_TEXT) <= bound
 
 
 def test_deterministic_arrivals_are_evenly_spaced():
@@ -316,6 +325,30 @@ def test_traffic_debits_and_senses_inline_and_writes_one_line_per_event(monkeypa
     lines = log.getvalue().splitlines(keepends=True)
     assert all(line.endswith("\n") for line in lines)
     assert calls["to_json"] == log.writes == len(lines) > 0
+
+
+def test_logging_builds_events_per_run_not_per_line(monkeypatch):
+    """A logged run builds its Events once: the count does not grow with the
+    run's length and stays below its line count."""
+    built = 0
+    original = Event.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counted)
+    counts = []
+    for duration in (0.5, 2.0):
+        state = setup(replace(DENSE, duration_s=duration, rate_pkts_per_s=30.0, seed=1))
+        paths = discover(state)
+        built = 0
+        log = io.StringIO()
+        simulate(state, paths, log)
+        assert 0 < built < log.getvalue().count("\n")
+        counts.append(built)
+    assert counts[0] == counts[1]
 
 
 def test_zero_packet_run_has_no_delivery_ratio():

@@ -257,12 +257,17 @@ def fields(draw):
 @given(fields())
 @example(([(0.0, 0.0), (24.0, 32.0), (24.0, 32.0), (300.0, 0.0)], 40.0, True, {1}, 1.0, 2.0))
 def test_distance_table_matches_the_all_pairs_scans(field_spec):
-    """Bridges, neighbor lists (dead nodes and the nearest-alive fallback
-    included), carrier-sense sets and the beacon round's debits and clamps
-    equal the brute-force scans."""
+    """The table is symmetric with distance()'s entries, and bridges,
+    neighbor lists (dead nodes and the nearest-alive fallback included),
+    carrier-sense sets and the beacon round's debits and clamps equal the
+    brute-force scans."""
     positions, radius, fallback, dead, cs_factor, energy = field_spec
     topo = manual_topology(positions, radio_range=radius, initial_energy=energy,
                            fallback=fallback)
+    d = topo.distances.d
+    assert (d == d.T).all()
+    assert d.tolist() == [[distance(a.position, b.position) for b in topo.nodes]
+                          for a in topo.nodes]
     if fallback:
         topo.extended_links = _bridge_components(topo)
         assert topo.extended_links == _scan_bridges(topo)
