@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
-from .dispatch import fragment
 from .energy import RadioParams, tx_energy
 from .errors import ConfigError
 
@@ -117,6 +117,10 @@ class ScenarioConfig:
         check(self.field_width > 0 and self.field_height > 0,
               "field dimensions must be positive")
         check(self.node_count >= 2, "node_count must be at least 2")
+        # A run holds the n x n distances in one numpy array, whose size in
+        # bytes cannot exceed sys.maxsize.
+        check(8 * self.node_count ** 2 <= sys.maxsize,
+              "node_count is too large for the n x n distance table")
         check(0 <= self.sink_x <= self.field_width and 0 <= self.sink_y <= self.field_height,
               "sink position must lie inside the field")
         check(0 <= self.source_x <= self.field_width and 0 <= self.source_y <= self.field_height,
@@ -129,6 +133,9 @@ class ScenarioConfig:
         check(self.initial_energy_j > 0, "initial_energy_j must be positive")
         check(self.packet_bytes >= 1, "packet_bytes must be at least 1")
         check(self.fragment_count >= 1, "fragment_count must be at least 1")
+        # A packet's fragments are one list, of at most sys.maxsize items.
+        check(self.fragment_count <= sys.maxsize,
+              "fragment_count is too large for a packet's list of fragments")
         if self.packet_bytes >= 1 and self.fragment_count >= 1:
             check(self.fragment_count <= self.packet_bits,
                   "fragment_count cannot exceed packet bits")
@@ -167,14 +174,15 @@ class ScenarioConfig:
         # every interference term and debit. A node takes at most node_count
         # beacon-round debits (its beacon and those it hears) and one traffic
         # debit past its initial energy; the factor 2 covers round-off. The
-        # largest frame is fragment 1 with its header, or a beacon. A hop
-        # starts at one of about rate x duration births or at an earlier hop's
-        # end, and a fragment makes at most retries + 1 attempts on each of
-        # at most n - 1 hops, so no event is later than the last deadline
-        # plus all those attempts in a row, each at its longest.
+        # largest frame is fragment 1, ceil(bits / k) (dispatch.fragment),
+        # with its header, or a beacon. A hop starts at one of about rate x
+        # duration births or at an earlier hop's end, and a fragment makes at
+        # most retries + 1 attempts on each of at most n - 1 hops, so no event
+        # is later than the last deadline plus all those attempts in a row,
+        # each at its longest.
         d = math.hypot(self.field_width, self.field_height)
         n, k = self.node_count, self.fragments_per_packet
-        frame = fragment(self.packet_bits, k)[0] + 8 * self.fragment_header_bytes
+        frame = -(-self.packet_bits // k) + 8 * self.fragment_header_bytes
         bits = max(frame, 8 * self.beacon_bytes if self.beacon_accounting else 0)
         diagonal = f"over the {d:g} m field diagonal"
         for keys, where, bound in (

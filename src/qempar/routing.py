@@ -12,6 +12,13 @@ node and tries them in that order, which takes the same steps and scores
 the same links as re-ranking the eligible candidates at every step: while a
 node is on top of the path, nothing entered deeper in its subtree can rule
 out one of its own candidates (see _bounded_greedy_dfs).
+
+Before each search, one breadth-first pass from the sink over the reversed
+neighbor relation gives every node's fewest hops to the sink, and the
+search skips a candidate that cannot reach the sink within the hop cap.
+Nothing below such a candidate can either, so only subtrees without a path
+go, and the search finds the same path whenever the visit budget cannot
+stop it (see _find_path).
 """
 
 from __future__ import annotations
@@ -115,8 +122,43 @@ def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
     return None
 
 
+def _predecessors(state: NetworkState) -> list[list[int]]:
+    """predecessors[w]: the alive nodes whose neighbor lists hold w,
+    ascending. A dead node is in no neighbor list, so the search never
+    enters one and needs no hop count for it."""
+    nodes = state.topology.nodes
+    predecessors: list[list[int]] = [[] for _ in nodes]
+    for u, node in enumerate(nodes):
+        if node.alive:
+            for v in state.neighbors(u):
+                predecessors[v].append(u)
+    return predecessors
+
+
+def _hops_to_sink(predecessors: list[list[int]], source: int, sink: int,
+                  banned: set[int], direct_ok: bool) -> list[float]:
+    """hops[v]: the fewest hops from v to the sink over links that avoid
+    banned interiors (and, without direct_ok, the source-to-sink link),
+    math.inf where there is none, from _predecessors. That relation is
+    not symmetric: a node whose only link is the nearest-alive fallback is
+    not a neighbor of that node."""
+    hops = [math.inf] * len(predecessors)
+    hops[sink] = 0
+    frontier = [sink]
+    while frontier:
+        reached = []
+        for w in frontier:
+            h = hops[w] + 1
+            for u in predecessors[w]:
+                if h < hops[u] and u not in banned and (direct_ok or w != sink or u != source):
+                    hops[u] = h
+                    reached.append(u)
+        frontier = reached
+    return hops
+
+
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
-                        depth_cap: int, dist_to_sink: list[float],
+                        depth_cap: int, dist_to_sink: list[float], hops_left: list[float],
                         visit_budget: int, direct_ok: bool, score):
     """Depth-first search for one path, taking the candidate of highest
     score(cur, v), ties to the lowest id.
@@ -124,9 +166,11 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
     Progressing candidates (strictly closer to the sink) are considered
     first; in 'preferred' mode non-progressing candidates are admitted only
     when no progressing one remains, in 'strict' mode never. Without
-    direct_ok the source-to-sink link itself is skipped. Returns
-    (path or None, truncated, deepest_partial): truncated means the visit
-    budget stopped an unfinished search.
+    direct_ok the source-to-sink link itself is skipped. A candidate v
+    entered at depth is admitted only if hops_left[v] <= depth_cap - depth
+    (all zeros admits every one). Returns (path or None, truncated,
+    deepest_partial): truncated means the visit budget stopped an unfinished
+    search.
 
     Each node ranks its candidates once each time it is entered, and the
     search then tries them in that order. That is the step re-ranking at
@@ -154,7 +198,7 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
     def next_hops(cur: int, depth: int):
         """cur's candidates entered at depth, best first."""
-        here = dist_to_sink[cur]
+        here, slack = dist_to_sink[cur], depth_cap - depth
         links = state.neighbors(cur)
         if cur == source and not direct_ok:
             links = [v for v in links if v != sink]
@@ -163,7 +207,8 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
         by_score = partial(score, cur)
         for progressing in tiers:
             yield from sorted([v for v in links if (dist_to_sink[v] < here) is progressing
-                               and entered[v] > depth], key=by_score, reverse=True)
+                               and entered[v] > depth and hops_left[v] <= slack],
+                              key=by_score, reverse=True)
 
     path = [source]
     hops = []  # next_hops of path[i], made when path[i] first extends
@@ -191,29 +236,44 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
 
 
 def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
-               dist_to_sink: list[float], score, banned: set[int],
-               direct_ok: bool) -> list[int] | None:
+               dist_to_sink: list[float], predecessors: list[list[int]], score,
+               banned: set[int], direct_ok: bool) -> list[int] | None:
     """One path avoiding banned interiors (and, without direct_ok, the
     source-to-sink link), or None.
 
-    The depth cap deepens iteratively starting from the BFS hop distance on
-    the reduced graph (a lower bound, so skipped caps provably hold no path).
-    A search truncated by the visit budget blacklists the deepest partial
-    path's interior and retries, up to the configured retry limit.
+    The depth cap deepens iteratively starting from the source's hop count
+    to the sink on the reduced graph (a lower bound, so skipped caps
+    provably hold no path). A search truncated by the visit budget
+    blacklists the deepest partial path's interior and retries, up to the
+    configured retry limit.
+
+    The search skips candidates that cannot reach the sink within the cap
+    (_hops_to_sink), which finds the same path: every node entered below
+    such a candidate cannot either, so only subtrees without a path go, and
+    the depth mark such an entry leaves is deeper than any entry of that
+    node that can still reach the sink, so it rules none of them out. What
+    could differ is where the visit budget stops a search. Each node is
+    entered at most cap times, at strictly falling depths, so while
+    (n - 1) * cap < search_visit_budget neither search can be stopped, and
+    only then is the table passed; otherwise all zeros, which skips nothing.
     """
     cfg = state.config
+    budget = cfg.search_visit_budget
+    n = len(predecessors)
+    skips_nothing = [0] * n
     blacklist: set[int] = set()
     for _ in range(cfg.path_retry_limit + 1):
         excluded = banned | blacklist
-        shortest = _bfs_path(state, source, sink, excluded, direct_ok)
-        if shortest is None or len(shortest) - 1 > cap_max:
+        hops_to_sink = _hops_to_sink(predecessors, source, sink, excluded, direct_ok)
+        if hops_to_sink[source] > cap_max:
             return None
         truncated_any = False
         deepest: list[int] = []
-        for cap in range(len(shortest) - 1, cap_max + 1):
+        for cap in range(hops_to_sink[source], cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
-                state, source, sink, excluded, cap, dist_to_sink, cfg.search_visit_budget,
-                direct_ok, score)
+                state, source, sink, excluded, cap, dist_to_sink,
+                hops_to_sink if (n - 1) * cap < budget else skips_nothing,
+                budget, direct_ok, score)
             if path is not None:
                 return path
             if truncated:
@@ -281,7 +341,7 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     score = cache(lambda a, b: link_metrics.suitability(a, b, state))
     return _disjoint_paths(state, source, sink, k,
                            partial(_find_path, state, source, sink, cap_max, dist_to_sink,
-                                   score), score)
+                                   _predecessors(state), score), score)
 
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -192,6 +192,56 @@ def valid_configs(draw):
     )
 
 
+# A small field that boundary_configs() moves one or two fields of.
+BOUNDARY_BASE = ScenarioConfig(field_width=100.0, field_height=100.0, node_count=12,
+                               source_x=75.0, source_y=75.0, packet_bytes=64,
+                               duration_s=0.5)
+# The bounds validate() puts on a number of BOUNDARY_BASE, where 0 (every
+# other float is positive or non-negative, every other int non-negative)
+# is not all of them. 2**63 is past fragment_count's upper bound,
+# sys.maxsize, and node_count's, about 1.07e9 (the distance table); those
+# bounds themselves are left out, as a run there cannot fit in memory.
+_BOUNDS = {
+    "sink_x": (0.0, 100.0), "sink_y": (0.0, 100.0),
+    "source_x": (0.0, 100.0), "source_y": (0.0, 100.0),
+    "cold_start_value": (0.0, 1.0), "base_success": (0.0, 1.0),
+    "success_distance_slope": (0.0, 1.0), "hop_budget_factor": (1.0,),
+    "node_count": (2,), "packet_bytes": (1,), "beacon_bytes": (1,),
+    "fragment_count": (1, BOUNDARY_BASE.packet_bits), "search_visit_budget": (1,),
+}
+_HUGE_INTS = (2**63, 10**30)
+_EXTREME_FLOATS = (5e-324, 1e-310, 1e308)
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_CHOICES = {"traffic_model": ("deterministic", "poisson"), "appr_mode": ("mean", "literal"),
+            "interference_mode": ("normalized", "literal"),
+            "progress_mode": ("preferred", "strict"), "router": ("qempar", "minhop")}
+
+
+def _edges(name: str) -> tuple:
+    """Values at the edges of a field's validated range: each bound, the
+    next value past it on either side, huge ints, a subnormal and 1e308;
+    every choice of a str or bool field."""
+    kind = _FIELD_TYPES[name]
+    if kind == "bool":
+        return (False, True)
+    if kind == "str":
+        return _CHOICES[name]
+    bounds = _BOUNDS.get(name, (0.0,) if kind == "float" else (0,))
+    if kind == "int":
+        return tuple(sorted({v for b in bounds for v in (b - 1, b, b + 1)}.union(_HUGE_INTS)))
+    return tuple(sorted({v for b in bounds for v in (math.nextafter(b, -math.inf), b,
+                                                    math.nextafter(b, math.inf))}
+                        .union(_EXTREME_FLOATS)))
+
+
+@st.composite
+def boundary_configs(draw):
+    """BOUNDARY_BASE with one or two fields set to an edge of its range
+    (_edges), valid or not."""
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_TYPES)), min_size=1, max_size=2,
+                          unique=True))
+    return replace(BOUNDARY_BASE, **{name: draw(st.sampled_from(_edges(name)))
+                                     for name in names})
 
 
 @pytest.fixture

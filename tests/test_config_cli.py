@@ -144,6 +144,23 @@ def test_configs_whose_model_overflows_over_the_field_diagonal_are_rejected_befo
     assert all(key in str(err.value) for key in keys)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"node_count": 2**63}, "node_count"),
+    ({"node_count": 10**30}, "node_count"),
+    ({"packet_bytes": 2**63, "fragment_count": 2**63}, "fragment_count"),
+])
+def test_counts_too_large_to_hold_are_rejected_before_placement(overrides, key, monkeypatch):
+    """Unchecked, these pass validate() and then raise from numpy at
+    placement (the n x n distance table) or spend the run building a
+    packet's list of fragments."""
+    def placement(*args):
+        raise AssertionError("placement ran")
+
+    monkeypatch.setattr("qempar.engine.place_nodes", placement)
+    with pytest.raises(ConfigError, match=f"^{key} is too large"):
+        run(ScenarioConfig(**{"duration_s": 1.0, **overrides}))
+
+
 def test_a_steep_but_finite_interference_exponent_runs():
     m = run(ScenarioConfig(duration_s=0.5, interference_alpha=100.0), 1)
     assert m.delivered > 0

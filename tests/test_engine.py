@@ -18,7 +18,8 @@ from qempar.energy import EnergyLedger
 from qempar.errors import ConfigError
 from qempar.link_metrics import NetworkState
 
-from conftest import KINDS, replay_run, run_and_replay, simulate_twice, valid_configs
+from conftest import (KINDS, boundary_configs, replay_run, run_and_replay, simulate_twice,
+                      valid_configs)
 from test_byte_identity import DEFAULT_MINHOP, DEFAULT_TIES, DENSE_LITERAL, DENSE_QEMPAR, EXPIRING
 
 
@@ -508,6 +509,22 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
         assert drained == pytest.approx(m.ledger_total_j, rel=1e-12, abs=round_off)
     else:  # a dying node's last debit exceeds what it had left
         assert drained <= m.ledger_total_j + round_off
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_configs())
+@example(ScenarioConfig(access_delay_s=1e308, duration_s=0.5))
+@example(ScenarioConfig(bit_rate_bps=5e-324, duration_s=0.5))
+def test_every_boundary_config_runs_or_is_rejected(cfg):
+    """A config with one or two fields at an edge of their ranges either
+    fails validate() or runs to metrics that replay_run rebuilds from the
+    log. The examples once passed validate() and logged hops that never
+    ended."""
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    run_and_replay(cfg, cfg.seed)
 
 
 @settings(max_examples=10, deadline=None)

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, run,
                     rx_energy, tx_energy)
@@ -254,11 +254,12 @@ def _max_disjoint_paths(state, source, sink):
 
 
 def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
-                           depth_cap: int, dist_to_sink: list[float],
+                           depth_cap: int, dist_to_sink: list[float], hops_left: list[float],
                            visit_budget: int, direct_ok: bool, score):
     """Oracle for routing._bounded_greedy_dfs: the same search as it was
     first written, rebuilding, re-filtering and re-scoring the current
-    node's candidates at every step, backtracking included."""
+    node's candidates at every step, backtracking included. A candidate v
+    at depth must have hops_left[v] <= depth_cap - depth."""
     strict = state.config.progress_mode == "strict"
     path = [source]
     on_path = {source}
@@ -279,6 +280,7 @@ def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: 
             cands = [v for v in state.neighbors(cur)
                      if v not in on_path and v not in tried[cur]
                      and entered.get(v, depth_cap + 1) > depth
+                     and hops_left[v] <= depth_cap - depth
                      and (v == sink or v not in banned)
                      and (direct_ok or cur != source or v != sink)]
             here = dist_to_sink[cur]
@@ -310,8 +312,8 @@ _greedy_dfs = routing._bounded_greedy_dfs
 _find_path = routing._find_path
 
 
-def _same_search(state, source, sink, banned, depth_cap, dist_to_sink, visit_budget,
-                 direct_ok, score):
+def _same_search(state, source, sink, banned, depth_cap, dist_to_sink, hops_left,
+                 visit_budget, direct_ok, score):
     """Runs the search and its oracle on one input, asserts that they return
     the same (path, truncated, deepest) and score the same set of links, and
     returns that result."""
@@ -324,7 +326,7 @@ def _same_search(state, source, sink, banned, depth_cap, dist_to_sink, visit_bud
             return score(a, b)
 
         outcomes.append((dfs(state, source, sink, banned, depth_cap, dist_to_sink,
-                             visit_budget, direct_ok, recording), scored))
+                             hops_left, visit_budget, direct_ok, recording), scored))
     assert outcomes[0] == outcomes[1]
     return outcomes[1][0]
 
@@ -388,6 +390,10 @@ PINNED_DISCOVERY = [
     ScenarioConfig(node_count=120, initial_energy_j=2e-4),
 ]
 
+# PINNED_DISCOVERY's last field at half the energy: 2e-4 J outlasts the
+# beacon round, 1e-4 J does not for 0-22 of 120 nodes on seeds 1-30.
+DYING = ScenarioConfig(node_count=120, initial_energy_j=1e-4)
+
 
 def test_discovered_paths_are_pinned():
     """Every path both routers find on seeds 1-30 of each pinned field, its
@@ -405,10 +411,17 @@ def test_discovered_paths_are_pinned():
 
 @settings(max_examples=100, deadline=None)
 @given(valid_configs())
+@example(replace(DYING, seed=4, search_visit_budget=50))
+@example(replace(DYING, seed=4))
 def test_greedy_search_matches_its_oracle_on_drawn_configs(config):
     """Every search discovery makes, and for each set of banned nodes it
-    searches around, every depth cap from the BFS hop count to cap_max with
-    the direct hop both allowed and not."""
+    searches around, every depth cap from the source's hop count to cap_max
+    with the direct hop both allowed and not. Each cap is searched skipping
+    nothing and, where (n - 1) x cap is under the visit budget, skipping
+    the nodes that cannot reach the sink within it: both find the same
+    path and neither is truncated. The examples are a 120-node field where
+    7 nodes die in the beacon round and one link is one-way, at a budget
+    that truncates and one that cannot."""
     state = setup(config)
     finds = []
 
@@ -423,14 +436,54 @@ def test_greedy_search_matches_its_oracle_on_drawn_configs(config):
             discover_paths(1, 0, config.fragments_per_packet, state)
         except NoPathError:
             pass
-    for _, source, sink, cap_max, dist_to_sink, score, banned, _ in finds:
+    budget, n = config.search_visit_budget, config.node_count
+    for _, source, sink, cap_max, dist_to_sink, predecessors, score, banned, _ in finds:
         for direct_ok in (True, False):
+            hops = routing._hops_to_sink(predecessors, source, sink, banned, direct_ok)
             shortest = routing._bfs_path(state, source, sink, banned, direct_ok)
             if shortest is None:
+                assert hops[source] == math.inf
                 continue
-            for cap in range(len(shortest) - 1, cap_max + 1):
-                _same_search(state, source, sink, banned, cap, dist_to_sink,
-                             config.search_visit_budget, direct_ok, score)
+            assert hops[source] == len(shortest) - 1
+            for cap in range(hops[source], cap_max + 1):
+                full = _same_search(state, source, sink, banned, cap, dist_to_sink, [0] * n,
+                                    budget, direct_ok, score)
+                if (n - 1) * cap < budget:
+                    pruned = _same_search(state, source, sink, banned, cap, dist_to_sink, hops,
+                                          budget, direct_ok, score)
+                    assert pruned[:2] == full[:2] and not full[1]
+
+
+def test_discovery_skips_nodes_that_cannot_reach_the_sink_in_time(monkeypatch):
+    """qempar discovery on the dense pinned field, seeds 1-30, scores at
+    most 1,000 links. Searching every subtree scores 9,408."""
+    scored = 0
+
+    def counted(a, b, state):
+        nonlocal scored
+        scored += 1
+        return suitability(a, b, state)
+
+    monkeypatch.setattr(link_metrics, "suitability", counted)
+    for seed in range(1, 31):
+        discover(setup(replace(PINNED_DISCOVERY[1], seed=seed)))
+    assert scored <= 1000
+
+
+def test_hops_to_sink_follows_one_way_links():
+    """On DYING, seeds 1-30, some alive node's only link is the nearest-alive
+    fallback, which its target does not return. Every alive node's hop
+    count to the sink is still its forward BFS hop count."""
+    one_way = 0
+    for seed in range(1, 31):
+        state = setup(replace(DYING, seed=seed))
+        hops = routing._hops_to_sink(routing._predecessors(state), 1, 0, set(), True)
+        for v, node in enumerate(state.topology.nodes):
+            if node.alive:
+                one_way += sum(v not in state.neighbors(w) for w in state.neighbors(v))
+                path = routing._bfs_path(state, v, 0, set(), True)
+                assert hops[v] == (math.inf if path is None else len(path) - 1), (seed, v)
+    assert one_way > 0
 
 
 @pytest.mark.parametrize("budget, searches, truncated, n_paths", [
