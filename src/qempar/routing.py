@@ -4,27 +4,20 @@ Discovery runs once per scenario, after one synchronized beacon round and
 before any traffic. It builds up to k node-disjoint source-to-sink paths:
 the protocol router searches greedily by link suitability (progressing
 candidates first) with backtracking under an iteratively deepened hop budget;
-the baseline router takes minimum-hop paths by breadth-first search. Paths
-share only the source and sink.
-
-The greedy search ranks a node's candidates once each time it enters the
-node and tries them in that order, which takes the same steps and scores
-the same links as re-ranking the eligible candidates at every step: while a
-node is on top of the path, nothing entered deeper in its subtree can rule
-out one of its own candidates (see _bounded_greedy_dfs).
+the baseline router takes minimum-hop paths. Paths share only the source
+and sink.
 
 Before each search, one breadth-first pass from the sink over the reversed
-neighbor relation gives every node's fewest hops to the sink, and the
-search skips a candidate that cannot reach the sink within the hop cap.
-Nothing below such a candidate can either, so only subtrees without a path
-go, and the search finds the same path whenever the visit budget cannot
-stop it (see _find_path).
+neighbor relation gives every node's fewest hops to the sink. The baseline
+walks down that table; the greedy search skips a candidate that cannot
+reach the sink within the hop cap. Nothing below such a candidate can
+either, so only subtrees without a path go, and the search finds the same
+path whenever the visit budget cannot stop it (see _find_path).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -32,7 +25,6 @@ from . import link_metrics
 from .errors import NoPathError
 from .link_metrics import NetworkState, RoutePath
 from .energy import rx_energy, tx_energy
-from .topology import distance
 
 
 @dataclass(frozen=True)
@@ -96,32 +88,6 @@ def beacon_exchange(state: NetworkState) -> None:
         state.invalidate_neighbors()
 
 
-def _bfs_path(state: NetworkState, source: int, sink: int, banned: set[int],
-              direct_ok: bool) -> list[int] | None:
-    """Minimum-hop path exploring neighbors in ascending id order; banned
-    nodes cannot be traversed (endpoints are always allowed). Without
-    direct_ok the source-to-sink link itself is skipped."""
-    parent: dict[int, int | None] = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        if u == sink:
-            path = []
-            cur: int | None = u
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            return path[::-1]
-        for v in state.neighbors(u):
-            if v in parent or (v in banned and v != sink):
-                continue
-            if v == sink and u == source and not direct_ok:
-                continue
-            parent[v] = u
-            q.append(v)
-    return None
-
-
 def _predecessors(state: NetworkState) -> list[list[int]]:
     """predecessors[w]: the alive nodes whose neighbor lists hold w,
     ascending. A dead node is in no neighbor list, so the search never
@@ -157,6 +123,23 @@ def _hops_to_sink(predecessors: list[list[int]], source: int, sink: int,
     return hops
 
 
+def _shortest_path(state: NetworkState, predecessors: list[list[int]], source: int,
+                   sink: int, banned: set[int], direct_ok: bool) -> list[int] | None:
+    """The lexicographically smallest minimum-hop path avoiding banned
+    interiors (and, without direct_ok, the source-to-sink link), or None:
+    from the source, each step takes the lowest-id neighbor one hop nearer
+    the sink (_hops_to_sink). That is the path a breadth-first search from
+    the source, taking neighbors in ascending id order, returns."""
+    hops = _hops_to_sink(predecessors, source, sink, banned, direct_ok)
+    if hops[source] == math.inf:
+        return None
+    path = [source]
+    while path[-1] != sink:
+        h = hops[path[-1]] - 1
+        path.append(next(v for v in state.neighbors(path[-1]) if hops[v] == h))
+    return path
+
+
 def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                         depth_cap: int, dist_to_sink: list[float], hops_left: list[float],
                         visit_budget: int, direct_ok: bool, score):
@@ -171,16 +154,6 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
     (all zeros admits every one). Returns (path or None, truncated,
     deepest_partial): truncated means the visit budget stopped an unfinished
     search.
-
-    Each node ranks its candidates once each time it is entered, and the
-    search then tries them in that order. That is the step re-ranking at
-    every step would take: while a node is on top of the path, only its own
-    pushes change which of its candidates are eligible, since the path
-    below it is fixed and a node entered deeper in its subtree is entered
-    deeper than the node's children, with `entered` only falling. The
-    non-progressing candidates are ranked only when the progressing ones
-    run out, as re-ranking would first score them then, so the same links
-    are scored.
     """
     # Shallowest depth each node has been entered at during this cap. A
     # candidate is entered only strictly shallower than before; without
@@ -194,39 +167,29 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
         if v != sink:
             entered[v] = 0
     entered[source] = 0
-    tiers = (True,) if state.config.progress_mode == "strict" else (True, False)
-
-    def next_hops(cur: int, depth: int):
-        """cur's candidates entered at depth, best first."""
-        here, slack = dist_to_sink[cur], depth_cap - depth
-        links = state.neighbors(cur)
-        if cur == source and not direct_ok:
-            links = [v for v in links if v != sink]
-        # Neighbor lists ascend by id and sorted() is stable, reverse=True
-        # included, so equal scores keep the lowest id first.
-        by_score = partial(score, cur)
-        for progressing in tiers:
-            yield from sorted([v for v in links if (dist_to_sink[v] < here) is progressing
-                               and entered[v] > depth and hops_left[v] <= slack],
-                              key=by_score, reverse=True)
-
+    strict = state.config.progress_mode == "strict"
     path = [source]
-    hops = []  # next_hops of path[i], made when path[i] first extends
     deepest = [source]
     visits = 0
     while path:
-        depth = len(path)
-        if path[-1] == sink:
+        cur, depth = path[-1], len(path)
+        if cur == sink:
             return path, False, deepest
-        nxt = None
+        links = []
         if depth <= depth_cap and visits < visit_budget:
-            if len(hops) < depth:
-                hops.append(next_hops(path[-1], depth))
-            nxt = next(hops[-1], None)
-        if nxt is None:
+            slack = depth_cap - depth
+            links = [v for v in state.neighbors(cur) if entered[v] > depth
+                     and hops_left[v] <= slack and (direct_ok or cur != source or v != sink)]
+            here = dist_to_sink[cur]
+            progressing = [v for v in links if dist_to_sink[v] < here]
+            if progressing or strict:
+                links = progressing
+        if not links:
             path.pop()
-            del hops[depth - 1:]
         else:
+            # Neighbor lists ascend by id and max() keeps the first of
+            # equal scores, so ties go to the lowest id.
+            nxt = max(links, key=partial(score, cur))
             visits += 1
             entered[nxt] = depth
             path.append(nxt)
@@ -329,8 +292,7 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     """
     _check_endpoints(state, source, sink, k)
     topo = state.topology
-    sink_pos = topo.node(sink).position
-    dist_to_sink = [distance(n.position, sink_pos) for n in topo.nodes]
+    dist_to_sink = topo.distances.d[sink].tolist()
     # No simple path has more than n-1 hops, and every cap beyond that
     # repeats the same search, so both bounds stop there (and stay finite).
     longest = len(topo.nodes) - 1
@@ -345,9 +307,10 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
 
 
 def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
-    """Up to k node-disjoint minimum-hop paths via iterated BFS: find a
-    shortest path, remove its interior (or, for a direct hop, that link),
-    repeat."""
+    """Up to k node-disjoint minimum-hop paths: find a shortest path, remove
+    its interior (or, for a direct hop, that link), repeat."""
     _check_endpoints(state, source, sink, k)
     score = cache(lambda a, b: link_metrics.suitability(a, b, state))
-    return _disjoint_paths(state, source, sink, k, partial(_bfs_path, state, source, sink), score)
+    return _disjoint_paths(state, source, sink, k,
+                           partial(_shortest_path, state, _predecessors(state), source, sink),
+                           score)

@@ -178,7 +178,9 @@ def test_min_hop_path_length_matches_bfs_oracle_on_500_topologies():
         got = minhop_paths(1, 0, 1, state).paths[0].hop_count
         assert got == want
         best = discover_paths(1, 0, 1, state).paths[0].hop_count
-        assert want <= best <= max(want * budget_factor, want + 2)
+        # In preferred mode the search skips nodes that cannot reach the
+        # sink in time, so its first path is a minimum-hop path.
+        assert best == want
         for p in discover_paths(1, 0, 4, state).paths:
             assert want <= p.hop_count <= cap
 

@@ -1,5 +1,6 @@
 """Every top-level import in the package, the tests and the demos is used,
-and every field of a package class is read by some module of the package."""
+every field of a package class is read by some module of the package, and
+every private helper of the package has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,35 @@ def test_the_scan_finds_an_unread_field():
 def test_every_field_of_a_package_class_is_read():
     sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
     assert unread_fields(sources) == []
+
+
+def unreferenced_helpers(sources: list[str]) -> list[str]:
+    """Each module-level function or class named _x (dunders aside) in
+    sources that no other top-level statement of sources reads, as a name
+    or as an attribute. A helper that only tests call belongs in tests/."""
+    helpers, reads = [], []
+    for tree in map(ast.parse, sources):
+        for stmt in tree.body:
+            own = getattr(stmt, "name", "")
+            if own.startswith("_") and not own.startswith("__"):
+                helpers.append(own)
+            reads.append((own, {node.id if isinstance(node, ast.Name) else node.attr
+                                for node in ast.walk(stmt)
+                                if isinstance(node, (ast.Name, ast.Attribute))
+                                and isinstance(node.ctx, ast.Load)}))
+    return [h for h in helpers if not any(h in names for own, names in reads if own != h)]
+
+
+def test_the_scan_finds_an_unused_helper():
+    assert unreferenced_helpers([
+        "def _used():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Spare:\n    pass\n"
+        "def __getattr__(name):\n    pass\n",
+        "from . import a\ndef run():\n    return a._used()\n",
+    ]) == ["_recursive", "_Spare"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
+    assert unreferenced_helpers(sources) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, beacon_exchange, place_nodes, rx_energy, tx_energy
-from qempar import link_metrics, routing, topology
+from qempar import link_metrics, topology
 from qempar.engine import setup
 from qempar.errors import UnknownNodeError
 from qempar.topology import NodeState, Position, _bridge_components, distance, neighbors
@@ -293,7 +293,7 @@ def test_set_up_calls_distance_linearly_often(monkeypatch):
         calls += 1
         return distance(a, b)
 
-    for module in (topology, link_metrics, routing):
+    for module in (topology, link_metrics):
         monkeypatch.setattr(module, "distance", counted)
     cfg = ScenarioConfig(node_count=300, seed=3)
     state = setup(cfg)
