@@ -76,13 +76,11 @@ def beacon_exchange(state: NetworkState) -> None:
     # Neighbor lists are taken before any energy is spent, so a node that
     # dies in this round still hears and is heard by everyone.
     nbr_map = {i: state.neighbors(i) for i in ids}
-    table = topo.distances
-    for i in ids:
-        nbrs = nbr_map[i]
-        if not nbrs:
-            continue
-        ledger.add(topo.nodes[i], tx_energy(bits, table.farthest(i, nbrs), params))
-        for v in nbrs:
+    senders = [i for i in ids if nbr_map[i]]
+    reaches = topo.distances.farthest(senders, [nbr_map[i] for i in senders])
+    for i, reach in zip(senders, reaches):
+        ledger.add(topo.nodes[i], tx_energy(bits, reach, params))
+        for v in nbr_map[i]:
             ledger.add(topo.nodes[v], rx_j)
     if not all(topo.nodes[i].alive for i in ids):
         state.invalidate_neighbors()
@@ -292,7 +290,7 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     """
     _check_endpoints(state, source, sink, k)
     topo = state.topology
-    dist_to_sink = topo.distances.d[sink].tolist()
+    dist_to_sink = topo.distances.row(sink)
     # No simple path has more than n-1 hops, and every cap beyond that
     # repeats the same search, so both bounds stop there (and stay finite).
     longest = len(topo.nodes) - 1

@@ -7,14 +7,19 @@ extended-range links (repeatedly joining the two closest components) so every
 node can reach every other; these long links are flagged and transmissions
 over them pay the multi-path amplifier cost.
 
-Bridging, neighbor lists, the beacon round and carrier-sense sets all read
-one pairwise distance table per field, built on first use; the first two
-read every node's in-range list, split from one comparison of the whole
-table with the radio range. Its entries are exactly
-distance(): numpy takes the coordinate differences, which is IEEE subtraction
-as in Python, but each entry is math.hypot of them. np.hypot cannot stand in,
-as it differs from math.hypot in the last bit on about 0.6% of pairs, which
-would move a pair sitting at the radio range across it.
+Bridging, neighbor lists, the beacon round, carrier-sense sets and
+discovery all read one DistanceTable per field, built on first use. Its
+screen holds every pair's distance as np.sqrt(dx*dx + dy*dy), filled in
+blocks of rows, which lies within a stated margin of the exact value. Every
+distance an output reads is exact: math.hypot of the same coordinate
+differences (IEEE subtraction, in numpy as in Python), equal to distance()
+bit for bit. The screen only picks the pairs that need one: those it cannot
+place on one side of a threshold (in-range lists, carrier-sense sets,
+bridging's bands), a node's candidate farthest links (beacon reach), or a
+whole row (discovery's distances to the sink, the nearest-alive fallback).
+np.hypot cannot stand in for math.hypot, as it differs from it in the last
+bit on about 0.6% of pairs, which would move a pair sitting at the radio
+range across it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -69,47 +75,133 @@ class NodeState:
         return clamped
 
 
+# The cells of the temporaries that the screen's build holds, whatever the
+# field's size.
+_BLOCK = 4096
+
+
+def _margin(x: float) -> float:
+    """How far from x a screen entry must lie for the screen alone to place
+    the exact distance on the same side of x (DistanceTable)."""
+    return x * 2.0 ** -40 + 2.0 ** -500
+
+
 class DistanceTable:
-    """Pairwise distances of a field's nodes, row and column k standing for
-    node k. Entry (a, b) equals distance() of the two positions bit for bit.
-    Every node's in-range list comes from one comparison of the whole table
-    (within_each); carrier-sense sets and the nearest-alive fallback read
-    single rows."""
+    """Pairwise distances of a field's nodes: a screen of all pairs, and
+    exact() for each distance an output reads.
+
+    The screen is an n x n array, row and column k standing for node k, of
+    np.sqrt(dx*dx + dy*dy) over the same coordinate differences dx, dy that
+    distance() takes, filled a few rows at a time. exact() is math.hypot
+    of those differences, so it equals distance() bit for bit; every
+    distance that an output reads comes from it.
+
+    The bound. IEEE arithmetic rounds each of the two squares, their sum and
+    the root correctly, so an entry lies within about 3u of the true
+    distance t of dx, dy (u = 2**-53), and math.hypot within 1 ulp (2u) of
+    it. Where dx*dx underflows, the sum loses at most about 2**-1074, which
+    moves the root by at most 2**-536. So an entry and the exact distance
+    differ by less than 5u*t + 2**-536, far below _margin(t) = t*2**-40 +
+    2**-500. Hence an entry more than _margin(r) below a threshold r has
+    its exact distance <= r, and one more than _margin(r) above it has its
+    exact distance > r; a pair whose entry lies within _margin(r) of r is
+    decided by exact(). The one entry not covered is +inf, where the sum
+    overflows although t may not; the build replaces each such entry with
+    exact().
+    """
 
     def __init__(self, nodes: list[NodeState]):
-        xs = np.array([node.position.x for node in nodes])
-        ys = np.array([node.position.y for node in nodes])
+        xs = self._xs = np.array([node.position.x for node in nodes])
+        ys = self._ys = np.array([node.position.y for node in nodes])
         n = len(nodes)
-        d = self.d = np.zeros((n, n))
-        # Row by row above the diagonal, each row written to its mirror
-        # column too: math.hypot ignores the signs of the differences, so
-        # the mirrored entry is the same float.
-        for k in range(n - 1):
-            d[k, k + 1:] = d[k + 1:, k] = np.fromiter(
-                map(math.hypot, (xs[k + 1:] - xs[k]).tolist(), (ys[k + 1:] - ys[k]).tolist()),
-                float, n - 1 - k)
+        screen = self.screen = np.empty((n, n))
+        # Each step fills the screen's next rows from two temporaries of
+        # that many rows, together about _BLOCK cells: own[k] holds node
+        # start+k's coordinate in every column, other[k] every node's. numpy
+        # buffers an operand that it broadcasts in arithmetic, about one
+        # block more, but not one that it broadcasts in an assignment.
+        rows = max(1, min(n, _BLOCK // max(2 * n, 1)))
+        own, other = np.empty((rows, n)), np.empty((rows, n))
+        # Overflow makes +inf, which the last line of each step replaces.
+        with np.errstate(over="ignore"):
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                block, own, other = screen[start:stop], own[:stop - start], other[:stop - start]
+                block[...] = xs
+                own[...] = xs[start:stop, None]
+                block -= own
+                block *= block
+                other[...] = ys
+                own[...] = ys[start:stop, None]
+                other -= own
+                other *= other
+                block += other
+                np.sqrt(block, out=block)
+                if block.max() == math.inf:
+                    a, b = np.nonzero(block == math.inf)
+                    block[a, b] = self.exact(a + start, b)
+
+    def exact(self, a, b) -> list[float]:
+        """distance() of nodes a[i] and b[i] for each i, bit for bit: one
+        math.hypot of their coordinate differences per pair. a and b are
+        numpy indices that broadcast together (id arrays or lists, an id, a
+        slice)."""
+        xs, ys = self._xs, self._ys
+        return list(map(math.hypot, (xs[a] - xs[b]).tolist(), (ys[a] - ys[b]).tolist()))
+
+    def row(self, node_id: int) -> list[float]:
+        """The exact distance from node_id to every node, by id."""
+        return self.exact(node_id, slice(None))
+
+    def _within_rows(self, start: int, stop: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols), row-major, of the pairs (k, j) with k in
+        start..stop-1, j != k and exact distance <= radius. The screen
+        rules out the entries more than _margin(radius) above radius and
+        admits those more than _margin(radius) below it; exact() decides
+        the rest."""
+        screen = self.screen[start:stop]
+        margin = _margin(radius)
+        rows, cols = np.nonzero(screen <= radius + margin)
+        unsure = np.flatnonzero(screen[rows, cols] > radius - margin)
+        rows += start
+        keep = rows != cols
+        if len(unsure):
+            keep[unsure] &= np.less_equal(self.exact(rows[unsure], cols[unsure]), radius)
+        return rows[keep], cols[keep]
 
     def within(self, node_id: int, radius: float) -> list[int]:
         """Ids of the other nodes at distance <= radius, ascending."""
-        return [j for j in np.flatnonzero(self.d[node_id] <= radius).tolist() if j != node_id]
+        return self._within_rows(node_id, node_id + 1, radius)[1].tolist()
 
     def within_each(self, radius: float) -> list[list[int]]:
-        """within(k, radius) of every node k, from one comparison of the
-        whole table with radius split by row."""
-        near = self.d <= radius
-        np.fill_diagonal(near, False)
-        rows, cols = np.nonzero(near)  # row-major, so ascending (row, col)
+        """within(k, radius) of every node k, from one screening of the
+        whole table split by row."""
+        rows, cols = self._within_rows(0, len(self.screen), radius)
         cols = cols.tolist()
-        ends = np.bincount(rows, minlength=len(near)).cumsum().tolist()
+        ends = np.bincount(rows, minlength=len(self.screen)).cumsum().tolist()
         return [cols[start:end] for start, end in zip([0, *ends], ends)]
 
     def by_distance(self, node_id: int) -> list[int]:
         """Ids of the other nodes by ascending (distance, id)."""
-        return [j for j in np.argsort(self.d[node_id], kind="stable").tolist() if j != node_id]
+        return [j for j in np.argsort(self.row(node_id), kind="stable").tolist()
+                if j != node_id]
 
-    def farthest(self, node_id: int, others) -> float:
-        """The largest distance from node_id to any of others (not empty)."""
-        return max(map(self.d[node_id].item, others))
+    def farthest(self, node_ids: list[int], others: list[list[int]]) -> list[float]:
+        """For each node_ids[k], the largest distance to any of others[k]
+        (not empty). By the bound, the entry of the link whose exact
+        distance is largest lies less than 2 _margin(top) below the largest
+        entry top over the node's links, so exact() runs only on the links
+        whose entries reach that far, about one a node. Where top is +inf,
+        the cut is nan and keeps every link."""
+        counts = np.fromiter(map(len, others), np.intp, len(others))
+        a = np.repeat(np.array(node_ids, np.intp), counts)
+        b = np.fromiter(chain.from_iterable(others), np.intp, len(a))
+        screen = self.screen[a, b]
+        starts = np.cumsum(counts) - counts
+        top = np.maximum.reduceat(screen, starts)
+        keep = np.flatnonzero(~(screen < np.repeat(top - 2 * _margin(top), counts)))
+        dist = self.exact(a[keep], b[keep])
+        return np.maximum.reduceat(dist, np.searchsorted(keep, starts)).tolist()
 
 
 @dataclass
@@ -174,12 +266,14 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     bridges exceed the radio range by construction, so transmissions over
     them pay the long-distance amplifier cost.
     """
-    d = topo.distances.d
+    table = topo.distances
+    screen = table.screen
     in_range = topo.in_range
+    n = len(topo.nodes)
     # Label each component of the in-range graph by its lowest node, which
     # is also its root in the union-find forest below.
-    parent = [-1] * len(d)
-    for root in range(len(d)):
+    parent = [-1] * n
+    for root in range(n):
         if parent[root] < 0:
             parent[root] = root
             stack = [root]
@@ -198,21 +292,27 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     # The comparison below buffers its broadcast operands 8192 at a time, so
     # the labels take the narrowest dtype: as int64 that buffer was 0.13 MB,
     # the largest transient allocation of a 100-node set-up.
-    comp = np.array(parent, dtype=np.min_scalar_type(len(d)))
+    comp = np.array(parent, dtype=np.min_scalar_type(n))
     components = sum(i == root for i, root in enumerate(parent))
     cross = np.triu(comp[:, None] != comp[None, :], 1)
-    top = d.max(initial=0.0)
+    top = screen.max(initial=0.0)
     bridges: dict[int, list[int]] = {}
     # Kruskal needs only the pairs up to its last bridge, a small share of
     # all pairs, so it takes them in distance bands (lo, hi] of doubling
-    # width. Within a band, the pairs come out of nonzero() row-major, so
-    # ascending (a, b), and a stable sort by distance orders them by
-    # (d, a, b); bands follow one another in that order.
+    # width. The screen picks every pair whose exact distance can lie in a
+    # band (DistanceTable's bound), and the exact distances keep those that
+    # do. They come out of nonzero() row-major, so ascending (a, b), and a
+    # stable sort by exact distance orders them by (d, a, b); bands follow
+    # one another in that order. The band edges only partition the pairs,
+    # so that top is a screen value changes no bridge.
     lo = topo.radio_range
     while components > 1 and lo < math.inf:
         hi = 2 * lo if 0 < 2 * lo < top else math.inf
-        a_idx, b_idx = np.nonzero(cross & (d > lo) & (d <= hi))
-        order = np.argsort(d[a_idx, b_idx], kind="stable")
+        a_idx, b_idx = np.nonzero(cross & (screen > lo - _margin(lo))
+                                  & (screen <= hi + _margin(hi)))
+        exact = np.array(table.exact(a_idx, b_idx))
+        keep = np.flatnonzero((exact > lo) & (exact <= hi))
+        order = keep[np.argsort(exact[keep], kind="stable")]
         for a, b in zip(a_idx[order].tolist(), b_idx[order].tolist()):
             ra, rb = find(a), find(b)
             if ra == rb:

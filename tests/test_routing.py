@@ -185,6 +185,22 @@ def test_a_later_discovery_sees_a_changed_residual():
     assert discover_paths(1, 0, 2, state).paths[1].merit == first.merit - 0.5 / 2.0
 
 
+def test_ties_go_to_the_lowest_id_on_symmetric_corridors():
+    """Two mirror-image corridors of 50 m hops meet at node 4 and part
+    again: the search meets an exact tie of scores at the source (2 or 3)
+    and at node 4 (5 or 6), takes the lower id both times, and matches its
+    oracle at every step."""
+    state = make_state(manual_topology(
+        [(120, 0), (0, 0), (30, 40), (30, -40), (60, 0), (90, 40), (90, -40)],
+        radio_range=50.0))
+    assert suitability(1, 2, state) == suitability(1, 3, state)
+    assert suitability(4, 5, state) == suitability(4, 6, state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_bounded_greedy_dfs", _same_search)
+        paths = discover_paths(1, 0, 2, state)
+    assert [p.node_ids for p in paths.paths] == [(1, 2, 4, 5, 0)]
+
+
 def test_paths_flag_extended_hops():
     topo = manual_topology([(0, 0), (300, 0), (30, 0)],
                            radio_range=40.0, fallback=True,

@@ -1,17 +1,21 @@
 """Node placement, the neighbor relation, and component bridging."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, beacon_exchange, place_nodes, rx_energy, tx_energy
 from qempar import link_metrics, topology
-from qempar.engine import setup
-from qempar.errors import UnknownNodeError
-from qempar.topology import NodeState, Position, _bridge_components, distance, neighbors
+from qempar.engine import discover, setup
+from qempar.errors import ConfigError, UnknownNodeError
+from qempar.link_metrics import NetworkState
+from qempar.topology import (DistanceTable, NodeState, Position, _bridge_components, _margin,
+                             distance, neighbors)
 
-from conftest import make_state, manual_topology
+from conftest import BOUNDARY_BASE, boundary_configs, make_state, manual_topology, valid_configs
 
 
 def test_diagonal_distance_value():
@@ -253,34 +257,87 @@ def fields(draw):
             draw(st.sampled_from([0.0, 1.0, 2.0, 2.5])), energy)
 
 
+def _assert_table_matches_scans(state):
+    """The screen is symmetric and each entry lies within _margin() of
+    distance(), every exact row equals distance() bit for bit, and bridges,
+    neighbor lists (dead nodes and the nearest-alive fallback included),
+    carrier-sense sets and the beacon round's debits and clamps equal the
+    brute-force scans, the lists before the beacon round and after it."""
+    topo, nodes = state.topology, state.topology.nodes
+    table = topo.distances
+    exact = [[distance(a.position, b.position) for b in nodes] for a in nodes]
+    screen = table.screen.tolist()
+    assert (table.screen == table.screen.T).all()
+    assert all(s == e or abs(s - e) <= _margin(e)
+               for s_row, e_row in zip(screen, exact) for s, e in zip(s_row, e_row))
+    assert [table.row(k) for k in range(len(nodes))] == exact
+    if topo.fallback_enabled:
+        assert topo.extended_links == _scan_bridges(topo)
+    cs = state.config.carrier_sense_factor * topo.radio_range
+    spent, clamps = _scan_beacon_round(state)
+    for after_beacons in (False, True):
+        for i in range(len(nodes)):
+            assert neighbors(topo, i) == _scan_neighbors(topo, i)
+            assert state.carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs)
+        if not after_beacons and state.config.beacon_accounting:
+            beacon_exchange(state)
+            assert [node.spent_energy.hex() for node in nodes] == [j.hex() for j in spent]
+            assert state.ledger.clamped_debits == clamps
+
+
 @settings(max_examples=300, deadline=None)
 @given(fields())
 @example(([(0.0, 0.0), (24.0, 32.0), (24.0, 32.0), (300.0, 0.0)], 40.0, True, {1}, 1.0, 2.0))
+# Decimal lattices where the screen misplaces a pair at the range: its
+# entry for (0, 0)-(0.1, 0.1) lies above the exact 0.1414213562373095, and
+# for (0, 0)-(0.1, 1.5) below the exact 1.503329637837291.
+@example(([(0.0, 0.0), (0.1, 0.1), (0.2, 0.2), (0.1, 1.5)], 0.1414213562373095, True,
+          set(), 1.0, 2.0))
+@example(([(0.0, 0.0), (0.1, 0.1), (0.1, 1.5), (0.2, 0.2)], 1.5033296378372907, True,
+          set(), 1.0, 2.0))
 def test_distance_table_matches_the_all_pairs_scans(field_spec):
-    """The table is symmetric with distance()'s entries, and bridges,
-    neighbor lists (dead nodes and the nearest-alive fallback included),
-    carrier-sense sets and the beacon round's debits and clamps equal the
-    brute-force scans."""
+    """_assert_table_matches_scans on small hand-made fields."""
     positions, radius, fallback, dead, cs_factor, energy = field_spec
     topo = manual_topology(positions, radio_range=radius, initial_energy=energy,
                            fallback=fallback)
-    d = topo.distances.d
-    assert (d == d.T).all()
-    assert d.tolist() == [[distance(a.position, b.position) for b in topo.nodes]
-                          for a in topo.nodes]
     if fallback:
         topo.extended_links = _bridge_components(topo)
-        assert topo.extended_links == _scan_bridges(topo)
     for i in dead:
         topo.nodes[i].spend(topo.nodes[i].initial_energy)
-    state = make_state(topo, carrier_sense_factor=cs_factor)
-    for i in range(len(positions)):
-        assert neighbors(topo, i) == _scan_neighbors(topo, i)
-        assert state.carrier_sense_set(i) == _scan_carrier_sense(topo, i, cs_factor * radius)
-    spent, clamps = _scan_beacon_round(state)
-    beacon_exchange(state)
-    assert [node.spent_energy.hex() for node in topo.nodes] == [j.hex() for j in spent]
-    assert state.ledger.clamped_debits == clamps
+    _assert_table_matches_scans(make_state(topo, carrier_sense_factor=cs_factor))
+
+
+# A field whose corner-to-corner dx*dx + dy*dy overflows, although its
+# diagonal, the sink-to-source distance, is finite and validates.
+_WIDE, _TALL = 7.324924083106166e+153, 1.123008462403391e+154
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_configs() | boundary_configs())
+@example(replace(BOUNDARY_BASE, field_width=1.0, field_height=1.0, sink_x=0.0, sink_y=0.0,
+                 source_x=0.1, source_y=0.1, radio_range_m=0.1414213562373095))
+@example(replace(BOUNDARY_BASE, field_width=5e-324, field_height=5e-324, sink_x=0.0,
+                 sink_y=0.0, source_x=5e-324, source_y=5e-324))
+@example(replace(BOUNDARY_BASE, radio_range_m=1e-310))
+@example(replace(BOUNDARY_BASE, field_width=1e-308, field_height=1e-308, sink_x=0.0,
+                 sink_y=0.0, source_x=1e-308, source_y=1e-308, radio_range_m=1e-310))
+@example(replace(BOUNDARY_BASE, field_width=_WIDE, field_height=_TALL, sink_x=0.0,
+                 sink_y=0.0, source_x=_WIDE, source_y=_TALL,
+                 radio_range_m=math.hypot(_WIDE, _TALL), eps_mp_j_per_bit_m4=5e-324,
+                 interference_alpha=0.5))
+def test_distance_table_matches_the_all_pairs_scans_on_drawn_configs(config):
+    """_assert_table_matches_scans on placed fields of configs that pass
+    validate(). The examples put the sink and source exactly at the range
+    on a decimal lattice, where the screen misplaces them; make nodes
+    coincide; take the radio range to 1e-310; shrink the field until every
+    dx*dx underflows, so that the screen reads 0 for every pair; and
+    overflow the screen's sum for the sink-to-source pair."""
+    try:
+        config.validate()
+    except ConfigError:
+        return
+    topo = place_nodes(config, config.seed)
+    _assert_table_matches_scans(NetworkState(topo, config.radio_params(), config))
 
 
 def test_set_up_calls_distance_linearly_often(monkeypatch):
@@ -299,3 +356,63 @@ def test_set_up_calls_distance_linearly_often(monkeypatch):
     state = setup(cfg)
     assert math.fsum(n.spent_energy for n in state.topology.nodes) > 0
     assert calls <= cfg.node_count
+
+
+def test_set_up_and_discovery_take_exact_distances_of_links_not_pairs(monkeypatch):
+    """On a 300-node field with two bridges, the distances that placement,
+    the beacon round and discovery compute through DistanceTable.exact
+    number at most the pairs in bridging's bands (different components, no
+    farther apart than twice the longest bridge), plus the directed links
+    (beacon reaches), plus n (discovery's row to the sink): 648, where an
+    exact all-pairs table takes n(n-1)/2 = 44,850."""
+    computed = []
+    exact = DistanceTable.exact
+
+    def counted(self, a, b):
+        out = exact(self, a, b)
+        computed.append(len(out))
+        return out
+
+    monkeypatch.setattr(DistanceTable, "exact", counted)
+    cfg = ScenarioConfig(node_count=300, seed=5)
+    n, r = cfg.node_count, cfg.radio_range_m
+    topo = place_nodes(cfg, cfg.seed)
+    placing = sum(computed)
+    state = NetworkState(topo, cfg.radio_params(), cfg)
+    beacon_exchange(state)
+    discover(state)
+    pos = [node.position for node in topo.nodes]
+    longest = max(distance(pos[a], pos[b]) for a, bs in topo.extended_links.items() for b in bs)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    pairs = [(a, b, distance(pos[a], pos[b])) for a in range(n) for b in range(a + 1, n)]
+    for a, b, d in pairs:
+        if d <= r:
+            parent[find(a)] = find(b)
+    band_pairs = sum(d <= 2 * longest and find(a) != find(b) for a, b, d in pairs)
+    links = sum(len(state.neighbors(i)) for i in range(n))
+    assert len(topo.extended_links) == 4
+    assert placing <= band_pairs
+    assert sum(computed) <= band_pairs + links + n < n * (n - 1) // 2 // 10
+
+
+@pytest.mark.parametrize("n", [100, 150])
+def test_screen_build_allocates_the_table_and_one_block(n):
+    """Building the screen allocates at its peak the n x n table, the
+    temporaries of one block (topology._BLOCK cells), the coordinates the
+    table keeps (16 bytes a node) and 4 KiB of object headers: no
+    temporary of the table's size."""
+    nodes = place_nodes(ScenarioConfig(node_count=n, extended_range_fallback=False), 1).nodes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        DistanceTable(nodes)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 8 * n * n < peak <= 8 * n * n + 8 * topology._BLOCK + 16 * n + 4096
