@@ -11,8 +11,7 @@ Before each search, one breadth-first pass from the sink over the reversed
 neighbor relation gives every node's fewest hops to the sink. The baseline
 walks down that table; the greedy search skips a candidate that cannot
 reach the sink within the hop cap. Nothing below such a candidate can
-either, so only subtrees without a path go, and the search finds the same
-path whenever the visit budget cannot stop it (see _find_path).
+either, so only subtrees without a path go.
 """
 
 from __future__ import annotations
@@ -148,10 +147,9 @@ def _bounded_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set
     first; in 'preferred' mode non-progressing candidates are admitted only
     when no progressing one remains, in 'strict' mode never. Without
     direct_ok the source-to-sink link itself is skipped. A candidate v
-    entered at depth is admitted only if hops_left[v] <= depth_cap - depth
-    (all zeros admits every one). Returns (path or None, truncated,
-    deepest_partial): truncated means the visit budget stopped an unfinished
-    search.
+    entered at depth is admitted only if hops_left[v] <= depth_cap - depth.
+    Returns (path or None, truncated, deepest_partial): truncated means the
+    visit budget stopped an unfinished search.
     """
     # Shallowest depth each node has been entered at during this cap. A
     # candidate is entered only strictly shallower than before; without
@@ -207,21 +205,8 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
     provably hold no path). A search truncated by the visit budget
     blacklists the deepest partial path's interior and retries, up to the
     configured retry limit.
-
-    The search skips candidates that cannot reach the sink within the cap
-    (_hops_to_sink), which finds the same path: every node entered below
-    such a candidate cannot either, so only subtrees without a path go, and
-    the depth mark such an entry leaves is deeper than any entry of that
-    node that can still reach the sink, so it rules none of them out. What
-    could differ is where the visit budget stops a search. Each node is
-    entered at most cap times, at strictly falling depths, so while
-    (n - 1) * cap < search_visit_budget neither search can be stopped, and
-    only then is the table passed; otherwise all zeros, which skips nothing.
     """
     cfg = state.config
-    budget = cfg.search_visit_budget
-    n = len(predecessors)
-    skips_nothing = [0] * n
     blacklist: set[int] = set()
     for _ in range(cfg.path_retry_limit + 1):
         excluded = banned | blacklist
@@ -232,9 +217,8 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
         deepest: list[int] = []
         for cap in range(hops_to_sink[source], cap_max + 1):
             path, truncated, partial = _bounded_greedy_dfs(
-                state, source, sink, excluded, cap, dist_to_sink,
-                hops_to_sink if (n - 1) * cap < budget else skips_nothing,
-                budget, direct_ok, score)
+                state, source, sink, excluded, cap, dist_to_sink, hops_to_sink,
+                cfg.search_visit_budget, direct_ok, score)
             if path is not None:
                 return path
             if truncated:

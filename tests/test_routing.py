@@ -391,11 +391,16 @@ def test_routers_find_no_more_paths_than_max_flow_allows():
             assert n_paths <= bound, (cfg, find.__name__)
 
 
+# A 120-node field whose beacon round kills 0-22 nodes on seeds 1-30 and
+# leaves some alive nodes only a one-way nearest-alive fallback link.
+DYING = ScenarioConfig(node_count=120, initial_energy_j=1e-4)
+
 # Fields whose discovery the path hash pins: the default; a dense field with
 # several disjoint paths; literal scoring; strict progress under a visit
-# budget that truncates; a sparse field without bridging; strict progress
-# with the tightest hop budget; and a field whose beacon round spends most
-# of a node's energy, though on seeds 1-30 none dies (DYING does that).
+# budget that still truncates 1 of its 157 qempar searches; a sparse field
+# without bridging; strict progress with the tightest hop budget; a field
+# whose beacon round spends most of a node's energy, though on seeds 1-30
+# none dies; and DYING, where nodes die and links are one-way.
 PINNED_DISCOVERY = [
     ScenarioConfig(),
     ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
@@ -405,11 +410,8 @@ PINNED_DISCOVERY = [
     ScenarioConfig(node_count=60, extended_range_fallback=False),
     ScenarioConfig(node_count=40, progress_mode="strict", hop_budget_factor=1.0),
     ScenarioConfig(node_count=120, initial_energy_j=2e-4),
+    DYING,
 ]
-
-# PINNED_DISCOVERY's last field at half the energy: 2e-4 J outlasts the
-# beacon round, 1e-4 J does not for 0-22 of 120 nodes on seeds 1-30.
-DYING = ScenarioConfig(node_count=120, initial_energy_j=1e-4)
 
 
 def test_discovered_paths_are_pinned():
@@ -422,8 +424,8 @@ def test_discovered_paths_are_pinned():
                 for p in discover(setup(replace(cfg, router=router, seed=seed))):
                     digest.update(repr((p.node_ids, p.merit.hex())).encode())
                     n_paths += 1
-    assert n_paths == 322
-    assert digest.hexdigest() == "d16e5c304a678c379288c2a97981610deda970ed68d58b30b145c9079228e0df"
+    assert n_paths == 408
+    assert digest.hexdigest() == "83023e6fa02b43c71de920d732d5818ac179959df48c84a2f24998d4c45bc120"
 
 
 @settings(max_examples=100, deadline=None)
@@ -434,11 +436,13 @@ def test_greedy_search_matches_its_oracle_on_drawn_configs(config):
     """Every search discovery makes, and for each set of banned nodes it
     searches around, every depth cap from the source's hop count to cap_max
     with the direct hop both allowed and not. Each cap is searched skipping
-    nothing and, where (n - 1) x cap is under the visit budget, skipping
-    the nodes that cannot reach the sink within it: both find the same
-    path and neither is truncated. The examples are a 120-node field where
-    7 nodes die in the beacon round and one link is one-way, at a budget
-    that truncates and one that cannot."""
+    nothing and skipping the nodes that cannot reach the sink within it.
+    Each node is entered at most cap times, at strictly falling depths, so
+    where (n - 1) x cap is under the visit budget neither search can be cut
+    short; there both find the same path, which shows that skipping loses
+    no path. The examples are a 120-node field where 7 nodes die in the
+    beacon round and one link is one-way, at a budget that truncates and
+    one that cannot."""
     state = setup(config)
     finds = []
 
@@ -518,14 +522,16 @@ def test_hops_to_sink_follows_one_way_links():
 
 
 @pytest.mark.parametrize("budget, searches, truncated, n_paths", [
-    (400, 115, 104, 11),
-    (800, 61, 20, 41),
+    (10, 47, 31, 16),
+    (12, 45, 5, 40),
 ])
 def test_greedy_search_matches_its_oracle_under_truncating_budgets(
         monkeypatch, budget, searches, truncated, n_paths):
-    """The dense pinned field at visit budgets that stop most searches, seeds
-    1-30. The pinned path hash cannot see a change in truncation; these
-    counts of searches, truncated searches and paths found can."""
+    """The dense pinned field at visit budgets below some of its paths' hop
+    counts, seeds 1-30, so that searches are cut short and retried around
+    their deepest partial paths. The pinned path hash cannot see a change
+    in truncation; these counts of searches, truncated searches and paths
+    found can."""
     outcomes = []
 
     def compared(*args):
@@ -537,3 +543,43 @@ def test_greedy_search_matches_its_oracle_under_truncating_budgets(
     found = sum(len(discover(setup(replace(cfg, seed=seed)))) for seed in range(1, 31))
     assert (len(outcomes), sum(t for _, t, _ in outcomes), found) == (
         searches, truncated, n_paths)
+
+
+# Seed 2 of the default field at the default density with 1500 nodes: the
+# side and the source position scale by sqrt(1500 / 100).
+LARGE = ScenarioConfig(node_count=1500, field_width=400 * math.sqrt(15),
+                       field_height=400 * math.sqrt(15), source_x=300 * math.sqrt(15),
+                       source_y=300 * math.sqrt(15), seed=2)
+
+
+def test_qempar_finds_a_minimum_hop_path_on_a_large_field():
+    """Where the visit budget cannot cover every entry of every node, the
+    search still skips the nodes that cannot reach the sink in time, so
+    qempar's first path is as short as minhop's."""
+    state = setup(LARGE)
+    best = discover_paths(1, 0, LARGE.fragments_per_packet, state).paths[0]
+    assert best.hop_count == minhop_paths(1, 0, 1, state).paths[0].hop_count > 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs())
+@example(LARGE)
+def test_preferred_discovery_searches_once_per_path(config):
+    """In preferred mode, with a visit budget no smaller than any path's hop
+    count (n - 1 bounds them), the first cap of every search holds a path
+    and the search never backtracks, and a search with no path within
+    cap_max is never started: discovery calls _bounded_greedy_dfs exactly
+    once per path it returns."""
+    config = replace(config, router="qempar", progress_mode="preferred",
+                     search_visit_budget=max(config.search_visit_budget, config.node_count - 1))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _greedy_dfs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_bounded_greedy_dfs", counted)
+        paths = discover(setup(config))
+    assert calls == len(paths)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, beacon_exchange, place_nodes, rx_energy, tx_energy
 from qempar import link_metrics, topology
-from qempar.engine import discover, setup
+from qempar.engine import discover
 from qempar.errors import ConfigError, UnknownNodeError
 from qempar.link_metrics import NetworkState
 from qempar.topology import (DistanceTable, NodeState, Position, _bridge_components, _margin,
@@ -340,40 +340,32 @@ def test_distance_table_matches_the_all_pairs_scans_on_drawn_configs(config):
     _assert_table_matches_scans(NetworkState(topo, config.radio_params(), config))
 
 
-def test_set_up_calls_distance_linearly_often(monkeypatch):
-    """Placement and the beacon round on a 300-node field call distance()
-    at most once per node; an all-pairs Python scan makes n(n-1)/2 calls."""
-    calls = 0
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return distance(a, b)
-
-    for module in (topology, link_metrics):
-        monkeypatch.setattr(module, "distance", counted)
-    cfg = ScenarioConfig(node_count=300, seed=3)
-    state = setup(cfg)
-    assert math.fsum(n.spent_energy for n in state.topology.nodes) > 0
-    assert calls <= cfg.node_count
-
-
 def test_set_up_and_discovery_take_exact_distances_of_links_not_pairs(monkeypatch):
     """On a 300-node field with two bridges, the distances that placement,
     the beacon round and discovery compute through DistanceTable.exact
     number at most the pairs in bridging's bands (different components, no
     farther apart than twice the longest bridge), plus the directed links
     (beacon reaches), plus n (discovery's row to the sink): 648, where an
-    exact all-pairs table takes n(n-1)/2 = 44,850."""
+    exact all-pairs table takes n(n-1)/2 = 44,850. The helper distance()
+    is called at most once per node, where an all-pairs Python scan makes
+    n(n-1)/2 calls."""
     computed = []
     exact = DistanceTable.exact
+    helper_calls = 0
 
     def counted(self, a, b):
         out = exact(self, a, b)
         computed.append(len(out))
         return out
 
+    def counted_distance(a, b):
+        nonlocal helper_calls
+        helper_calls += 1
+        return distance(a, b)
+
     monkeypatch.setattr(DistanceTable, "exact", counted)
+    for module in (topology, link_metrics):
+        monkeypatch.setattr(module, "distance", counted_distance)
     cfg = ScenarioConfig(node_count=300, seed=5)
     n, r = cfg.node_count, cfg.radio_range_m
     topo = place_nodes(cfg, cfg.seed)
@@ -381,6 +373,8 @@ def test_set_up_and_discovery_take_exact_distances_of_links_not_pairs(monkeypatc
     state = NetworkState(topo, cfg.radio_params(), cfg)
     beacon_exchange(state)
     discover(state)
+    assert math.fsum(node.spent_energy for node in topo.nodes) > 0
+    assert helper_calls <= n
     pos = [node.position for node in topo.nodes]
     longest = max(distance(pos[a], pos[b]) for a, bs in topo.extended_links.items() for b in bs)
     parent = list(range(n))
