@@ -14,11 +14,15 @@ resolve in creation order and a run is reproducible bit for bit from
 The event loop holds per-node spent energy, liveness and busy times in flat
 lists, and every hop of a fragment as one precomputed record linked to the
 next: its energies, success probability, delay before contention and the
-sender's carrier-sense set. Births and deadlines are read
-in order from sorted lists; only hop ends go through a heap, and they run in
-an inner loop while strictly earlier than the next birth and deadline.
-Carrier sense counts the sender's carrier-sense set within the set of
-transmitting nodes, which the loop keeps exact at every instant. Each
+sender's carrier-sense mask. Births and deadlines are read in order from
+sorted lists; only hop ends go through a heap, and they run while strictly
+earlier than the next birth and deadline. One block of the loop starts
+every hop: an event leaves at most one hop pending, and after it a hop
+end's sender serves its queue or a birth offers its next first hop.
+Carrier sense is a bitmask: each path sender has one bit, the transmitting
+senders are the set bits of one int, which the loop keeps exact at every
+instant, and a hop record holds its sender's carrier-sense set as a mask
+of those bits, so the count is the popcount of the two ints' AND. Each
 debit adds to its node's spent energy in the flat list, as NodeState.spend
 would, and one that asks for more than the node had left is counted. The
 metrics are read from those lists and that count; simulate() writes nothing
@@ -118,6 +122,13 @@ class Event:
         packet = self.packet
         return f'{{"t":{t_text}{fixed[0]}{"null" if packet is None else packet}{fixed[1]}'
 
+    def line(self, t: float, packet: int) -> str:
+        """The log line of this event at time t for packet, "\n" included:
+        sets sim_time and packet, then calls to_json()."""
+        self.sim_time = t
+        self.packet = packet
+        return self.to_json() + "\n"
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -204,11 +215,6 @@ def simulate(state, paths, log=None) -> RunMetrics:
     """Run state.config's traffic over paths (none: every packet is dropped)
     and return the metrics; log is a file or None. The state is only read,
     so simulating it again gives equal metrics and log bytes."""
-    return _simulate(state, paths, log)[0]
-
-
-def _simulate(state, paths, log) -> tuple[RunMetrics, list[float]]:
-    """simulate()'s metrics and node i's spent energy at the end at index i."""
     config, nodes = state.config, state.topology.nodes
     setup_spent = [n.spent_energy for n in nodes]
     setup_energy = math.fsum(setup_spent)
@@ -258,7 +264,7 @@ def _simulate(state, paths, log) -> tuple[RunMetrics, list[float]]:
         ledger_total_j=total_energy,
         residual_total_j=residual_total,
         out_of_order_ratio=out_of_order,
-        clamped_debits=state.ledger.clamped_debits + clamped), spent
+        clamped_debits=state.ledger.clamped_debits + clamped)
 
 
 def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
@@ -274,18 +280,25 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     params = state.params
     nodes = topo.nodes
     n_nodes = len(nodes)
-    source = topo.source_id
-    sink = topo.sink_id
     access_delay = config.access_delay_s
     contention_delay = config.contention_delay_s
 
+    # Only the senders of path hops ever transmit, so each gets one bit,
+    # bit_of[u], in order of first appearance, and the ints stay as short as
+    # the paths whatever the field's size. near_of[u], u's carrier-sense
+    # mask, has the bits of the senders in state.carrier_sense_set(u).
+    bit_of = {u: 1 << i for i, u in enumerate(dict.fromkeys(
+        u for p in paths for u in p.node_ids[:-1]))}
+    near_of = {u: sum(bit_of.get(w, 0) for w in state.carrier_sense_set(u)) for u in bit_of}
+
     # Hop records: every packet splits the same way, so energies, success
-    # probabilities, the sender's carrier-sense set, the delay before
+    # probabilities, the sender's carrier-sense mask, the delay before
     # contention and the log Events are built once per (seq, hop). A record
-    # is (u, v, tx_j, rx_j, p_ok, near, t_tx + access_delay, seq, events,
-    # next_hop), next_hop being None on the hop into the sink; events is None
-    # without a log, else its hop-start, hop-complete, hop-failed and (into
-    # the sink, else None) fragment-delivered Events.
+    # is (u, v, tx_j, rx_j, p_ok, near_of[u], t_tx + access_delay, seq,
+    # events, next_hop, bit_of[u], ~bit_of[u]): next_hop is None on the hop
+    # into the sink; events is None without a log, else its hop-start,
+    # hop-complete, hop-failed and (into the sink, else None)
+    # fragment-delivered Events.
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
     first_hops = []
@@ -304,22 +317,24 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                 Event(None, "hop-failed", u, v, None, seq, wire),
                 None if hop else Event(None, "fragment-delivered", v, None, None, seq, frag_bits))
             hop = (u, v, tx_j, rx_j, link_success_probability(config, d, topo.radio_range),
-                   state.carrier_sense_set(u), t_tx + access_delay, seq, events, hop)
+                   near_of[u], t_tx + access_delay, seq, events, hop, bit_of[u], ~bit_of[u])
         first_hops.append(hop)
 
     initial = [n.initial_energy for n in nodes]
     spent = [n.spent_energy for n in nodes]
     alive = [n.alive for n in nodes]
     busy = [0.0] * n_nodes
-    queues: list[deque | None] = [None] * n_nodes
+    # Queues are made on first use; queues[n_nodes] stays None (see nxt).
+    queues: list[deque | None] = [None] * (n_nodes + 1)
     # Debits beyond what their node had left, as NodeState.spend counts them.
     clamped = 0
-    # Carrier sense counts active, which the loop keeps equal to the nodes
-    # whose latest hop ends after the current time: a node joins when it
-    # starts a hop and leaves when a hop end of its runs with no later hop
-    # started. Hop ends due at the current time that have not run yet are
-    # settled by start_hop before it senses the carrier.
-    active: set[int] = set()
+    # Carrier sense counts the bits of active within the sender's mask, and
+    # the loop keeps bit w of active set exactly while node w's latest hop
+    # ends after the current time: a node's bit is set when it starts a hop
+    # and cleared when a hop end of its runs with no later hop started. Hop
+    # ends due at the current time that have not run yet are cleared by a
+    # scan of the heap before the carrier is sensed.
+    active = 0
     reassemble = buffer.reassemble
     drop = buffer.drop
     link_random = random.Random(config.seed ^ 0x9E3779B9).random
@@ -340,13 +355,8 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
 
     if log is not None:
         write = log.write
-        born_event = Event(None, "packet-born", source, None, None, None, packet_bits)
-        expired_event = Event(None, "deadline-expired", sink)
-
-    def log_line(ev: Event, t: float, pid: int) -> None:
-        ev.sim_time = t
-        ev.packet = pid
-        write(ev.to_json() + "\n")
+        born_event = Event(None, "packet-born", topo.source_id, None, None, None, packet_bits)
+        expired_event = Event(None, "deadline-expired", topo.sink_id)
 
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
@@ -356,56 +366,27 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                 drop(item[0])
             q.clear()
 
-    def enqueue(u: int, pid: int, hop: tuple) -> None:
-        q = queues[u]
-        if q is None:
-            q = queues[u] = deque()
-        q.append((pid, hop))
-
-    def start_hop(t: float, pid: int, hop: tuple, attempt: int) -> None:
-        nonlocal ordinal, clamped
-        u = hop[0]
-        if not alive[u]:
-            drop(pid)
-            return
-        if heap and heap[0][0] == t:
-            # Hops ending now whose end events have yet to run (only hop ends
-            # are on the heap): their nodes stop transmitting now unless they
-            # have started a later hop.
-            for entry in heap:
-                if entry[0] == t and busy[entry[3][0]] <= t:
-                    active.discard(entry[3][0])
-        n = len(active & hop[5])
-        end = t + (hop[6] + contention_delay * n if n else hop[6])
-        joules = hop[2]
-        if joules > initial[u] - spent[u]:
-            clamped += 1
-        spent[u] += joules
-        if spent[u] >= initial[u]:
-            alive[u] = False
-            drain_dead(u)
-        # The success draw always happens, keeping the stream aligned across
-        # alternate outcomes; a dead receiver forces failure.
-        ok = link_random() < hop[4] and alive[hop[1]]
-        busy[u] = end
-        active.add(u)
-        heappush(heap, (end, ordinal, pid, hop, attempt, ok))
-        ordinal += 1
-        if log is not None:
-            log_line(hop[8][0], t, pid)
-
     born = expired = 0  # packets whose birth, or deadline, has run
     next_birth = times[0] if times else math.inf
     next_deadline = deadlines[0] if times else math.inf
+    horizon = next_birth if next_birth < next_deadline else next_deadline
     while True:
+        # Each event leaves at most one hop pending, (pid, hop, attempt)
+        # with hop None for none. An offered hop starts only if its sender
+        # is free and queues there otherwise; a retry or a hop taken off a
+        # queue starts at once. What follows the pending hop is nxt: a node
+        # id, the sender of the hop that just ended, which then serves its
+        # queue if it is still free; a negative index into first_hops, the
+        # next first hop to offer of the packet just born; or n_nodes,
+        # nothing (queues[n_nodes] stays None).
         # A birth or deadline has a lower ordinal than any hop end, so hop
-        # ends run first only while strictly earlier than both.
-        horizon = next_birth if next_birth < next_deadline else next_deadline
-        while heap and heap[0][0] < horizon:
+        # ends run first only while strictly earlier than both (horizon).
+        if heap and heap[0][0] < horizon:
             t, _, pid, hop, attempt, ok = heappop(heap)
-            u, v, _tx_j, rx_j, _p, _near, _base, seq, events, next_hop = hop
+            u, v, _tx_j, rx_j, _p, _near, _base, seq, events, next_hop, _set, clear = hop
             if busy[u] <= t:
-                active.discard(u)
+                active &= clear
+            nxt = u
             if ok and alive[v]:
                 if rx_j > initial[v] - spent[v]:
                     clamped += 1
@@ -414,50 +395,104 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     alive[v] = False
                     drain_dead(v)
                 if log is not None:
-                    log_line(events[1], t, pid)
+                    write(events[1].line(t, pid))
                 if next_hop is None:
                     if log is not None:
-                        log_line(events[3], t, pid)
+                        write(events[3].line(t, pid))
                     reassemble(pid, seq, t)
-                elif busy[v] <= t or not alive[v]:
-                    start_hop(t, pid, next_hop, 1)
+                    hop = None
                 else:
-                    enqueue(v, pid, next_hop)
+                    hop = next_hop
+                    attempt = 1
+                    offered = True
             else:
                 if log is not None:
-                    log_line(events[2], t, pid)
+                    write(events[2].line(t, pid))
                 if attempt <= retry_limit:
-                    start_hop(t, pid, hop, attempt + 1)
+                    # A retry starts at once, even at a busy sender.
+                    attempt += 1
+                    offered = False
                 else:
                     drop(pid)
-            # A dead node's queue is empty: drain_dead clears it, nothing joins.
-            q = queues[u]
-            if q and busy[u] <= t:
-                npid, nhop = q.popleft()
-                start_hop(t, npid, nhop, 1)
-        if next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
+                    hop = None
+        elif next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
             if born == n_packets:
                 break
             t = next_birth
             pid = born
             born += 1
             next_birth = times[born] if born < n_packets else math.inf
+            horizon = next_birth if next_birth < next_deadline else next_deadline
             if log is not None:
-                log_line(born_event, t, pid)
-            for hop in first_hops:
-                # As at a hop's end: start_hop drops the packet of a dead
-                # sender, which may still be busy with the frame that killed it.
-                if busy[source] <= t or not alive[source]:
-                    start_hop(t, pid, hop, 1)
-                else:
-                    enqueue(source, pid, hop)
+                write(born_event.line(t, pid))
+            hop = None
+            nxt = -len(first_hops)
         else:
             t = next_deadline
             pid = expired
             expired += 1
             next_deadline = deadlines[expired] if expired < n_packets else math.inf
+            horizon = next_birth if next_birth < next_deadline else next_deadline
             if buffer.expire(pid, t) and log is not None:
-                log_line(expired_event, t, pid)
+                write(expired_event.line(t, pid))
+            continue
+
+        while True:
+            if hop is not None:
+                u = hop[0]
+                if not alive[u]:
+                    # The packet of a dead sender is dropped, even while the
+                    # sender is busy with the frame that killed it.
+                    drop(pid)
+                elif offered and busy[u] > t:
+                    q = queues[u]
+                    if q is None:
+                        q = queues[u] = deque()
+                    q.append((pid, hop))
+                else:
+                    # The start rule: sense the carrier, debit the sender and
+                    # draw the outcome. The heap scan clears the bits of
+                    # nodes whose hop ends now, before its end event runs,
+                    # unless they have started a later hop.
+                    if heap and heap[0][0] == t:
+                        for entry in heap:
+                            if entry[0] == t:
+                                ending = entry[3]
+                                if busy[ending[0]] <= t:
+                                    active &= ending[11]
+                    n = (active & hop[5]).bit_count()
+                    end = t + (hop[6] + contention_delay * n if n else hop[6])
+                    joules = hop[2]
+                    if joules > initial[u] - spent[u]:
+                        clamped += 1
+                    spent[u] += joules
+                    if spent[u] >= initial[u]:
+                        alive[u] = False
+                        drain_dead(u)
+                    # The success draw always happens, keeping the stream
+                    # aligned across alternate outcomes; a dead receiver
+                    # forces failure.
+                    busy[u] = end
+                    active |= hop[10]
+                    heappush(heap, (end, ordinal, pid, hop, attempt,
+                                    link_random() < hop[4] and alive[hop[1]]))
+                    ordinal += 1
+                    if log is not None:
+                        write(hop[8][0].line(t, pid))
+            if nxt < 0:
+                hop = first_hops[nxt]
+                attempt = 1
+                offered = True
+                nxt = nxt + 1 if nxt < -1 else n_nodes
+            else:
+                # A dead node's queue is empty: drain_dead clears it, nothing joins.
+                q = queues[nxt]
+                if not q or busy[nxt] > t:
+                    break
+                pid, hop = q.popleft()
+                attempt = 1
+                offered = False
+                nxt = n_nodes
 
     return spent, clamped
 

@@ -202,9 +202,12 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
 
     The depth cap deepens iteratively starting from the source's hop count
     to the sink on the reduced graph (a lower bound, so skipped caps
-    provably hold no path). A search truncated by the visit budget
-    blacklists the deepest partial path's interior and retries, up to the
-    configured retry limit.
+    provably hold no path). In strict mode a search truncated by the visit
+    budget blacklists the deepest partial path's interior and retries, up
+    to the configured retry limit. In preferred mode the search at the
+    first cap never backtracks, so the budget truncates it only when below
+    the source's hop count; blacklisting never lowers that count, so every
+    retry would be truncated too, and the first truncation ends the search.
     """
     cfg = state.config
     blacklist: set[int] = set()
@@ -227,6 +230,8 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
                 break
         if not truncated_any:
             return None  # exhaustive search: no such path exists
+        if cfg.progress_mode == "preferred":
+            return None  # every retry would be truncated too
         fresh = [n for n in deepest if n not in (source, sink) and n not in blacklist]
         if not fresh:
             return None

@@ -10,8 +10,8 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import assume, strategies as st
 
-from qempar import NetworkState, ScenarioConfig, run
-from qempar.engine import _simulate, arrival_times, discover, setup
+from qempar import NetworkState, ScenarioConfig, engine, run
+from qempar.engine import arrival_times, discover, setup, simulate
 from qempar.topology import NodeState, Position, Topology, distance
 
 
@@ -131,9 +131,22 @@ def simulate_twice(config, seed):
     nodes = state.topology.nodes
     before = [n.spent_energy.hex() for n in nodes], dict(vars(state.ledger))
     runs = []
+    traffic = engine._traffic
     for _ in range(2):
+        # Without paths simulate() runs no traffic and spent stays setup()'s.
+        spent = [n.spent_energy for n in nodes]
+
+        def kept(*args):
+            nonlocal spent
+            spent, clamped = traffic(*args)
+            return spent, clamped
+
         log = io.StringIO()
-        m, spent = _simulate(state, paths, log)
+        engine._traffic = kept
+        try:
+            m = simulate(state, paths, log)
+        finally:
+            engine._traffic = traffic
         runs.append((m, log.getvalue(), [s.hex() for s in spent]))
         assert ([n.spent_energy.hex() for n in nodes], vars(state.ledger)) == before
     assert runs[0] == runs[1], "a second simulate() of one state differs"

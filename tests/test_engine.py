@@ -511,6 +511,39 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
         assert drained <= m.ledger_total_j + round_off
 
 
+@st.composite
+def wide_configs(draw):
+    """Fields of 60-300 nodes at the default density (the side scaled by
+    sqrt(n / 100)), the source at the far corner from the sink, so that
+    paths have tens of senders and the event loop's carrier-sense masks,
+    one bit per path sender, run past one 30-bit int digit: both routers,
+    carrier_sense_factor in [0, 3], fallback on and off, short horizons."""
+    n = draw(st.integers(60, 300))
+    side = 400.0 * math.sqrt(n / 100)
+    return ScenarioConfig(
+        node_count=n, field_width=side, field_height=side, source_x=side, source_y=side,
+        router=draw(st.sampled_from(["qempar", "minhop"])),
+        carrier_sense_factor=draw(st.floats(0.0, 3.0)),
+        extended_range_fallback=draw(st.booleans()),
+        duration_s=draw(st.floats(0.1, 0.3)),
+        rate_pkts_per_s=draw(st.floats(10.0, 200.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(wide_configs(), st.integers(0, 2**16))
+@example(ScenarioConfig(node_count=300, field_width=400.0 * math.sqrt(3),
+                        field_height=400.0 * math.sqrt(3), source_x=300.0 * math.sqrt(3),
+                        source_y=300.0 * math.sqrt(3), carrier_sense_factor=3.0,
+                        duration_s=0.2, rate_pkts_per_s=200.0), 1)
+def test_wide_fields_sense_the_carrier_across_int_digits(cfg, seed):
+    """On fields whose paths have more than 30 senders, replay_run
+    recounts every hop's carrier sense from the log and rebuilds run()'s
+    metrics. The example's one path has 36 hops, and 5360 of its 6036 hop
+    starts sense contention."""
+    m, _, _ = run_and_replay(cfg, seed)
+    assert m.generated > 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(boundary_configs())
 @example(ScenarioConfig(access_delay_s=1e308, duration_s=0.5))

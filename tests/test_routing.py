@@ -522,16 +522,18 @@ def test_hops_to_sink_follows_one_way_links():
 
 
 @pytest.mark.parametrize("budget, searches, truncated, n_paths", [
-    (10, 47, 31, 16),
+    (10, 36, 20, 16),
     (12, 45, 5, 40),
 ])
 def test_greedy_search_matches_its_oracle_under_truncating_budgets(
         monkeypatch, budget, searches, truncated, n_paths):
     """The dense pinned field at visit budgets below some of its paths' hop
-    counts, seeds 1-30, so that searches are cut short and retried around
-    their deepest partial paths. The pinned path hash cannot see a change
-    in truncation; these counts of searches, truncated searches and paths
-    found can."""
+    counts, seeds 1-30, so that searches are cut short; in preferred mode a
+    cut-short search ends the search for that path, which retrying around
+    its deepest partial path would not change (at budget 10 the retries
+    were 11 more searches, all cut short, for the same 16 paths). The
+    pinned path hash cannot see a change in truncation; these counts of
+    searches, truncated searches and paths found can."""
     outcomes = []
 
     def compared(*args):
@@ -559,6 +561,33 @@ def test_qempar_finds_a_minimum_hop_path_on_a_large_field():
     state = setup(LARGE)
     best = discover_paths(1, 0, LARGE.fragments_per_packet, state).paths[0]
     assert best.hop_count == minhop_paths(1, 0, 1, state).paths[0].hop_count > 20
+
+
+def test_preferred_discovery_ends_at_its_first_truncated_search():
+    """In preferred mode a visit budget below the source's hop count cuts
+    the first search short, and every retry around its deepest partial path
+    would be cut short too (banning nodes never lowers that count), so
+    discovery makes that one search and finds no path, with retries left.
+    On this dense field blacklisting a partial path leaves the source a
+    route, so without the early end every retry would be searched."""
+    config = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                            source_x=212.1, source_y=212.1, progress_mode="preferred",
+                            search_visit_budget=5, path_retry_limit=3, duration_s=0.1, seed=1)
+    state = setup(config)
+    assert minhop_paths(1, 0, 1, state).paths[0].hop_count > config.search_visit_budget
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        path, truncated, partial = _greedy_dfs(*args)
+        assert path is None and truncated
+        return path, truncated, partial
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_bounded_greedy_dfs", counted)
+        assert discover(state) == []
+    assert calls == 1
 
 
 @settings(max_examples=100, deadline=None)
