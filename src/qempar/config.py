@@ -67,7 +67,11 @@ class ScenarioConfig:
     # Path discovery
     progress_mode: str = "preferred"  # preferred | strict
     hop_budget_factor: float = 4.0
+    # In preferred mode the visit budget changes a path only when it is below
+    # that path's hop count (README "Route discovery").
     search_visit_budget: int = 20000
+    # Acts in strict mode only: in preferred mode every retry would be cut
+    # short as the first search was.
     path_retry_limit: int = 3
 
     # MAC and link reliability

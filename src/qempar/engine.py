@@ -33,11 +33,11 @@ With an event log, each event is one line written by Event.to_json from a
 fixed format: the keys t, kind, node, peer, packet, seq, bits and joules in
 that order, null for absent fields, numbers as their shortest round-trip
 repr, and a "\n" line end on every platform. The line is byte for byte what
-json.dumps(record, separators=(",", ":")) writes. Each hop record carries
-its Events, built once per run; a line sets its Event's time and packet, and
-to_json keeps the other six fields' text from its first call and reuses the
-previous line's time text for the same time object. Without a log, the loop
-builds no Event.
+json.dumps(record, separators=(",", ":")) writes. An Event is the template
+of one line, the text of its six fixed fields built once per run, and each
+hop record carries its Events; each event of the loop formats its time once
+and passes that text and its packet to the lines it writes. Without a log,
+the loop builds no Event.
 """
 
 from __future__ import annotations
@@ -71,63 +71,36 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
     return min(1.0, max(0.01, p))
 
 
-# Event.to_json reuses the previous event's time object with its text instead
-# of formatting the float again; the text is what str() gives the time, so no
-# caller sees another's.
-_last_time: tuple = (None, "null")
-
-
 def _text(value) -> str:
     return "null" if value is None else str(value)
 
 
 @dataclass(slots=True)
 class Event:
-    """One simulation event as it appears in the event log.
+    """The template of one event-log line: its six fixed fields, whose text
+    is built at construction, so a line formats only its time and packet."""
 
-    The first to_json() keeps the text of kind, node, peer, seq, bits and
-    joules, so an Event logged many times formats only its time and packet:
-    after that call only sim_time and packet may change."""
-
-    sim_time: float | None
     kind: str
     node: int | None = None
     peer: int | None = None
-    packet: int | None = None
     seq: int | None = None
     bits: int | None = None
     joules: float | None = None
-    _fixed_text: tuple[str, str] | None = field(default=None, init=False, repr=False,
-                                                compare=False)
+    _head: str = field(init=False, repr=False, compare=False)
+    _tail: str = field(init=False, repr=False, compare=False)
 
-    def to_json(self) -> str:
-        """The line json.dumps(record, separators=(",", ":")) writes for
-        this event's record, for finite numbers: str() of an int or float is
-        its repr, as the JSON encoder writes it, and None becomes null."""
-        global _last_time
-        t = self.sim_time
-        last = _last_time
-        if t is last[0]:
-            t_text = last[1]
-        else:
-            t_text = _text(t)
-            _last_time = (t, t_text)
-        fixed = self._fixed_text
-        if fixed is None:
-            fixed = self._fixed_text = (
-                f',"kind":{encode_basestring_ascii(self.kind)},"node":{_text(self.node)},'
-                f'"peer":{_text(self.peer)},"packet":',
-                f',"seq":{_text(self.seq)},"bits":{_text(self.bits)},'
-                f'"joules":{_text(self.joules)}}}')
-        packet = self.packet
-        return f'{{"t":{t_text}{fixed[0]}{"null" if packet is None else packet}{fixed[1]}'
+    def __post_init__(self):
+        self._head = (f',"kind":{encode_basestring_ascii(self.kind)},"node":{_text(self.node)},'
+                      f'"peer":{_text(self.peer)},"packet":')
+        self._tail = (f',"seq":{_text(self.seq)},"bits":{_text(self.bits)},'
+                      f'"joules":{_text(self.joules)}}}\n')
 
-    def line(self, t: float, packet: int) -> str:
-        """The log line of this event at time t for packet, "\n" included:
-        sets sim_time and packet, then calls to_json()."""
-        self.sim_time = t
-        self.packet = packet
-        return self.to_json() + "\n"
+    def to_json(self, t_text: str, packet: int) -> str:
+        """This event's line for packet at the time whose repr() is t_text,
+        "\n" included: what json.dumps(record, separators=(",", ":")) writes
+        for finite numbers, as str() of an int or float is the repr the JSON
+        encoder writes, and None becomes null."""
+        return f'{{"t":{t_text}{self._head}{packet}{self._tail}'
 
 
 @dataclass(frozen=True)
@@ -312,10 +285,10 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             tx_j = tx_energy(wire, d, params)
             rx_j = rx_energy(wire, params)
             events = None if log is None else (
-                Event(None, "hop-start", u, v, None, seq, wire, tx_j),
-                Event(None, "hop-complete", v, u, None, seq, wire, rx_j),
-                Event(None, "hop-failed", u, v, None, seq, wire),
-                None if hop else Event(None, "fragment-delivered", v, None, None, seq, frag_bits))
+                Event("hop-start", u, v, seq, wire, tx_j),
+                Event("hop-complete", v, u, seq, wire, rx_j),
+                Event("hop-failed", u, v, seq, wire),
+                None if hop else Event("fragment-delivered", v, None, seq, frag_bits))
             hop = (u, v, tx_j, rx_j, link_success_probability(config, d, topo.radio_range),
                    near_of[u], t_tx + access_delay, seq, events, hop, bit_of[u], ~bit_of[u])
         first_hops.append(hop)
@@ -355,8 +328,8 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
 
     if log is not None:
         write = log.write
-        born_event = Event(None, "packet-born", topo.source_id, None, None, None, packet_bits)
-        expired_event = Event(None, "deadline-expired", topo.sink_id)
+        born_event = Event("packet-born", topo.source_id, bits=packet_bits)
+        expired_event = Event("deadline-expired", topo.sink_id)
 
     def drain_dead(u: int) -> None:
         """A dead node strands everything queued at it."""
@@ -395,10 +368,11 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     alive[v] = False
                     drain_dead(v)
                 if log is not None:
-                    write(events[1].line(t, pid))
+                    t_text = repr(t)
+                    write(events[1].to_json(t_text, pid))
                 if next_hop is None:
                     if log is not None:
-                        write(events[3].line(t, pid))
+                        write(events[3].to_json(t_text, pid))
                     reassemble(pid, seq, t)
                     hop = None
                 else:
@@ -407,7 +381,8 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     offered = True
             else:
                 if log is not None:
-                    write(events[2].line(t, pid))
+                    t_text = repr(t)
+                    write(events[2].to_json(t_text, pid))
                 if attempt <= retry_limit:
                     # A retry starts at once, even at a busy sender.
                     attempt += 1
@@ -424,7 +399,8 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             next_birth = times[born] if born < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if log is not None:
-                write(born_event.line(t, pid))
+                t_text = repr(t)
+                write(born_event.to_json(t_text, pid))
             hop = None
             nxt = -len(first_hops)
         else:
@@ -434,7 +410,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             next_deadline = deadlines[expired] if expired < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if buffer.expire(pid, t) and log is not None:
-                write(expired_event.line(t, pid))
+                write(expired_event.to_json(repr(t), pid))
             continue
 
         while True:
@@ -478,7 +454,9 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                                     link_random() < hop[4] and alive[hop[1]]))
                     ordinal += 1
                     if log is not None:
-                        write(hop[8][0].line(t, pid))
+                        # t_text: repr(t), formatted by the hop end or birth
+                        # that led here, whose own line has been written.
+                        write(hop[8][0].to_json(t_text, pid))
             if nxt < 0:
                 hop = first_hops[nxt]
                 attempt = 1

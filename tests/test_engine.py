@@ -128,40 +128,72 @@ def test_link_success_degrades_with_distance_and_clamps():
 
 
 def test_event_record_has_every_field():
-    record = json.loads(Event(0.5, "packet-born", node=1, packet=3, bits=4096).to_json())
+    record = json.loads(Event("packet-born", node=1, bits=4096).to_json("0.5", 3))
     assert record == {"t": 0.5, "kind": "packet-born", "node": 1, "peer": None,
                       "packet": 3, "seq": None, "bits": 4096, "joules": None}
 
 
-# Ints of any sign and size, past 64 bits included; finite floats, with the
-# subnormal minimum, negative zero, the switch to exponent form and a sum
-# that rounds; and None.
+KEYS = ("kind", "node", "peer", "packet", "seq", "bits", "joules")
+
+
+def _compact_json(t, packet, fields):
+    """The line json.dumps(record, separators=(",", ":")) writes for the
+    record of an Event(**fields) logged at time t for packet, "\n" added."""
+    record = {"t": t, **dict.fromkeys(KEYS), **fields, "packet": packet}
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _lines_match(lines):
+    """Each (t, packet, fields) logged by a fresh Event(**fields) gives the
+    line json.dumps writes for its record."""
+    for t, packet, fields in lines:
+        assert Event(**fields).to_json(repr(t), packet) == _compact_json(t, packet, fields)
+
+
+# Log lines have a finite float time and an int packet; the fixed fields take
+# ints of any sign and size, past 64 bits included, finite floats with the
+# subnormal minimum, negative zero, the switch to exponent form and a sum that
+# rounds, and None.
+TIMES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([5e-324, -0.0, 1e16, 1e22, 0.1 + 0.2]))
+PACKETS = st.one_of(st.integers(), st.integers(2**63, 2**80))
 FIELD_VALUES = st.one_of(
-    st.none(), st.integers(), st.integers(2**63, 2**80), st.integers(-2**80, -2**63),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([5e-324, -0.0, 1e16, 1e22, 0.1 + 0.2]))
-EVENTS = st.builds(Event, FIELD_VALUES, st.sampled_from(KINDS), FIELD_VALUES, FIELD_VALUES,
-                   FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES)
+    st.none(), st.integers(), st.integers(2**63, 2**80), st.integers(-2**80, -2**63), TIMES)
+FIELDS = st.fixed_dictionaries({"kind": st.sampled_from(KINDS), "node": FIELD_VALUES,
+                                "peer": FIELD_VALUES, "seq": FIELD_VALUES,
+                                "bits": FIELD_VALUES, "joules": FIELD_VALUES})
+EVENTS = st.tuples(TIMES, PACKETS, FIELDS)
+
+X = 0.1 + 0.2
+FLOATS = [i + 0.5 for i in range(266)]
 
 
-def _compact_json(event):
-    return json.dumps(
-        {"t": event.sim_time, "kind": event.kind, "node": event.node,
-         "peer": event.peer, "packet": event.packet, "seq": event.seq,
-         "bits": event.bits, "joules": event.joules},
-        separators=(",", ":"))
-
-
-@pytest.mark.parametrize("event", [
-    Event(0.0, "packet-born", node=1, packet=0, bits=4096),
-    Event(0.1 + 0.2, "hop-start", node=12, peer=3, packet=2**40, seq=4,
-          bits=1088, joules=5.440000000000001e-05),
-    Event(1e-300, "hop-failed", node=0, peer=99, packet=5, seq=1, bits=1),
-    Event(123456.789, "deadline-expired", node=0, packet=17),
-    Event(2.5, "hop-complete", node=-1, peer=0, joules=1e22),
-])
-def test_event_json_matches_compact_json_dumps(event):
-    assert event.to_json() == _compact_json(event)
+@pytest.mark.parametrize("lines", [
+    [(0.0, 0, {"kind": "packet-born", "node": 1, "bits": 4096})],
+    [(X, 2**40, {"kind": "hop-start", "node": 12, "peer": 3, "seq": 4, "bits": 1088,
+                 "joules": 5.440000000000001e-05})],
+    [(1e-300, 5, {"kind": "hop-failed", "node": 0, "peer": 99, "seq": 1, "bits": 1})],
+    [(123456.789, 17, {"kind": "deadline-expired", "node": 0})],
+    [(2.5, 0, {"kind": "hop-complete", "node": -1, "peer": 0, "joules": 1e22})],
+    # Values that compare equal but print differently keep their own text.
+    [(0.0, 0, {"kind": "hop-start", "joules": 0.0}),
+     (-0.0, 0, {"kind": "hop-start", "joules": -0.0}),
+     (0.0, 0, {"kind": "hop-start", "joules": 0.0})],
+    [(1, 0, {"kind": "hop-complete", "joules": 1}),
+     (1.0, 0, {"kind": "hop-complete", "joules": 1.0}),
+     (1, 0, {"kind": "hop-complete", "joules": 1})],
+    # One float as both time and joules, and beside another.
+    [(X, 0, {"kind": "hop-start", "joules": X}), (X, 0, {"kind": "hop-failed", "joules": X}),
+     (-X, 0, {"kind": "hop-start", "joules": -X}), (X, 0, {"kind": "hop-start", "joules": 0.3})],
+    # Many distinct joule floats, each as its line's time too.
+    [*((f, 0, {"kind": "hop-complete", "joules": f}) for f in FLOATS),
+     (FLOATS[0], 0, {"kind": "hop-start", "joules": FLOATS[0]}),
+     (FLOATS[-1], 0, {"kind": "hop-start", "joules": FLOATS[-1]}),
+     (FLOATS[-1], 1, {"kind": "packet-born", "node": 0, "bits": 4096})],
+], ids=["born", "start", "failed", "expired", "complete", "zeros", "int-and-float",
+        "shared-float", "distinct-joules"])
+def test_event_json_matches_compact_json_dumps(lines):
+    _lines_match(lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,39 +201,17 @@ def test_event_json_matches_compact_json_dumps(event):
 def test_drawn_event_json_matches_compact_json_dumps(event):
     """Every value is finite: validate() rejects non-finite floats, so no run
     logs one (json.dumps would write NaN or Infinity)."""
-    assert event.to_json() == _compact_json(event)
+    _lines_match([event])
 
 
 @settings(max_examples=200, deadline=None)
-@given(EVENTS, st.lists(st.tuples(FIELD_VALUES, FIELD_VALUES), min_size=1, max_size=5))
-def test_restamped_event_json_matches_compact_json_dumps(event, stamps):
-    """After its first to_json() an Event keeps the text of its other six
-    fields; restamping sim_time and packet still gives the exact line."""
-    assert event.to_json() == _compact_json(event)
-    for sim_time, packet in stamps:
-        event.sim_time, event.packet = sim_time, packet
-        assert event.to_json() == _compact_json(event)
-
-
-def test_event_text_reuse_is_exact():
-    """to_json reuses the previous event's time text when the time is the
-    same object. Values that compare equal but print differently (0.0 and
-    -0.0, 1 and 1.0) keep their own text, one float may be both time and
-    joules, and many distinct joule floats each get their own text."""
-    x = 0.1 + 0.2
-    floats = [i + 0.5 for i in range(266)]
-    events = [Event(0.0, "hop-start", joules=0.0), Event(-0.0, "hop-start", joules=-0.0),
-              Event(0.0, "hop-start", joules=0.0),
-              Event(1, "hop-complete", joules=1), Event(1.0, "hop-complete", joules=1.0),
-              Event(1, "hop-complete", joules=1),
-              Event(x, "hop-start", joules=x), Event(x, "hop-failed", joules=x),
-              Event(-x, "hop-start", joules=-x), Event(x, "hop-start", joules=0.3),
-              *(Event(f, "hop-complete", joules=f) for f in floats),
-              Event(floats[0], "hop-start", joules=floats[0]),
-              Event(floats[-1], "hop-start", joules=floats[-1]),
-              Event(floats[-1], "packet-born", 0, None, 1, None, 4096)]
-    for event in events:
-        assert event.to_json() == _compact_json(event)
+@given(FIELDS, st.lists(st.tuples(TIMES, PACKETS), min_size=1, max_size=5))
+def test_event_template_json_matches_compact_json_dumps_at_every_stamp(fields, stamps):
+    """One Event logs a line for each drawn (time, packet) pair, as a run's
+    hop records do."""
+    event = Event(**fields)
+    for t, packet in stamps:
+        assert event.to_json(repr(t), packet) == _compact_json(t, packet, fields)
 
 
 def test_deterministic_arrivals_are_evenly_spaced():

@@ -1,6 +1,7 @@
 """Every top-level import in the package, the tests and the demos is used,
-every field of a package class is read by some module of the package, and
-every private helper of the package has a caller in the package."""
+every field of a package class is read by some module of the package,
+every private helper of the package has a caller in the package, and no
+function of the package rebinds a module global."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,31 @@ def test_the_scan_finds_an_unused_helper():
 def test_every_private_helper_has_a_caller():
     sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
     assert unreferenced_helpers(sources) == []
+
+
+def global_statements(sources: list[str]) -> list[str]:
+    """function: names for each global statement in a function of sources.
+    State a function keeps between calls belongs to an object its caller
+    holds, not to the module, where every caller shares it."""
+    found = []
+    for tree in map(ast.parse, sources):
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{func.name}: {', '.join(node.names)}" for node in ast.walk(func)
+                          if isinstance(node, ast.Global)]
+    return found
+
+
+def test_the_scan_finds_a_global_statement():
+    assert global_statements([
+        "_cache = None\n"
+        "def reset():\n    global _cache\n    _cache = None\n"
+        "class Log:\n    def write(self, text):\n        global _cache, _count\n"
+        "        _cache = text\n"
+        "def read():\n    return _cache\n",
+    ]) == ["reset: _cache", "write: _cache, _count"]
+
+
+def test_no_package_function_rebinds_a_module_global():
+    sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
+    assert global_statements(sources) == []
