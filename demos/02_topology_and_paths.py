@@ -27,24 +27,25 @@ print(f"source neighbors: {state.neighbors(1)}")
 print(f"extended links added to connect components: {topology.extended_links or 'none'}")
 
 # One beacon round debits every node for its own beacon and for each one it
-# hears. It keeps no per-node neighbor table: placement's distance table
-# already gives every node its in-range list, and the suitability score
+# hears. It builds no table of its own: the network state caches each node's
+# neighbor list, read from placement's distance table on first use, and the
+# round drops that cache if a beacon kills a node. The suitability score
 # reads positions, residual energy and the cold-start PPS/PPR value straight
 # from the network state.
 beacon_exchange(state)
 beacon_j = math.fsum(n.spent_energy for n in topology.nodes)
 print(f"beacon round cost: {beacon_j * 1e3:.3f} mJ across the field")
 
-# The QoS-aware router picks up to k node-disjoint paths, ordered by hop
-# count and total link merit; the baseline takes minimum-hop paths only.
+# Each router returns a tuple of up to k node-disjoint paths, ordered by hop
+# count, then by total link merit; the baseline takes minimum-hop paths only.
 for name, finder in (("qempar", discover_paths), ("minhop", minhop_paths)):
-    path_set = finder(1, 0, 4, state)
-    print(f"\n{name}: {len(path_set)} disjoint path(s)")
-    for p in path_set.paths:
+    paths = finder(1, 0, 4, state)
+    print(f"\n{name}: {len(paths)} disjoint path(s)")
+    for p in paths:
         print(f"  {p.hop_count:2d} hops  merit {p.merit:7.3f}  {p.node_ids}")
 
 # Disjointness means the paths share no interior node, so one exhausted
 # relay can only take down a single path.
-interiors = [set(p.interior()) for p in discover_paths(1, 0, 4, state).paths]
+interiors = [set(p.interior()) for p in discover_paths(1, 0, 4, state)]
 shared = set.intersection(*interiors) if len(interiors) > 1 else set()
 print(f"\ninterior nodes shared between paths: {shared or 'none'}")

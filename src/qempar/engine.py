@@ -179,7 +179,7 @@ def discover(state) -> list:
     config, topo = state.config, state.topology
     find = discover_paths if config.router == "qempar" else minhop_paths
     try:
-        return list(find(topo.source_id, topo.sink_id, config.fragments_per_packet, state).paths)
+        return list(find(topo.source_id, topo.sink_id, config.fragments_per_packet, state))
     except NoPathError:
         return []
 

@@ -17,44 +17,12 @@ either, so only subtrees without a path go.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
 
 from . import link_metrics
 from .errors import NoPathError
 from .link_metrics import NetworkState, RoutePath
 from .energy import rx_energy, tx_energy
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Node-disjoint paths ordered by ascending hop count (ties: descending
-    merit, then ascending first-interior id). Any two paths share exactly the
-    source and the sink."""
-
-    paths: tuple[RoutePath, ...]
-    source_id: int
-    sink_id: int
-
-    def __post_init__(self):
-        ordered = tuple(sorted(
-            self.paths,
-            key=lambda p: (p.hop_count, -p.merit, p.node_ids[1]),
-        ))
-        object.__setattr__(self, "paths", ordered)
-        seen_interiors: set[int] = set()
-        for p in ordered:
-            if p.node_ids[0] != self.source_id or p.node_ids[-1] != self.sink_id:
-                raise ValueError("path endpoints must be the source and the sink")
-            overlap = seen_interiors.intersection(p.interior())
-            if overlap:
-                raise ValueError(f"paths share interior nodes {sorted(overlap)}")
-            seen_interiors.update(p.interior())
-        if len({p.node_ids for p in ordered}) != len(ordered):
-            raise ValueError("paths must not repeat")
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def beacon_exchange(state: NetworkState) -> None:
@@ -232,10 +200,10 @@ def _find_path(state: NetworkState, source: int, sink: int, cap_max: int,
             return None  # exhaustive search: no such path exists
         if cfg.progress_mode == "preferred":
             return None  # every retry would be truncated too
-        fresh = [n for n in deepest if n not in (source, sink) and n not in blacklist]
-        if not fresh:
-            return None
-        blacklist.update(fresh)
+        # A truncated search made a visit (the budget is at least 1), never
+        # reached the sink and never entered an excluded node, so the
+        # partial path past the source is non-empty and new to the blacklist.
+        blacklist.update(deepest[1:])
     return None
 
 
@@ -250,13 +218,15 @@ def _check_endpoints(state: NetworkState, source: int, sink: int, k: int) -> Non
         raise NoPathError("source or sink is dead")
 
 
-def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
-                    find_path, score) -> PathSet:
+def _disjoint_paths(source: int, sink: int, k: int, find_path,
+                    score) -> tuple[RoutePath, ...]:
     """Up to k node-disjoint paths, accepted sequentially: each accepted
     path's interior is banned for the next, and a direct source-to-sink hop
     is taken at most once. find_path(banned, direct_ok) returns one path's
-    node ids or None; a path's merit sums score(a, b) over its links. Raises
-    NoPathError when not even one path exists."""
+    node ids or None; a path's merit sums score(a, b) over its links.
+    Returns them ranked by ascending hop count, then descending merit, then
+    ascending first-interior id. Raises NoPathError when not even one path
+    exists."""
     used: set[int] = set()
     paths: list[RoutePath] = []
     for _ in range(k):
@@ -268,10 +238,10 @@ def _disjoint_paths(state: NetworkState, source: int, sink: int, k: int,
         used.update(ids[1:-1])
     if not paths:
         raise NoPathError(f"no path from {source} to {sink}")
-    return PathSet(tuple(paths), source, sink)
+    return tuple(sorted(paths, key=lambda p: (p.hop_count, -p.merit, p.node_ids[1])))
 
 
-def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
+def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> tuple[RoutePath, ...]:
     """Up to k node-disjoint suitability-greedy paths, best-effort.
 
     Returns fewer than k when the topology cannot support more and raises
@@ -288,16 +258,16 @@ def discover_paths(source: int, sink: int, k: int, state: NetworkState) -> PathS
     # The state cannot change during one discovery, so each link is scored
     # once; the scores read residual energy, so the memo lives for this call.
     score = cache(lambda a, b: link_metrics.suitability(a, b, state))
-    return _disjoint_paths(state, source, sink, k,
+    return _disjoint_paths(source, sink, k,
                            partial(_find_path, state, source, sink, cap_max, dist_to_sink,
                                    _predecessors(state), score), score)
 
 
-def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> PathSet:
+def minhop_paths(source: int, sink: int, k: int, state: NetworkState) -> tuple[RoutePath, ...]:
     """Up to k node-disjoint minimum-hop paths: find a shortest path, remove
     its interior (or, for a direct hop, that link), repeat."""
     _check_endpoints(state, source, sink, k)
     score = cache(lambda a, b: link_metrics.suitability(a, b, state))
-    return _disjoint_paths(state, source, sink, k,
+    return _disjoint_paths(source, sink, k,
                            partial(_shortest_path, state, _predecessors(state), source, sink),
                            score)

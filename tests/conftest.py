@@ -12,6 +12,7 @@ from hypothesis import assume, strategies as st
 
 from qempar import NetworkState, ScenarioConfig, engine, run
 from qempar.engine import arrival_times, discover, setup, simulate
+from qempar.link_metrics import suitability
 from qempar.topology import NodeState, Position, Topology, distance
 
 
@@ -28,6 +29,28 @@ def make_state(topo: Topology, **config_overrides) -> NetworkState:
     return NetworkState(topo, cfg.radio_params(), cfg)
 
 
+def assert_valid_paths(state, paths, k):
+    """The paths' invariants: at most k of them; each runs from the source
+    to the sink over links of state.neighbors without repeating a node, its
+    merit the sum of its links' suitability on state; no two share an
+    interior node; they come in strictly ascending (hop count, -merit,
+    first-interior id), so no path repeats."""
+    source, sink = state.topology.source_id, state.topology.sink_id
+    assert len(paths) <= k, ("more paths than asked for", len(paths), k)
+    interiors = set()
+    for p in paths:
+        ids = p.node_ids
+        links = list(zip(ids, ids[1:]))
+        assert (ids[0], ids[-1]) == (source, sink), ("a path's endpoints", ids)
+        assert len(set(ids)) == len(ids), ("a path repeats a node", ids)
+        assert all(b in state.neighbors(a) for a, b in links), ("a hop over no link", ids)
+        assert p.merit == sum(suitability(a, b, state) for a, b in links), ("merit", ids)
+        assert interiors.isdisjoint(ids[1:-1]), ("paths share an interior node", ids)
+        interiors.update(ids[1:-1])
+    ranks = [(p.hop_count, -p.merit, p.node_ids[1]) for p in paths]
+    assert all(a < b for a, b in zip(ranks, ranks[1:])), ("paths out of rank order", ranks)
+
+
 KINDS = ("packet-born", "hop-start", "hop-complete", "hop-failed",
          "fragment-delivered", "deadline-expired")
 
@@ -41,10 +64,11 @@ def replay_run(config, seed, log_text):
     Asserts that every hop ends at start + bits/bit_rate + access_delay +
     contention_delay x (other nodes within carrier_sense_factor x
     radio_range whose latest hop ends after the start), and the invariants
-    named in its assertion messages."""
+    named in its assertion messages, assert_valid_paths among them."""
     config = replace(config, seed=seed)
     state = setup(config)
     paths = discover(state)
+    assert_valid_paths(state, paths, config.fragments_per_packet)
     nodes, ledger = state.topology.nodes, state.ledger
     setup_spent = [n.spent_energy for n in nodes]
     born, arrivals, expired = {}, {}, set()

@@ -38,7 +38,7 @@ from qempar.dispatch import DELIVERED, EXPIRED, PENDING, ReassemblyBuffer, fragm
 from qempar.report import aggregate, emit_report
 from qempar.topology import distance
 
-from conftest import run_and_replay
+from conftest import assert_valid_paths, run_and_replay
 
 RATES = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SEEDS = list(range(1, 21))
@@ -121,15 +121,9 @@ def test_path_sets_are_node_disjoint_on_1000_random_topologies():
             cfg = ScenarioConfig(node_count=n)
         topo = place_nodes(cfg, rng.randrange(1 << 30))
         state = NetworkState(topo, cfg.radio_params(), cfg)
-        for path_set in (discover_paths(1, 0, 4, state), minhop_paths(1, 0, 4, state)):
-            multi += len(path_set) > 1
-            seen = set()
-            for p in path_set.paths:
-                assert p.node_ids[0] == 1 and p.node_ids[-1] == 0
-                interior = set(p.interior())
-                assert not interior & seen, "paths share an interior node"
-                assert 1 not in interior and 0 not in interior
-                seen |= interior
+        for paths in (discover_paths(1, 0, 4, state), minhop_paths(1, 0, 4, state)):
+            multi += len(paths) > 1
+            assert_valid_paths(state, paths, 4)
     assert multi >= 50, "suite never produced multi-path sets; check density"
 
 
@@ -175,13 +169,13 @@ def test_min_hop_path_length_matches_bfs_oracle_on_500_topologies():
         state = NetworkState(topo, cfg.radio_params(), cfg)
         want = _bfs_oracle_hops(topo)
         assert want is not None  # placement always bridges the field
-        got = minhop_paths(1, 0, 1, state).paths[0].hop_count
+        got = minhop_paths(1, 0, 1, state)[0].hop_count
         assert got == want
-        best = discover_paths(1, 0, 1, state).paths[0].hop_count
+        best = discover_paths(1, 0, 1, state)[0].hop_count
         # In preferred mode the search skips nodes that cannot reach the
         # sink in time, so its first path is a minimum-hop path.
         assert best == want
-        for p in discover_paths(1, 0, 4, state).paths:
+        for p in discover_paths(1, 0, 4, state):
             assert want <= p.hop_count <= cap
 
 

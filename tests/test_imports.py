@@ -1,7 +1,8 @@
 """Every top-level import in the package, the tests and the demos is used,
 every field of a package class is read by some module of the package,
-every private helper of the package has a caller in the package, and no
-function of the package rebinds a module global."""
+every private helper of the package has a caller in the package and reads
+every parameter it takes, and no function of the package rebinds a module
+global."""
 
 import ast
 from pathlib import Path
@@ -125,6 +126,41 @@ def test_the_scan_finds_an_unused_helper():
 def test_every_private_helper_has_a_caller():
     sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
     assert unreferenced_helpers(sources) == []
+
+
+def unread_parameters(sources: list[str]) -> list[str]:
+    """function: parameter for each parameter of a module-level function
+    named _x (dunders aside) in sources that its body never reads. Every
+    caller of a private helper is in the package, so a parameter it ignores
+    can go."""
+    found = []
+    for tree in map(ast.parse, sources):
+        for func in tree.body:
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or not func.name.startswith("_") or func.name.startswith("__")):
+                continue
+            args = func.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                      *args.kwonlyargs, args.kwarg) if a is not None]
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{func.name}: {name}" for name in params if name not in read]
+    return found
+
+
+def test_the_scan_finds_an_unread_parameter():
+    assert unread_parameters([
+        "def _helper(state, a, *rest, key=None, **extra):\n"
+        "    return [lambda: a, rest, extra]\n"
+        "def public(unused):\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+        "class Ledger:\n    def _add(self, node):\n        pass\n",
+    ]) == ["_helper: state", "_helper: key"]
+
+
+def test_every_private_helper_reads_its_parameters():
+    sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
+    assert unread_parameters(sources) == []
 
 
 def global_statements(sources: list[str]) -> list[str]:

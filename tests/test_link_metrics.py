@@ -92,7 +92,7 @@ def test_total_merit_of_single_hop_path():
     1 + 1 + 1/(6400/1600) + 1 = 3.25."""
     topo = manual_topology([(0, 0), (80, 0)], radio_range=100.0)
     state = make_state(topo, interference_mode="literal")
-    (path,) = discover_paths(0, 1, 1, state).paths
+    (path,) = discover_paths(0, 1, 1, state)
     assert path.node_ids == (0, 1)
     assert path.merit == pytest.approx(3.25, rel=1e-12)
 

@@ -7,15 +7,14 @@ from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, run,
                     rx_energy, tx_energy)
 from qempar import link_metrics, routing
 from qempar.engine import discover, setup, simulate
 from qempar.errors import NoPathError
-from qempar.link_metrics import NetworkState, RoutePath, suitability
-from qempar.routing import PathSet
+from qempar.link_metrics import NetworkState, suitability
 
 from conftest import make_state, manual_topology, valid_configs
 
@@ -50,35 +49,40 @@ def test_beacon_accounting_can_be_disabled(line_topology):
     assert math.fsum(n.spent_energy for n in line_topology.nodes) == 0.0
 
 
-def test_path_set_orders_and_validates():
-    a = RoutePath((1, 4, 0), 5.0)
-    b = RoutePath((1, 3, 0), 7.0)
-    c = RoutePath((1, 5, 6, 0), 9.0)
-    ps = PathSet((c, a, b), source_id=1, sink_id=0)
-    assert [p.node_ids for p in ps.paths] == [(1, 3, 0), (1, 4, 0), (1, 5, 6, 0)]
-    assert len(ps) == 3
-    with pytest.raises(ValueError):
-        PathSet((a, RoutePath((1, 4, 2, 0), 1.0)), 1, 0)  # shares interior 4
-    with pytest.raises(ValueError):
-        PathSet((RoutePath((1, 4, 2), 1.0),), 1, 0)  # wrong endpoint
+def _stub_discovery(found, link_scores, k=4):
+    """routing._disjoint_paths from source 1 to sink 0 over a stub find_path
+    that returns the node-id paths of found in turn, then None, a link's
+    score being link_scores[a, b] (0 if absent): (the ranked paths' node
+    ids, the (banned, direct_ok) of each find_path call)."""
+    calls, queue = [], list(found)
+
+    def find_path(banned, direct_ok):
+        calls.append((set(banned), direct_ok))
+        return queue.pop(0) if queue else None
+
+    paths = routing._disjoint_paths(1, 0, k, find_path,
+                                    lambda a, b: link_scores.get((a, b), 0.0))
+    return [p.node_ids for p in paths], calls
 
 
-def test_path_set_tie_breaks_merit_then_first_interior():
-    hi = RoutePath((1, 7, 0), 9.0)
-    lo = RoutePath((1, 2, 0), 3.0)
-    ps = PathSet((lo, hi), 1, 0)
-    assert [p.node_ids for p in ps.paths] == [(1, 7, 0), (1, 2, 0)]
-    eq_a = RoutePath((1, 8, 0), 4.0)
-    eq_b = RoutePath((1, 3, 0), 4.0)
-    ps = PathSet((eq_a, eq_b), 1, 0)
-    assert [p.node_ids for p in ps.paths] == [(1, 3, 0), (1, 8, 0)]
+def test_disjoint_paths_rank_by_hop_count_and_ban_each_interior():
+    ids, calls = _stub_discovery([(1, 5, 6, 0), (1, 4, 0), (1, 3, 0)],
+                                 {(1, 5): 9.0, (1, 4): 5.0, (1, 3): 7.0})
+    assert ids == [(1, 3, 0), (1, 4, 0), (1, 5, 6, 0)]
+    assert calls == [(set(), True), ({5, 6}, True), ({4, 5, 6}, True), ({3, 4, 5, 6}, True)]
 
 
-def test_path_set_rejects_equal_paths():
-    direct = RoutePath((1, 0), 2.0)
-    with pytest.raises(ValueError):
-        PathSet((direct, RoutePath((1, 0), 2.0)), 1, 0)
-    assert len(PathSet((direct, RoutePath((1, 4, 0), 1.0)), 1, 0)) == 2
+def test_disjoint_paths_tie_break_merit_then_first_interior():
+    assert _stub_discovery([(1, 2, 0), (1, 7, 0)], {(1, 7): 9.0, (1, 2): 3.0})[0] == [
+        (1, 7, 0), (1, 2, 0)]
+    assert _stub_discovery([(1, 8, 0), (1, 3, 0)], {(1, 8): 4.0, (1, 3): 4.0})[0] == [
+        (1, 3, 0), (1, 8, 0)]
+
+
+def test_disjoint_paths_take_the_direct_hop_once():
+    ids, calls = _stub_discovery([(1, 0), (1, 4, 0)], {}, k=3)
+    assert ids == [(1, 0), (1, 4, 0)]
+    assert calls == [(set(), True), (set(), False), ({4}, False)]
 
 
 def _adjacent_source_state(node_count):
@@ -92,8 +96,8 @@ def _adjacent_source_state(node_count):
     (300, [(1, 0), (1, 63, 0), (1, 265, 0)]),
 ])
 def test_direct_hop_is_used_at_most_once(find, node_count, expected):
-    ps = find(1, 0, 4, _adjacent_source_state(node_count))
-    assert [p.node_ids for p in ps.paths] == expected
+    paths = find(1, 0, 4, _adjacent_source_state(node_count))
+    assert [p.node_ids for p in paths] == expected
 
 
 @pytest.mark.parametrize("router", ["qempar", "minhop"])
@@ -116,15 +120,15 @@ def _diamond_state():
 
 def test_discover_finds_disjoint_paths_on_diamond():
     state = _diamond_state()
-    ps = discover_paths(1, 0, 2, state)
-    assert [p.node_ids for p in ps.paths] == [(1, 2, 0), (1, 3, 0)]
-    interiors = [set(p.interior()) for p in ps.paths]
+    paths = discover_paths(1, 0, 2, state)
+    assert [p.node_ids for p in paths] == [(1, 2, 0), (1, 3, 0)]
+    interiors = [set(p.interior()) for p in paths]
     assert interiors[0].isdisjoint(interiors[1])
 
 
 def test_discover_stops_when_paths_run_out():
-    ps = discover_paths(1, 0, 4, _diamond_state())
-    assert len(ps.paths) == 2  # only two disjoint corridors exist
+    paths = discover_paths(1, 0, 4, _diamond_state())
+    assert len(paths) == 2  # only two disjoint corridors exist
 
 
 def test_discover_rejects_bad_arguments():
@@ -176,13 +180,13 @@ def test_discovery_scores_each_link_at_most_once(monkeypatch):
 def test_a_later_discovery_sees_a_changed_residual():
     """The link scores of one discovery do not outlive it."""
     state = _diamond_state()
-    first = discover_paths(1, 0, 1, state).paths[0]
+    first = discover_paths(1, 0, 1, state)[0]
     assert first.node_ids == (1, 2, 0)  # a tie, won by the lower id
     state.topology.nodes[2].spend(0.5)
-    second = discover_paths(1, 0, 1, state).paths[0]
+    second = discover_paths(1, 0, 1, state)[0]
     assert second.node_ids == (1, 3, 0)
     assert second.merit == first.merit
-    assert discover_paths(1, 0, 2, state).paths[1].merit == first.merit - 0.5 / 2.0
+    assert discover_paths(1, 0, 2, state)[1].merit == first.merit - 0.5 / 2.0
 
 
 def test_ties_go_to_the_lowest_id_on_symmetric_corridors():
@@ -198,7 +202,7 @@ def test_ties_go_to_the_lowest_id_on_symmetric_corridors():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(routing, "_bounded_greedy_dfs", _same_search)
         paths = discover_paths(1, 0, 2, state)
-    assert [p.node_ids for p in paths.paths] == [(1, 2, 4, 5, 0)]
+    assert [p.node_ids for p in paths] == [(1, 2, 4, 5, 0)]
 
 
 def test_paths_flag_extended_hops():
@@ -207,7 +211,7 @@ def test_paths_flag_extended_hops():
                            extended={1: (2,), 2: (1,)})
     state = make_state(topo)
     # Node 1 reaches the sink only over its 270 m bridge to node 2.
-    assert minhop_paths(1, 0, 1, state).paths[0].node_ids == (1, 2, 0)
+    assert minhop_paths(1, 0, 1, state)[0].node_ids == (1, 2, 0)
 
 
 def test_a_huge_hop_budget_searches_no_cap_beyond_n_minus_1(monkeypatch):
@@ -559,8 +563,48 @@ def test_qempar_finds_a_minimum_hop_path_on_a_large_field():
     search still skips the nodes that cannot reach the sink in time, so
     qempar's first path is as short as minhop's."""
     state = setup(LARGE)
-    best = discover_paths(1, 0, LARGE.fragments_per_packet, state).paths[0]
-    assert best.hop_count == minhop_paths(1, 0, 1, state).paths[0].hop_count > 20
+    best = discover_paths(1, 0, LARGE.fragments_per_packet, state)[0]
+    assert best.hop_count == minhop_paths(1, 0, 1, state)[0].hop_count > 20
+
+
+def _truncated_searches(config):
+    """qempar discovery on setup(config), asserting of every search the
+    visit budget cuts short that its deepest partial path past the source
+    is not empty and holds neither an excluded node nor an endpoint, so a
+    strict retry always blacklists new nodes. Returns how many searches
+    were cut short."""
+    truncated = 0
+
+    def checked(state, source, sink, excluded, *args):
+        nonlocal truncated
+        path, cut, deepest = _greedy_dfs(state, source, sink, excluded, *args)
+        if cut:
+            truncated += 1
+            assert deepest[0] == source and len(deepest) > 1, deepest
+            assert not {source, sink, *excluded} & set(deepest[1:]), (deepest, excluded)
+        return path, cut, deepest
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_bounded_greedy_dfs", checked)
+        discover(setup(replace(config, router="qempar")))
+    return truncated
+
+
+STRICT_BUDGETS = (1, 2, 3, 5, 8, 20, 50)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs(), st.sampled_from(STRICT_BUDGETS))
+def test_a_truncated_strict_search_leaves_new_nodes_to_blacklist(config, budget):
+    _truncated_searches(replace(config, progress_mode="strict", search_visit_budget=budget))
+
+
+def test_strict_searches_are_cut_short_at_small_budgets():
+    """The default field in strict mode, seeds 1-10, at each small budget:
+    some searches are cut short, and each leaves new nodes to blacklist."""
+    config = ScenarioConfig(progress_mode="strict")
+    assert sum(_truncated_searches(replace(config, seed=seed, search_visit_budget=budget))
+               for seed in range(1, 11) for budget in STRICT_BUDGETS) > 0
 
 
 def test_preferred_discovery_ends_at_its_first_truncated_search():
@@ -574,7 +618,7 @@ def test_preferred_discovery_ends_at_its_first_truncated_search():
                             source_x=212.1, source_y=212.1, progress_mode="preferred",
                             search_visit_budget=5, path_retry_limit=3, duration_s=0.1, seed=1)
     state = setup(config)
-    assert minhop_paths(1, 0, 1, state).paths[0].hop_count > config.search_visit_budget
+    assert minhop_paths(1, 0, 1, state)[0].hop_count > config.search_visit_budget
     calls = 0
 
     def counted(*args):
