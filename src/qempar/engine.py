@@ -63,10 +63,6 @@ from .energy import rx_energy, tx_energy
 def link_success_probability(config, distance_m: float, radio_range_m: float) -> float:
     """Per-attempt delivery probability, linearly degrading with distance and
     clamped to [0.01, 1.0] so even stretched links stay usable."""
-    if distance_m < 0:
-        raise ValueError("distance must be non-negative")
-    if radio_range_m <= 0:
-        raise ValueError("radio range must be positive")
     p = config.base_success * (1.0 - config.success_distance_slope * (distance_m / radio_range_m))
     return min(1.0, max(0.01, p))
 

@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class UnknownNodeError(LookupError):
-    """Raised when a node or link id does not exist in the topology."""
+    """Raised when a node id does not exist in the topology."""
 
 
 class NoPathError(RuntimeError):

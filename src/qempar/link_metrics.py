@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .energy import EnergyLedger, RadioParams
-from .errors import UnknownNodeError
 from .topology import Topology, distance, neighbors as topo_neighbors
 
 
@@ -24,12 +23,6 @@ class RoutePath:
 
     node_ids: tuple[int, ...]
     merit: float
-
-    def __post_init__(self):
-        if len(self.node_ids) < 2:
-            raise ValueError("a path needs at least source and sink")
-        if len(set(self.node_ids)) != len(self.node_ids):
-            raise ValueError("path repeats a node id")
 
     @property
     def hop_count(self) -> int:
@@ -122,22 +115,21 @@ def interference(a: int, b: int, state: NetworkState) -> float:
     """I_B for the a-to-b link: d^alpha / reference, with no live
     contention, as discovery runs before any traffic. Always positive."""
     cfg = state.config
-    d = distance(state.topology.node(a).position, state.topology.node(b).position)
+    nodes = state.topology.nodes
+    d = distance(nodes[a].position, nodes[b].position)
     raw = d ** cfg.interference_alpha / cfg.interference_reference
     return max(raw, 1e-12)
 
 
 def suitability(a: int, b: int, state: NetworkState) -> float:
     """Score candidate b as the next hop from a: PPS + APPR + interference
-    term + residual-energy ratio, added in that order. b must be a neighbor
-    of a."""
-    if b not in state.neighbors(a):
-        raise UnknownNodeError(f"no link {a}->{b}")
+    term + residual-energy ratio, added in that order. Precondition, not
+    checked: b is in state.neighbors(a), as is every link discovery scores."""
     i_b = interference(a, b, state)
     if state.config.interference_mode == "literal":
         interference_term = 1.0 / i_b
     else:
         interference_term = 1.0 / (1.0 + i_b)
-    node_b = state.topology.node(b)
+    node_b = state.topology.nodes[b]
     return (state.node_pps(b) + appr(b, state) + interference_term
             + node_b.residual_energy / node_b.initial_energy)

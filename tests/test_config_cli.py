@@ -79,7 +79,8 @@ def test_bool_words_and_numeric_coercion():
 
 def test_validation_reports_every_violation_at_once():
     bad = ScenarioConfig(node_count=1, rate_pkts_per_s=-1.0, router="flood",
-                         bit_rate_bps=0, base_success=0)
+                         bit_rate_bps=0, base_success=0, fragment_count=4097,
+                         reassembly_deadline_s=0.0, radio_range_m=0.0)
     with pytest.raises(ConfigError) as err:
         bad.validate()
     text = str(err.value)
@@ -88,6 +89,13 @@ def test_validation_reports_every_violation_at_once():
     assert "router" in text
     assert "bit_rate_bps" in text
     assert "base_success" in text
+    # fragment(), ReassemblyBuffer and link_success_probability rely on
+    # these bounds and do not check them again.
+    assert "fragment_count cannot exceed packet bits" in text
+    assert "reassembly_deadline_s must be positive" in text
+    assert "radio_range_m must be positive" in text
+    with pytest.raises(ConfigError, match="fragment_count must be at least 1"):
+        ScenarioConfig(fragment_count=0).validate()
 
 
 def test_validation_rejects_non_finite_floats():

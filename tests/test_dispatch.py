@@ -18,13 +18,6 @@ def test_single_fragment_is_the_whole_payload():
     assert fragment(4096, 1) == [4096]
 
 
-def test_fragment_validation():
-    with pytest.raises(ValueError):
-        fragment(4096, 0)
-    with pytest.raises(ValueError):
-        fragment(3, 4)
-
-
 def test_reassembly_completes_with_last_fragment():
     buf = ReassemblyBuffer([0.0] * 7 + [1.0], expected=3, deadline_s=5.0)
     assert buf.reassemble(7, 1, 1.2) == PENDING
@@ -58,8 +51,6 @@ def test_late_fragments_and_settled_packets_are_ignored():
     assert buf.reassemble(0, 2, 1.5) == EXPIRED
     buf.drop(0)  # a settled packet stays settled
     assert buf.status[0] == EXPIRED
-    with pytest.raises(ValueError):
-        buf.delay_of(0)
     buf.drop(1)
     assert buf.status == [EXPIRED, DROPPED]
     assert buf.reassemble(1, 1, 0.1) == DROPPED
@@ -70,10 +61,3 @@ def test_unknown_packet_raises():
     buf = ReassemblyBuffer([0.0], expected=1, deadline_s=1.0)
     with pytest.raises(IndexError):
         buf.reassemble(42, 1, 0.0)
-
-
-def test_buffer_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        ReassemblyBuffer([0.0], expected=0, deadline_s=1.0)
-    with pytest.raises(ValueError):
-        ReassemblyBuffer([0.0], expected=1, deadline_s=0.0)

@@ -14,9 +14,9 @@ from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_path
 from qempar import link_metrics, routing
 from qempar.engine import discover, setup, simulate
 from qempar.errors import NoPathError
-from qempar.link_metrics import NetworkState, suitability
+from qempar.link_metrics import NetworkState, RoutePath, suitability
 
-from conftest import make_state, manual_topology, valid_configs
+from conftest import assert_valid_paths, make_state, manual_topology, valid_configs
 
 
 def test_beacon_exchange_debits_exact_energy(line_topology):
@@ -137,9 +137,40 @@ def test_discover_rejects_bad_arguments():
         discover_paths(1, 1, 2, state)
     with pytest.raises(ValueError):
         discover_paths(1, 0, 0, state)
-    state.topology.nodes[1].spend(10.0)
-    with pytest.raises(NoPathError):
-        discover_paths(1, 0, 2, state)
+    # A dead node is in no neighbor list, so the hop table gives a dead
+    # source or sink no route.
+    for find in (discover_paths, minhop_paths):
+        for dead in (1, 0):
+            state = _diamond_state()
+            state.topology.nodes[dead].spend(10.0)
+            with pytest.raises(NoPathError):
+                find(1, 0, 2, state)
+
+
+def _diamond_path(state, *ids, merit_error=0.0):
+    return RoutePath(ids, sum(suitability(a, b, state) for a, b in zip(ids, ids[1:]))
+                     + merit_error)
+
+
+@pytest.mark.parametrize("routes, k, merit_error, breach", [
+    ([(1,)], 1, 0.0, "a path's endpoints"),
+    ([(1, 2, 3, 2, 0)], 1, 0.0, "a path repeats a node"),
+    ([(1, 0)], 1, 0.0, "a hop over no link"),
+    ([(1, 2)], 1, 0.0, "a path's endpoints"),
+    ([(2, 0)], 1, 0.0, "a path's endpoints"),
+    ([(1, 2, 0)], 1, 1e-9, "merit"),
+    ([(1, 2, 0), (1, 2, 3, 0)], 2, 0.0, "paths share an interior node"),
+    ([(1, 3, 0), (1, 2, 0)], 2, 0.0, "paths out of rank order"),
+    ([(1, 2, 0), (1, 3, 0)], 1, 0.0, "more paths than asked for"),
+])
+def test_path_oracle_rejects_each_breach(routes, k, merit_error, breach):
+    """assert_valid_paths, the one check of the path invariants, fails on
+    each hand-built breach of the diamond's two ranked paths."""
+    state = _diamond_state()
+    assert_valid_paths(state, [_diamond_path(state, 1, 2, 0), _diamond_path(state, 1, 3, 0)], 2)
+    paths = [_diamond_path(state, *ids, merit_error=merit_error) for ids in routes]
+    with pytest.raises(AssertionError, match=breach):
+        assert_valid_paths(state, paths, k)
 
 
 def test_no_route_raises():
