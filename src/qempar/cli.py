@@ -209,7 +209,7 @@ def _cmd_validate(args) -> int:
     print("configuration is valid")
     print(f"amplifier threshold distance d0 = {d0:.6f} m")
     print(f"packet size = {config.packet_bits} bits "
-          f"in {config.fragment_count} fragment(s)")
+          f"in {config.fragments_per_packet} fragment(s)")
     return 0
 
 

@@ -66,13 +66,10 @@ class ScenarioConfig:
 
     # Path discovery
     progress_mode: str = "preferred"  # preferred | strict
+    # qempar takes no path of more hops than hop_budget_factor times the
+    # estimate ceil(distance to sink / radio_range_m) (README "Route
+    # discovery").
     hop_budget_factor: float = 4.0
-    # In preferred mode the visit budget changes a path only when it is below
-    # that path's hop count (README "Route discovery").
-    search_visit_budget: int = 20000
-    # Acts in strict mode only: in preferred mode every retry would be cut
-    # short as the first search was.
-    path_retry_limit: int = 3
 
     # MAC and link reliability
     bit_rate_bps: float = 500e3
@@ -159,8 +156,6 @@ class ScenarioConfig:
         check(self.progress_mode in ("preferred", "strict"),
               "progress_mode must be preferred or strict")
         check(self.hop_budget_factor >= 1.0, "hop_budget_factor must be at least 1")
-        check(self.search_visit_budget >= 1, "search_visit_budget must be at least 1")
-        check(self.path_retry_limit >= 0, "path_retry_limit must be non-negative")
         check(self.bit_rate_bps > 0, "bit_rate_bps must be positive")
         check(self.access_delay_s >= 0, "access_delay_s must be non-negative")
         check(self.contention_delay_s >= 0, "contention_delay_s must be non-negative")

@@ -207,8 +207,6 @@ def valid_configs(draw):
         beacon_accounting=draw(st.booleans()),
         progress_mode=draw(st.sampled_from(["preferred", "strict"])),
         hop_budget_factor=draw(st.floats(1.0, 4.0)),
-        search_visit_budget=draw(st.sampled_from([1, 50, 20000])),
-        path_retry_limit=draw(st.integers(0, 3)),
         carrier_sense_factor=draw(st.floats(0.0, 3.0)),
         hop_retry_limit=draw(st.integers(0, 3)),
         base_success=draw(st.floats(0.01, 1.0)),
@@ -244,7 +242,7 @@ _BOUNDS = {
     "cold_start_value": (0.0, 1.0), "base_success": (0.0, 1.0),
     "success_distance_slope": (0.0, 1.0), "hop_budget_factor": (1.0,),
     "node_count": (2,), "packet_bytes": (1,), "beacon_bytes": (1,),
-    "fragment_count": (1, BOUNDARY_BASE.packet_bits), "search_visit_budget": (1,),
+    "fragment_count": (1, BOUNDARY_BASE.packet_bits),
 }
 _HUGE_INTS = (2**63, 10**30)
 _EXTREME_FLOATS = (5e-324, 1e-310, 1e308)

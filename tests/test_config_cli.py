@@ -108,7 +108,7 @@ def test_validation_rejects_non_finite_floats():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 1.5), ("node_count", 30.5), ("fragment_count", 2.5), ("path_retry_limit", 0.5),
+    ("seed", 1.5), ("node_count", 30.5), ("fragment_count", 2.5), ("hop_retry_limit", 0.5),
     ("beacon_accounting", "no"), ("duration_s", "5"),
 ])
 def test_values_of_the_wrong_type_are_rejected_before_placement(field, value, monkeypatch):
@@ -263,13 +263,15 @@ def test_report_rejects_empty_input():
 FAST = ["--set", "duration_s=0.5", "--set", "rate_pkts_per_s=6"]
 
 
-def test_validate_command_prints_resolved_config(capsys):
-    assert main(["validate", "--set", "seed=3"]) == 0
+@pytest.mark.parametrize("router, fragments", [("qempar", 4), ("minhop", 1)])
+def test_validate_command_prints_resolved_config(capsys, router, fragments):
+    assert main(["validate", "--set", "seed=3", "--set", f"router={router}"]) == 0
     out = capsys.readouterr().out
     assert "configuration is valid" in out
     assert "seed = 3  [override]" in out
     assert "duration_s = 60.0  [default]" in out
     assert "d0 = 87.705802" in out
+    assert f"packet size = 4096 bits in {fragments} fragment(s)" in out
 
 
 def test_bad_configuration_exits_2(capsys):

@@ -5,9 +5,10 @@ import math
 import random
 from collections import Counter, defaultdict, deque
 from dataclasses import replace
+from functools import partial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from qempar import (ScenarioConfig, beacon_exchange, discover_paths, minhop_paths, run,
                     rx_energy, tx_energy)
@@ -222,17 +223,14 @@ def test_a_later_discovery_sees_a_changed_residual():
 
 def test_ties_go_to_the_lowest_id_on_symmetric_corridors():
     """Two mirror-image corridors of 50 m hops meet at node 4 and part
-    again: the search meets an exact tie of scores at the source (2 or 3)
-    and at node 4 (5 or 6), takes the lower id both times, and matches its
-    oracle at every step."""
+    again: the walk meets an exact tie of scores at the source (2 or 3)
+    and at node 4 (5 or 6), and takes the lower id both times."""
     state = make_state(manual_topology(
         [(120, 0), (0, 0), (30, 40), (30, -40), (60, 0), (90, 40), (90, -40)],
         radio_range=50.0))
     assert suitability(1, 2, state) == suitability(1, 3, state)
     assert suitability(4, 5, state) == suitability(4, 6, state)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "_bounded_greedy_dfs", _same_search)
-        paths = discover_paths(1, 0, 2, state)
+    paths = discover_paths(1, 0, 2, state)
     assert [p.node_ids for p in paths] == [(1, 2, 4, 5, 0)]
 
 
@@ -245,20 +243,9 @@ def test_paths_flag_extended_hops():
     assert minhop_paths(1, 0, 1, state)[0].node_ids == (1, 2, 0)
 
 
-def test_a_huge_hop_budget_searches_no_cap_beyond_n_minus_1(monkeypatch):
-    """Strict progress finds no path on seed 2, so every cap up to cap_max
-    is searched; capped at n - 1 hops, that takes a few dozen passes, not
-    one per unit of the factor."""
-    calls = 0
-    dfs = routing._bounded_greedy_dfs
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        assert calls <= 10_000, "the depth cap grew with the factor"
-        return dfs(*args)
-
-    monkeypatch.setattr(routing, "_bounded_greedy_dfs", counted)
+def test_a_huge_hop_budget_factor_still_finds_no_strict_path():
+    """Strict progress finds no path on seed 2 at any hop budget: the
+    budget stops at n - 1 hops, which no simple path exceeds."""
     cfg = ScenarioConfig(progress_mode="strict", duration_s=0.1, hop_budget_factor=1e12)
     assert run(cfg, 2).n_paths == 0
 
@@ -307,10 +294,14 @@ def _max_disjoint_paths(state, source, sink):
 def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: set[int],
                            depth_cap: int, dist_to_sink: list[float], hops_left: list[float],
                            visit_budget: int, direct_ok: bool, score):
-    """Oracle for routing._bounded_greedy_dfs: the same search as it was
-    first written, rebuilding, re-filtering and re-scoring the current
-    node's candidates at every step, backtracking included. A candidate v
-    at depth must have hops_left[v] <= depth_cap - depth."""
+    """The search qempar discovery first made, the reference for its walk:
+    a depth-first search for one path within depth_cap hops, taking the
+    candidate of highest score(cur, v), ties to the lowest id, progressing
+    candidates first ('preferred') or only ('strict'), and backtracking
+    when none is left. It rebuilds, re-filters and re-scores the current
+    node's candidates at every step. A candidate v at depth must have
+    hops_left[v] <= depth_cap - depth. Returns (path or None, truncated):
+    truncated means the visit budget stopped an unfinished search."""
     strict = state.config.progress_mode == "strict"
     path = [source]
     on_path = {source}
@@ -319,12 +310,11 @@ def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: 
     # candidate is re-entered only strictly shallower than before; without
     # this the backtracking search re-explores subtrees exponentially.
     entered = {source: 0}
-    deepest = [source]
     visits = 0
     while path:
         cur = path[-1]
         if cur == sink:
-            return path, False, deepest
+            return path, False
         nxt = None
         if len(path) - 1 < depth_cap and visits < visit_budget:
             depth = len(path)
@@ -354,32 +344,7 @@ def _rebuilding_greedy_dfs(state: NetworkState, source: int, sink: int, banned: 
             entered[nxt] = len(path)
             path.append(nxt)
             on_path.add(nxt)
-            if len(path) > len(deepest):
-                deepest = list(path)
-    return None, visits >= visit_budget, deepest
-
-
-_greedy_dfs = routing._bounded_greedy_dfs
-_find_path = routing._find_path
-
-
-def _same_search(state, source, sink, banned, depth_cap, dist_to_sink, hops_left,
-                 visit_budget, direct_ok, score):
-    """Runs the search and its oracle on one input, asserts that they return
-    the same (path, truncated, deepest) and score the same set of links, and
-    returns that result."""
-    outcomes = []
-    for dfs in (_rebuilding_greedy_dfs, _greedy_dfs):
-        scored = set()
-
-        def recording(a, b):
-            scored.add((a, b))
-            return score(a, b)
-
-        outcomes.append((dfs(state, source, sink, banned, depth_cap, dist_to_sink,
-                             hops_left, visit_budget, direct_ok, recording), scored))
-    assert outcomes[0] == outcomes[1]
-    return outcomes[1][0]
+    return None, visits >= visit_budget
 
 
 def _graph_state(links):
@@ -431,8 +396,7 @@ def test_routers_find_no_more_paths_than_max_flow_allows():
 DYING = ScenarioConfig(node_count=120, initial_energy_j=1e-4)
 
 # Fields whose discovery the path hash pins: the default; a dense field with
-# several disjoint paths; literal scoring; strict progress under a visit
-# budget that still truncates 1 of its 157 qempar searches; a sparse field
+# several disjoint paths; literal scoring; strict progress; a sparse field
 # without bridging; strict progress with the tightest hop budget; a field
 # whose beacon round spends most of a node's energy, though on seeds 1-30
 # none dies; and DYING, where nodes die and links are one-way.
@@ -441,7 +405,7 @@ PINNED_DISCOVERY = [
     ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
                    source_x=212.1, source_y=212.1),
     ScenarioConfig(node_count=200, appr_mode="literal", interference_mode="literal"),
-    ScenarioConfig(node_count=300, progress_mode="strict", search_visit_budget=50),
+    ScenarioConfig(node_count=300, progress_mode="strict"),
     ScenarioConfig(node_count=60, extended_range_fallback=False),
     ScenarioConfig(node_count=40, progress_mode="strict", hop_budget_factor=1.0),
     ScenarioConfig(node_count=120, initial_energy_j=2e-4),
@@ -459,58 +423,93 @@ def test_discovered_paths_are_pinned():
                 for p in discover(setup(replace(cfg, router=router, seed=seed))):
                     digest.update(repr((p.node_ids, p.merit.hex())).encode())
                     n_paths += 1
-    assert n_paths == 408
-    assert digest.hexdigest() == "83023e6fa02b43c71de920d732d5818ac179959df48c84a2f24998d4c45bc120"
+    # 408 paths before discovery became one walk: on seed 2 of
+    # PINNED_DISCOVERY[3], then pinned at a visit budget of 50, the
+    # backtracking search, cut short by that budget, found one qempar path;
+    # uncut it finds two, as the walk does
+    # (test_a_budget_cut_short_path_is_found_by_the_walk).
+    assert n_paths == 409
+    assert digest.hexdigest() == "73c2e1a4ca2a8cf879bf4a74fd8848b76c38dadf50dc214452c562cfbd189313"
+
+
+def _reference_path(state, source, sink, limit, banned, direct_ok):
+    """The path the original search (_rebuilding_greedy_dfs) first finds
+    avoiding banned interiors (and, without direct_ok, the source-to-sink
+    link), over the caps from the source's fewest hops to the sink up to
+    limit, or None. Each cap is searched at a visit budget of
+    (n - 1) x cap + 1: each node but the source is entered at most cap
+    times, at strictly falling depths, so no search is cut short."""
+    n = len(state.topology.nodes)
+    hops = routing._hops_to_sink(routing._predecessors(routing._links(state)), source, sink,
+                                 banned, direct_ok)
+    _assert_hop_counts(state, hops, source, sink, banned, direct_ok)
+    if hops[source] > limit:
+        return None
+    dist_to_sink = state.topology.distances.row(sink)
+    score = partial(suitability, state=state)
+    for cap in range(hops[source], limit + 1):
+        path, truncated = _rebuilding_greedy_dfs(
+            state, source, sink, banned, cap, dist_to_sink, hops, (n - 1) * cap + 1, direct_ok,
+            score)
+        assert not truncated
+        if path is not None:
+            return path
+    return None
+
+
+def _hop_limit(state, source, sink):
+    """The most hops a qempar path may have: hop_budget_factor times the
+    estimate ceil(distance to sink / radio range), and no more than n - 1."""
+    cfg, topo = state.config, state.topology
+    longest = len(topo.nodes) - 1
+    est = max(1, math.ceil(min(topo.distances.row(sink)[source] / topo.radio_range, longest)))
+    return math.ceil(min(cfg.hop_budget_factor * est, longest))
+
+
+def _discover_against_the_reference(config):
+    """discover(setup(config)) under qempar, asserting that every walk
+    discovery makes finds the path _reference_path finds on the same
+    banned nodes and direct_ok, up to _hop_limit."""
+    state = setup(replace(config, router="qempar"))
+    walk = routing._walk
+
+    def compared(links, predecessors, source, sink, limit, pick, banned, direct_ok):
+        path = walk(links, predecessors, source, sink, limit, pick, banned, direct_ok)
+        assert path == _reference_path(state, source, sink, _hop_limit(state, source, sink),
+                                       banned, direct_ok)
+        return path
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_walk", compared)
+        return discover(state)
+
+
+def test_a_budget_cut_short_path_is_found_by_the_walk():
+    """Seed 2 of the strict pinned field is the one pinned discovery the
+    walk changed: the backtracking search, cut short by the visit budget
+    of 50 that field was pinned at, found one path of 14 hops; the walk
+    finds the two that search finds with a budget that cannot cut it
+    short."""
+    paths = _discover_against_the_reference(replace(PINNED_DISCOVERY[3], seed=2))
+    assert tuple(p.hop_count for p in paths) == (14, 19)
 
 
 @settings(max_examples=100, deadline=None)
 @given(valid_configs())
-@example(replace(DYING, seed=4, search_visit_budget=50))
 @example(replace(DYING, seed=4))
-def test_greedy_search_matches_its_oracle_on_drawn_configs(config):
-    """Every search discovery makes, and for each set of banned nodes it
-    searches around, every depth cap from the source's hop count to cap_max
-    with the direct hop both allowed and not. Each cap is searched skipping
-    nothing and skipping the nodes that cannot reach the sink within it.
-    Each node is entered at most cap times, at strictly falling depths, so
-    where (n - 1) x cap is under the visit budget neither search can be cut
-    short; there both find the same path, which shows that skipping loses
-    no path. The examples are a 120-node field where 7 nodes die in the
-    beacon round and one link is one-way, at a budget that truncates and
-    one that cannot."""
-    state = setup(config)
-    finds = []
-
-    def recorded_find(*args):
-        finds.append(args)
-        return _find_path(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "_bounded_greedy_dfs", _same_search)
-        mp.setattr(routing, "_find_path", recorded_find)
-        try:
-            discover_paths(1, 0, config.fragments_per_packet, state)
-        except NoPathError:
-            pass
-    budget, n = config.search_visit_budget, config.node_count
-    for _, source, sink, cap_max, dist_to_sink, predecessors, score, banned, _ in finds:
-        for direct_ok in (True, False):
-            hops = routing._hops_to_sink(predecessors, source, sink, banned, direct_ok)
-            _assert_hop_counts(state, hops, source, sink, banned, direct_ok)
-            if hops[source] == math.inf:
-                continue
-            for cap in range(hops[source], cap_max + 1):
-                full = _same_search(state, source, sink, banned, cap, dist_to_sink, [0] * n,
-                                    budget, direct_ok, score)
-                if (n - 1) * cap < budget:
-                    pruned = _same_search(state, source, sink, banned, cap, dist_to_sink, hops,
-                                          budget, direct_ok, score)
-                    assert pruned[:2] == full[:2] and not full[1]
+def test_the_walk_matches_the_original_search_on_drawn_configs(config):
+    """Every walk qempar discovery makes finds the path of the search it
+    replaced wherever that search could not be cut short. The example is a
+    120-node field where 7 nodes die in the beacon round and one link is
+    one-way."""
+    _discover_against_the_reference(config)
 
 
 def test_discovery_skips_nodes_that_cannot_reach_the_sink_in_time(monkeypatch):
-    """qempar discovery on the dense pinned field, seeds 1-30, scores at
-    most 1,000 links. Searching every subtree scores 9,408."""
+    """The walk scores only the links one hop nearer the sink from the nodes
+    on its paths: qempar discovery on the dense pinned field, seeds 1-30,
+    scores at most 1,000 links (764). A search that scores every link of
+    every node it enters scores 9,408."""
     scored = 0
 
     def counted(a, b, state):
@@ -548,7 +547,8 @@ def test_hops_to_sink_follows_one_way_links():
     one_way = 0
     for seed in range(1, 31):
         state = setup(replace(DYING, seed=seed))
-        hops = routing._hops_to_sink(routing._predecessors(state), 1, 0, set(), True)
+        hops = routing._hops_to_sink(routing._predecessors(routing._links(state)), 1, 0,
+                                     set(), True)
         _assert_hop_counts(state, hops, 1, 0, set(), True)
         for v, node in enumerate(state.topology.nodes):
             if node.alive:
@@ -556,30 +556,31 @@ def test_hops_to_sink_follows_one_way_links():
     assert one_way > 0
 
 
-@pytest.mark.parametrize("budget, searches, truncated, n_paths", [
-    (10, 36, 20, 16),
-    (12, 45, 5, 40),
-])
-def test_greedy_search_matches_its_oracle_under_truncating_budgets(
-        monkeypatch, budget, searches, truncated, n_paths):
-    """The dense pinned field at visit budgets below some of its paths' hop
-    counts, seeds 1-30, so that searches are cut short; in preferred mode a
-    cut-short search ends the search for that path, which retrying around
-    its deepest partial path would not change (at budget 10 the retries
-    were 11 more searches, all cut short, for the same 16 paths). The
-    pinned path hash cannot see a change in truncation; these counts of
-    searches, truncated searches and paths found can."""
-    outcomes = []
+@pytest.mark.parametrize("factor, limit, n_paths", [(1.2, 10, 16), (1.5, 12, 40)])
+def test_a_hop_budget_factor_drops_the_paths_longer_than_its_limit(factor, limit, n_paths):
+    """The dense pinned field, seeds 1-30, whose hop estimate is 8, at hop
+    limits below some of its paths' hop counts (at the default factor of 4
+    it has 45 paths of up to 14 hops). The pinned path hash sees the default
+    factor only; this count of paths found sees a tighter one."""
+    cfg = replace(PINNED_DISCOVERY[1], hop_budget_factor=factor)
+    paths = []
+    for seed in range(1, 31):
+        state = setup(replace(cfg, seed=seed))
+        assert _hop_limit(state, 1, 0) == limit
+        paths += discover(state)
+    assert len(paths) == n_paths
+    assert max(p.hop_count for p in paths) == limit
 
-    def compared(*args):
-        outcomes.append(_same_search(*args))
-        return outcomes[-1]
 
-    monkeypatch.setattr(routing, "_bounded_greedy_dfs", compared)
-    cfg = replace(PINNED_DISCOVERY[1], search_visit_budget=budget)
-    found = sum(len(discover(setup(replace(cfg, seed=seed)))) for seed in range(1, 31))
-    assert (len(outcomes), sum(t for _, t, _ in outcomes), found) == (
-        searches, truncated, n_paths)
+@pytest.mark.parametrize("mode", ["preferred", "strict"])
+def test_qempar_takes_no_path_longer_than_its_hop_limit(mode):
+    """On seed 1 of the dense field the shortest path has more hops than
+    the limit of 8 a hop_budget_factor of 1 gives, so qempar finds no path
+    in either mode, while minhop, which has no limit, still does."""
+    state = setup(replace(PINNED_DISCOVERY[1], progress_mode=mode, hop_budget_factor=1.0,
+                          seed=1))
+    assert minhop_paths(1, 0, 1, state)[0].hop_count > _hop_limit(state, 1, 0) == 8
+    assert discover(state) == []
 
 
 # Seed 2 of the default field at the default density with 1500 nodes: the
@@ -590,100 +591,8 @@ LARGE = ScenarioConfig(node_count=1500, field_width=400 * math.sqrt(15),
 
 
 def test_qempar_finds_a_minimum_hop_path_on_a_large_field():
-    """Where the visit budget cannot cover every entry of every node, the
-    search still skips the nodes that cannot reach the sink in time, so
-    qempar's first path is as short as minhop's."""
+    """In preferred mode qempar walks the same hop table as minhop, so on a
+    1500-node field its first path is as short as minhop's."""
     state = setup(LARGE)
     best = discover_paths(1, 0, LARGE.fragments_per_packet, state)[0]
     assert best.hop_count == minhop_paths(1, 0, 1, state)[0].hop_count > 20
-
-
-def _truncated_searches(config):
-    """qempar discovery on setup(config), asserting of every search the
-    visit budget cuts short that its deepest partial path past the source
-    is not empty and holds neither an excluded node nor an endpoint, so a
-    strict retry always blacklists new nodes. Returns how many searches
-    were cut short."""
-    truncated = 0
-
-    def checked(state, source, sink, excluded, *args):
-        nonlocal truncated
-        path, cut, deepest = _greedy_dfs(state, source, sink, excluded, *args)
-        if cut:
-            truncated += 1
-            assert deepest[0] == source and len(deepest) > 1, deepest
-            assert not {source, sink, *excluded} & set(deepest[1:]), (deepest, excluded)
-        return path, cut, deepest
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "_bounded_greedy_dfs", checked)
-        discover(setup(replace(config, router="qempar")))
-    return truncated
-
-
-STRICT_BUDGETS = (1, 2, 3, 5, 8, 20, 50)
-
-
-@settings(max_examples=100, deadline=None)
-@given(valid_configs(), st.sampled_from(STRICT_BUDGETS))
-def test_a_truncated_strict_search_leaves_new_nodes_to_blacklist(config, budget):
-    _truncated_searches(replace(config, progress_mode="strict", search_visit_budget=budget))
-
-
-def test_strict_searches_are_cut_short_at_small_budgets():
-    """The default field in strict mode, seeds 1-10, at each small budget:
-    some searches are cut short, and each leaves new nodes to blacklist."""
-    config = ScenarioConfig(progress_mode="strict")
-    assert sum(_truncated_searches(replace(config, seed=seed, search_visit_budget=budget))
-               for seed in range(1, 11) for budget in STRICT_BUDGETS) > 0
-
-
-def test_preferred_discovery_ends_at_its_first_truncated_search():
-    """In preferred mode a visit budget below the source's hop count cuts
-    the first search short, and every retry around its deepest partial path
-    would be cut short too (banning nodes never lowers that count), so
-    discovery makes that one search and finds no path, with retries left.
-    On this dense field blacklisting a partial path leaves the source a
-    route, so without the early end every retry would be searched."""
-    config = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
-                            source_x=212.1, source_y=212.1, progress_mode="preferred",
-                            search_visit_budget=5, path_retry_limit=3, duration_s=0.1, seed=1)
-    state = setup(config)
-    assert minhop_paths(1, 0, 1, state)[0].hop_count > config.search_visit_budget
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        path, truncated, partial = _greedy_dfs(*args)
-        assert path is None and truncated
-        return path, truncated, partial
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "_bounded_greedy_dfs", counted)
-        assert discover(state) == []
-    assert calls == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(valid_configs())
-@example(LARGE)
-def test_preferred_discovery_searches_once_per_path(config):
-    """In preferred mode, with a visit budget no smaller than any path's hop
-    count (n - 1 bounds them), the first cap of every search holds a path
-    and the search never backtracks, and a search with no path within
-    cap_max is never started: discovery calls _bounded_greedy_dfs exactly
-    once per path it returns."""
-    config = replace(config, router="qempar", progress_mode="preferred",
-                     search_visit_budget=max(config.search_visit_budget, config.node_count - 1))
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _greedy_dfs(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "_bounded_greedy_dfs", counted)
-        paths = discover(setup(config))
-    assert calls == len(paths)
