@@ -28,7 +28,8 @@ for router in ("qempar", "minhop"):
 
 # The fragmenting router wins on delay even over a single path because
 # fragments pipeline: while fragment 1 crosses hop 3, fragment 2 is
-# already on hop 2 and fragment 3 on hop 1.
+# already on hop 2 and fragment 3 on hop 1. A relay then receives while it
+# sends, which the model allows (README, "MAC model").
 
 # Every run can emit a JSON-lines event log. Two runs of the same
 # (config, seed) produce byte-identical logs.

@@ -2,9 +2,11 @@
 
 A data packet is split into k fragments whose payload sizes differ by at
 most one bit and sum exactly to the original size. The sink's reassembly
-buffer is the one record of every packet's fate: a packet is delivered only
-if every fragment arrives before its reassembly deadline, expires at the
-deadline, or is dropped when a fragment is lost on the way.
+buffer is the one record of every packet's fate: delivered when its last
+fragment arrives, expired, or dropped when a fragment is lost on the way.
+The event loop is the one clock: it runs a packet's deadline before any
+fragment landing at or after it, so the buffer only records what the loop
+decides.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ class ReassemblyBuffer:
     """Sink-side fragment collector and status record of packets 0..n-1.
 
     Packet pid, created at created[pid], is delivered when all expected
-    fragments have arrived strictly before created[pid] + deadline_s; at or
-    past the deadline it expires and late fragments are ignored. status[pid]
-    holds PENDING until the packet settles, then its final status.
+    fragments have arrived, and settles as expired or dropped when the loop
+    says so; once settled it ignores later fragments. status[pid] holds
+    PENDING until the packet settles, then its final status.
     """
 
-    def __init__(self, created: list[float], expected: int, deadline_s: float):
+    def __init__(self, created: list[float], expected: int):
         self.expected = expected
-        self.deadline_s = deadline_s
         self._created = created
         n = len(created)
         self.status = [PENDING] * n
@@ -49,10 +50,6 @@ class ReassemblyBuffer:
         status = self.status[pid]
         if status != PENDING:
             return status
-        created = self._created[pid]
-        if now >= created + self.deadline_s:
-            self.status[pid] = EXPIRED
-            return EXPIRED
         if seq < self._last_seq[pid]:
             self._out_of_order[pid] = True
         self._last_seq[pid] = seq
@@ -60,13 +57,13 @@ class ReassemblyBuffer:
         if self._arrived[pid] < self.expected:
             return PENDING
         self.status[pid] = DELIVERED
-        self._delay[pid] = now - created
+        self._delay[pid] = now - self._created[pid]
         return DELIVERED
 
-    def expire(self, pid: int, now: float) -> bool:
-        """Expire a still-pending packet whose deadline has passed; returns
-        True if this call expired it."""
-        if self.status[pid] == PENDING and now >= self._created[pid] + self.deadline_s:
+    def expire(self, pid: int) -> bool:
+        """Settle a still-pending packet as expired; returns True if this
+        call expired it."""
+        if self.status[pid] == PENDING:
             self.status[pid] = EXPIRED
             return True
         return False

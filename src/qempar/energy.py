@@ -70,6 +70,8 @@ class EnergyLedger:
     clamped_debits: int = 0
 
     def add(self, node: NodeState, joules: float) -> None:
-        """Debit joules from node, counting the debit if it clamps."""
-        if node.spend(joules):
+        """Debit joules from node, which kills it at its initial energy,
+        counting the debit if it asked for more than remained."""
+        if joules > node.initial_energy - node.spent_energy:
             self.clamped_debits += 1
+        node.spent_energy += joules

@@ -5,11 +5,11 @@ simulate(), traffic through a light CSMA-style MAC. Each hop attempt
 occupies the sender for the serialization time plus access and contention
 delays, succeeds with a distance-dependent probability, and is retried a
 bounded number of times. Fragments queue FIFO at busy nodes; fragment seq s
-of every packet travels on ranked path (s-1) mod n_paths. The sink's
-reassembly buffer records each packet's fate, which the metrics read. Events
-are ordered by (time, ordinal) where ordinals count event creation, so ties
-resolve in creation order and a run is reproducible bit for bit from
-(scenario, seed).
+of every packet travels on ranked path (s-1) mod n_paths. The loop decides
+each packet's fate, the sink's reassembly buffer records it, and the metrics
+read it there. Events are ordered by (time, ordinal) where ordinals count
+event creation, so ties resolve in creation order and a run is reproducible
+bit for bit from (scenario, seed).
 
 The event loop holds per-node spent energy, liveness and busy times in flat
 lists, and every hop of a fragment as one precomputed record linked to the
@@ -23,8 +23,8 @@ Carrier sense is a bitmask: each path sender has one bit, the transmitting
 senders are the set bits of one int, which the loop keeps exact at every
 instant, and a hop record holds its sender's carrier-sense set as a mask
 of those bits, so the count is the popcount of the two ints' AND. Each
-debit adds to its node's spent energy in the flat list, as NodeState.spend
-would, and one that asks for more than the node had left is counted. The
+debit adds to its node's spent energy in the flat list, as EnergyLedger.add
+does, and one that asks for more than the node had left is counted. The
 metrics are read from those lists and that count; simulate() writes nothing
 to the state it is given, so one post-discovery state can be simulated
 again with the same result.
@@ -190,7 +190,7 @@ def simulate(state, paths, log=None) -> RunMetrics:
 
     times = arrival_times(config, config.seed)
     n_packets = len(times)
-    buffer = ReassemblyBuffer(times, config.fragments_per_packet, config.reassembly_deadline_s)
+    buffer = ReassemblyBuffer(times, config.fragments_per_packet)
     if paths:
         spent, clamped = _traffic(state, paths, times, buffer, log)
     else:
@@ -295,7 +295,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     busy = [0.0] * n_nodes
     # Queues are made on first use; queues[n_nodes] stays None (see nxt).
     queues: list[deque | None] = [None] * (n_nodes + 1)
-    # Debits beyond what their node had left, as NodeState.spend counts them.
+    # Debits beyond what their node had left, as EnergyLedger.add counts them.
     clamped = 0
     # Carrier sense counts the bits of active within the sender's mask, and
     # the loop keeps bit w of active set exactly while node w's latest hop
@@ -313,8 +313,10 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     # Events run in (time, ordinal) order, ordinals counting creation: packet
     # pid's birth has ordinal 2*pid and its deadline 2*pid + 1, so that at the
     # exact deadline instant expiry wins and a fragment landing then is late;
-    # hop ends count on from 2*len(times). Births and deadlines are already
-    # sorted, so they are read from their lists and only hop ends use a heap.
+    # hop ends count on from 2*len(times). This order is the one deadline
+    # rule: the buffer records whichever of the two runs first. Births and
+    # deadlines are already sorted, so they are read from their lists and
+    # only hop ends use a heap.
     n_packets = len(times)
     deadlines = [t + deadline_s for t in times]
     heap: list[tuple] = []
@@ -405,7 +407,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             expired += 1
             next_deadline = deadlines[expired] if expired < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
-            if buffer.expire(pid, t) and log is not None:
+            if buffer.expire(pid) and log is not None:
                 write(expired_event.to_json(repr(t), pid))
             continue
 

@@ -67,13 +67,6 @@ class NodeState:
         """Remaining energy, clamped to [0, initial]."""
         return max(0.0, self.initial_energy - self.spent_energy)
 
-    def spend(self, joules: float) -> bool:
-        """Deduct joules, which kills the node at zero. Returns True if the
-        charge was clamped (requested more than remained)."""
-        clamped = joules > self.initial_energy - self.spent_energy
-        self.spent_energy += joules
-        return clamped
-
 
 # The cells of the temporaries that the screen's build holds, whatever the
 # field's size.

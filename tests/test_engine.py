@@ -256,6 +256,23 @@ def test_impossible_deadline_expires_everything():
     assert m.expired == m.generated
 
 
+# One packet over one perfect 30 m hop into the sink, sent whole (minhop).
+ONE_HOP = ScenarioConfig(router="minhop", node_count=2, source_x=30.0, source_y=0.0,
+                         base_success=1.0, success_distance_slope=0.0, duration_s=0.1)
+
+
+def test_a_fragment_landing_at_the_deadline_instant_is_late():
+    """The deadline is strict and the loop alone decides it: its hop end
+    and the packet's deadline fall on the same float, and the deadline,
+    created first, runs first; one ulp later the packet is delivered."""
+    cfg = ONE_HOP
+    hop_s = ((cfg.packet_bits + 8 * cfg.fragment_header_bytes) / cfg.bit_rate_bps
+             + cfg.access_delay_s)
+    for deadline, want in ((hop_s, (1, 0, 1)), (math.nextafter(hop_s, math.inf), (1, 1, 0))):
+        m = run(replace(cfg, reassembly_deadline_s=deadline), seed=1)
+        assert (m.generated, m.delivered, m.expired) == want, deadline
+
+
 def test_unroutable_scenario_reports_failure():
     # Two isolated nodes: no neighbors, so nothing is ever transmitted.
     cfg = ScenarioConfig(node_count=2, extended_range_fallback=False, duration_s=1.0)

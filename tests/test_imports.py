@@ -1,8 +1,9 @@
 """Every top-level import in the package, the tests and the demos is used,
 every field of a package class is read by some module of the package,
-every private helper of the package has a caller in the package and reads
-every parameter it takes, and no function of the package rebinds a module
-global."""
+every public method of a package class is read by the package or the
+demos, every private helper of the package has a caller in the package and
+reads every parameter it takes, and no function of the package rebinds a
+module global."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,48 @@ def test_the_scan_finds_an_unread_field():
 def test_every_field_of_a_package_class_is_read():
     sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
     assert unread_fields(sources) == []
+
+
+def unread_methods(package: list[str], others: list[str]) -> list[str]:
+    """Class.method for each public method (no leading _) of a class in the
+    package sources that no module of package or others reads as an
+    attribute. A method that only tests call belongs in tests/."""
+    trees = [ast.parse(source) for source in package]
+    read = {node.attr for tree in trees + [ast.parse(source) for source in others]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{func.name}" for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for func in cls.body
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not func.name.startswith("_") and func.name not in read]
+
+
+def test_the_scan_finds_an_unread_method():
+    assert unread_methods([
+        "class Buffer:\n    def drop(self):\n        pass\n"
+        "    def spare(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def _helper(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n",
+        "def run(buffer):\n    buffer.drop()\n",
+    ], ["print(Buffer().size)\n"]) == ["Buffer.spare"]
+
+
+# Public methods that nothing in the package or the demos calls, each kept
+# for a reader outside them.
+UNREAD_METHODS_KEPT = {
+    "NetworkState.record_send": "perfbench/tracer.py wraps it (ROADMAP items 1 and 5)",
+    "NetworkState.record_receive": "perfbench/tracer.py wraps it (ROADMAP items 1 and 5)",
+    "NetworkState.active_transmitters_near": "perfbench/tracer.py wraps it (ROADMAP items "
+                                             "1 and 5)",
+    "RunMetrics.to_dict": "the pinned digests and the benchmark read a run's metrics with it",
+}
+
+
+def test_every_public_method_of_a_package_class_is_read():
+    package = [p.read_text(encoding="utf-8") for p in (ROOT / "src/qempar").glob("*.py")]
+    demos = [p.read_text(encoding="utf-8") for p in (ROOT / "demos").glob("*.py")]
+    assert sorted(unread_methods(package, demos)) == sorted(UNREAD_METHODS_KEPT)
 
 
 def unreferenced_helpers(sources: list[str]) -> list[str]:

@@ -62,7 +62,7 @@ def test_interference_floors_at_tiny_positive_value():
 def test_energy_term_tracks_residual_fraction():
     state = _two_node_state()
     full = suitability(0, 1, state)
-    state.topology.nodes[1].spend(1.0)  # half of the 2 J initial
+    state.topology.nodes[1].spent_energy += 1.0  # half of the 2 J initial
     assert suitability(0, 1, state) - full == pytest.approx(-0.5, rel=1e-12)
 
 

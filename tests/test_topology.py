@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, beacon_exchange, place_nodes, rx_energy, tx_energy
 from qempar import link_metrics, topology
+from qempar.energy import EnergyLedger
 from qempar.engine import discover
 from qempar.errors import ConfigError, UnknownNodeError
 from qempar.link_metrics import NetworkState
@@ -53,9 +54,12 @@ def test_placement_deterministic_and_seed_sensitive():
 
 def test_residual_energy_clamps_and_node_dies():
     node = NodeState(Position(0, 0), initial_energy=1.0)
-    assert not node.spend(0.6)
+    ledger = EnergyLedger()
+    ledger.add(node, 0.6)
     assert node.alive and node.residual_energy == pytest.approx(0.4)
-    assert node.spend(0.6)  # clamped: only 0.4 remained
+    assert ledger.clamped_debits == 0
+    ledger.add(node, 0.6)  # clamped: only 0.4 remained
+    assert ledger.clamped_debits == 1
     assert not node.alive
     assert node.residual_energy == 0.0
     assert node.spent_energy == pytest.approx(1.2)  # full model joules
@@ -70,7 +74,7 @@ def test_neighbors_sorted_and_range_is_closed():
 
 def test_neighbors_excludes_dead_nodes():
     topo = manual_topology([(0, 0), (30, 0), (60, 0)], radio_range=40.0)
-    topo.nodes[1].spend(10.0)
+    topo.nodes[1].spent_energy = 10.0
     assert not topo.nodes[1].alive
     assert neighbors(topo, 0) == []  # fallback disabled in manual topologies
     assert neighbors(topo, 2) == []
@@ -303,7 +307,7 @@ def test_distance_table_matches_the_all_pairs_scans(field_spec):
     if fallback:
         topo.extended_links = _bridge_components(topo)
     for i in dead:
-        topo.nodes[i].spend(topo.nodes[i].initial_energy)
+        topo.nodes[i].spent_energy = topo.nodes[i].initial_energy
     _assert_table_matches_scans(make_state(topo, carrier_sense_factor=cs_factor))
 
 
