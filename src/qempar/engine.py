@@ -24,10 +24,12 @@ senders are the set bits of one int, which the loop keeps exact at every
 instant, and a hop record holds its sender's carrier-sense set as a mask
 of those bits, so the count is the popcount of the two ints' AND. Each
 debit adds to its node's spent energy in the flat list, as EnergyLedger.add
-does, and one that asks for more than the node had left is counted. The
-metrics are read from those lists and that count; simulate() writes nothing
-to the state it is given, so one post-discovery state can be simulated
-again with the same result.
+does, and one that asks for more than the node had left is counted. A node
+whose spent energy is below its guard, its initial energy less four times
+the run's largest hop debit, can neither be clamped nor die of one debit,
+so its debit is the add alone. The metrics are read from those lists and
+that count; simulate() writes nothing to the state it is given, so one
+post-discovery state can be simulated again with the same result.
 
 With an event log, each event is one line written by Event.to_json from a
 fixed format: the keys t, kind, node, peer, packet, seq, bits and joules in
@@ -35,9 +37,9 @@ that order, null for absent fields, numbers as their shortest round-trip
 repr, and a "\n" line end on every platform. The line is byte for byte what
 json.dumps(record, separators=(",", ":")) writes. An Event is the template
 of one line, the text of its six fixed fields built once per run, and each
-hop record carries its Events; each event of the loop formats its time once
-and passes that text and its packet to the lines it writes. Without a log,
-the loop builds no Event.
+hop record carries its Events; each event of the loop formats its time once,
+with _time_text, and passes that text and its packet to the lines it writes.
+Without a log, the loop builds no Event.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .dispatch import DELIVERED, DROPPED, EXPIRED, PENDING, ReassemblyBuffer, fragment
 from .errors import ConfigError, NoPathError
@@ -69,6 +72,13 @@ def link_success_probability(config, distance_m: float, radio_range_m: float) ->
 
 def _text(value) -> str:
     return "null" if value is None else str(value)
+
+
+def _time_text(t: float) -> str:
+    """repr(t) of a time t >= 0. orjson writes the same shortest round-trip
+    digits in compiled code, and in [1e-4, 1e16) the same notation; outside
+    it repr's notation differs (5e-05, 1e+16), so repr writes those."""
+    return orjson.dumps(t).decode() if 1e-4 <= t < 1e16 else repr(t)
 
 
 @dataclass(slots=True)
@@ -92,10 +102,11 @@ class Event:
                       f'"joules":{_text(self.joules)}}}\n')
 
     def to_json(self, t_text: str, packet: int) -> str:
-        """This event's line for packet at the time whose repr() is t_text,
-        "\n" included: what json.dumps(record, separators=(",", ":")) writes
-        for finite numbers, as str() of an int or float is the repr the JSON
-        encoder writes, and None becomes null."""
+        """This event's line for packet at the time whose repr() is t_text
+        (as _time_text writes it), "\n" included: what
+        json.dumps(record, separators=(",", ":")) writes for finite numbers,
+        as str() of an int or float is the repr the JSON encoder writes, and
+        None becomes null."""
         return f'{{"t":{t_text}{self._head}{packet}{self._tail}'
 
 
@@ -271,6 +282,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     packet_bits = config.packet_bits
     header_bits = config.fragment_header_bytes * 8
     first_hops = []
+    largest = 0.0  # the largest debit of any hop record
     for seq, frag_bits in enumerate(fragment(packet_bits, buffer.expected), start=1):
         route = paths[(seq - 1) % len(paths)].node_ids
         wire = frag_bits + header_bits
@@ -280,6 +292,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             d = distance(nodes[u].position, nodes[v].position)
             tx_j = tx_energy(wire, d, params)
             rx_j = rx_energy(wire, params)
+            largest = max(largest, tx_j, rx_j)
             events = None if log is None else (
                 Event("hop-start", u, v, seq, wire, tx_j),
                 Event("hop-complete", v, u, seq, wire, rx_j),
@@ -291,6 +304,13 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
 
     initial = [n.initial_energy for n in nodes]
     spent = [n.spent_energy for n in nodes]
+    # A debit is at most largest, so a live node with spent < guard can cover
+    # it and stays alive after it: with four debits of room, the roundings of
+    # guard, initial - spent and spent + joules cannot cross initial. Such a
+    # debit is the add alone. A guard at or below zero (a tiny initial
+    # energy, an infinite debit) is never reached, as spent starts at zero or
+    # above, and every debit takes the full path.
+    guard = [e - 4 * largest for e in initial]
     alive = [n.alive for n in nodes]
     busy = [0.0] * n_nodes
     # Queues are made on first use; queues[n_nodes] stays None (see nxt).
@@ -359,14 +379,18 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                 active &= clear
             nxt = u
             if ok and alive[v]:
-                if rx_j > initial[v] - spent[v]:
-                    clamped += 1
-                spent[v] += rx_j
-                if spent[v] >= initial[v]:
-                    alive[v] = False
-                    drain_dead(v)
+                s = spent[v]
+                if s < guard[v]:
+                    spent[v] = s + rx_j
+                else:
+                    if rx_j > initial[v] - s:
+                        clamped += 1
+                    spent[v] = s = s + rx_j
+                    if s >= initial[v]:
+                        alive[v] = False
+                        drain_dead(v)
                 if log is not None:
-                    t_text = repr(t)
+                    t_text = _time_text(t)
                     write(events[1].to_json(t_text, pid))
                 if next_hop is None:
                     if log is not None:
@@ -379,7 +403,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     offered = True
             else:
                 if log is not None:
-                    t_text = repr(t)
+                    t_text = _time_text(t)
                     write(events[2].to_json(t_text, pid))
                 if attempt <= retry_limit:
                     # A retry starts at once, even at a busy sender.
@@ -397,7 +421,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             next_birth = times[born] if born < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if log is not None:
-                t_text = repr(t)
+                t_text = _time_text(t)
                 write(born_event.to_json(t_text, pid))
             hop = None
             nxt = -len(first_hops)
@@ -408,7 +432,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             next_deadline = deadlines[expired] if expired < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if buffer.expire(pid) and log is not None:
-                write(expired_event.to_json(repr(t), pid))
+                write(expired_event.to_json(_time_text(t), pid))
             continue
 
         while True:
@@ -436,13 +460,17 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                                     active &= ending[11]
                     n = (active & hop[5]).bit_count()
                     end = t + (hop[6] + contention_delay * n if n else hop[6])
-                    joules = hop[2]
-                    if joules > initial[u] - spent[u]:
-                        clamped += 1
-                    spent[u] += joules
-                    if spent[u] >= initial[u]:
-                        alive[u] = False
-                        drain_dead(u)
+                    s = spent[u]
+                    if s < guard[u]:
+                        spent[u] = s + hop[2]
+                    else:
+                        joules = hop[2]
+                        if joules > initial[u] - s:
+                            clamped += 1
+                        spent[u] = s = s + joules
+                        if s >= initial[u]:
+                            alive[u] = False
+                            drain_dead(u)
                     # The success draw always happens, keeping the stream
                     # aligned across alternate outcomes; a dead receiver
                     # forces failure.
@@ -452,7 +480,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                                     link_random() < hop[4] and alive[hop[1]]))
                     ordinal += 1
                     if log is not None:
-                        # t_text: repr(t), formatted by the hop end or birth
+                        # t_text: _time_text(t), formatted by the hop end or birth
                         # that led here, whose own line has been written.
                         write(hop[8][0].to_json(t_text, pid))
             if nxt < 0:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import multiprocessing
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qempar import ScenarioConfig, compare, engine, run
-from qempar.engine import (Event, arrival_times, discover, link_success_probability, setup,
-                           simulate)
+from qempar.engine import (Event, _time_text, arrival_times, discover, link_success_probability,
+                           setup, simulate)
 from qempar.energy import EnergyLedger
 from qempar.errors import ConfigError
 from qempar.link_metrics import NetworkState
@@ -210,6 +211,24 @@ def test_event_template_json_matches_compact_json_dumps_at_every_stamp(fields, s
     event = Event(**fields)
     for t, packet in stamps:
         assert event.to_json(repr(t), packet) == _compact_json(t, packet, fields)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                 st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)))
+@example(0.0)
+@example(5e-324)
+@example(math.nextafter(1e-4, 0))
+@example(1e-4)
+@example(math.nextafter(1e16, 0))
+@example(1e16)
+@example(2.0**53 + 2)
+@example(sys.float_info.max)
+def test_time_text_is_repr(t):
+    """An event's time is written as repr(t) over every finite t >= 0, with
+    the bounds of orjson's range (where repr's notation switches to and
+    from exponent form) on both sides."""
+    assert _time_text(t) == repr(t)
 
 
 def test_deterministic_arrivals_are_evenly_spaced():

@@ -1,0 +1,199 @@
+"""Paired A/B timing and behaviour identity of the working tree against a
+parent revision, in one process.
+
+Run from the repository root:
+
+    python3 tools/ab.py PARENT_REV [--new DIR] [--label NAME]
+
+The parent's src/qempar is taken with `git archive` into a temporary
+directory and imported as the package qempar_parent; the new side is the
+working tree's src/qempar, or the package directory DIR imported as
+qempar_new. Both sides run the --seed 1 cells of the two bench workloads of
+perfbench/run_bench.py, alternating cell by cell, and each cell's setup(),
+discover() and simulate() are timed on their own in CPU seconds
+(time.process_time), the least of REPEATS runs per side. A logged
+workload writes each event log to a file, as the bench does.
+
+For each workload and phase the report gives the median over cells of the
+new/parent time ratio, a seeded bootstrap 95% interval of that median, and
+the cells the new side won. Every cell, and each of the five pinned cases of
+tests/test_byte_identity.py, must give both sides equal paths, equal
+RunMetrics.to_dict() and equal event-log bytes; the first that differs stops
+the run. The report goes under "runs", keyed by --label, into
+BENCH_<short parent rev>.json at the repository root, so that runs of
+several new sides against one parent share a file: the parent's own
+src/qempar as the new side (--new) is the self-test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
+from time import process_time
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import run_bench  # noqa: E402  (read only: the workloads and their cells)
+import test_byte_identity as pinned  # noqa: E402
+
+PINNED = [(pinned.DENSE_QEMPAR, 7), (pinned.DEFAULT_MINHOP, 1), (pinned.DENSE_LITERAL, 7),
+          (pinned.DEFAULT_TIES, 16), (pinned.EXPIRING, 16)]
+PHASES = ("setup", "discover", "simulate")
+REPEATS = 3
+BOOTSTRAP = 2000
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True).stdout
+
+
+def load(package_dir: Path, name: str):
+    """The package in package_dir imported as name; every import inside
+    src/qempar is relative, so a renamed copy imports cleanly."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """rev's src/qempar written under dest; returns the package directory."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src/qempar"))) as tar:
+        for member in tar.getmembers():
+            if member.isfile():
+                path = dest / member.name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(tar.extractfile(member).read())
+    return dest / "src" / "qempar"
+
+
+class Side:
+    """One revision of the package: runs a cell, timed by phase."""
+
+    def __init__(self, package, log_path: Path):
+        self.package = package
+        self.log_path = log_path
+
+    def config(self, config):
+        """config as this side's ScenarioConfig."""
+        return self.package.ScenarioConfig(**dataclasses.asdict(config))
+
+    def cell(self, config, seed: int, logged: bool) -> tuple[dict, str]:
+        """({phase: CPU seconds}, fingerprint of paths, metrics and log)."""
+        engine = self.package.engine
+        config = dataclasses.replace(self.config(config), seed=seed)
+        config.validate()
+        gc.collect()
+        with (open(self.log_path, "w", encoding="utf-8", newline="\n") if logged
+              else nullcontext()) as log:
+            t0 = process_time()
+            state = engine.setup(config)
+            t1 = process_time()
+            paths = engine.discover(state)
+            t2 = process_time()
+            metrics = engine.simulate(state, paths, log)
+            t3 = process_time()
+        text = self.log_path.read_bytes() if logged else b""
+        return ({"setup": t1 - t0, "discover": t2 - t1, "simulate": t3 - t2},
+                fingerprint(paths, metrics, text))
+
+    def pinned(self, config, seed: int) -> str:
+        """Fingerprint of run(config, seed) with its event log."""
+        log = io.StringIO()
+        metrics = self.package.run(self.config(config), seed, event_log=log)
+        return fingerprint(None, metrics, log.getvalue().encode())
+
+
+def fingerprint(paths, metrics, log: bytes) -> str:
+    found = None if paths is None else [(p.node_ids, p.merit.hex()) for p in paths]
+    return json.dumps({"paths": found, "metrics": metrics.to_dict(),
+                       "log": hashlib.sha256(log).hexdigest()}, sort_keys=True)
+
+
+def same(what: str, parent: str, new: str) -> None:
+    if parent != new:
+        raise SystemExit(f"ab: {what} differs\n  parent: {parent}\n  new:    {new}")
+
+
+def interval(ratios: list[float], rng: random.Random) -> tuple[float, float]:
+    """Bootstrap 95% interval of the median of ratios."""
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP))
+    return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
+
+
+def workload_report(w, parent: Side, new: Side, rng: random.Random) -> dict:
+    cells = run_bench.grid(w, run_bench.sim_seeds(run_bench.DEFAULT_SEED, w.n_seeds))
+    ratios = {phase: [] for phase in PHASES}
+    for i, (key, config, seed) in enumerate(cells):
+        best = {side: dict.fromkeys(PHASES, float("inf")) for side in (parent, new)}
+        prints = {}
+        for r in range(REPEATS):
+            for side in ((parent, new) if (i + r) % 2 == 0 else (new, parent)):
+                times, prints[side] = side.cell(config, seed, w.logged)
+                best[side] = {p: min(best[side][p], times[p]) for p in PHASES}
+        same(f"{w.name} cell {key}", prints[parent], prints[new])
+        for phase in PHASES:
+            ratios[phase].append(best[new][phase] / best[parent][phase])
+    report = {"cells": len(ratios["setup"])}
+    for phase, values in ratios.items():
+        low, high = interval(values, rng)
+        report[phase] = {"median": statistics.median(values), "low": low, "high": high,
+                         "new_faster": sum(v < 1.0 for v in values)}
+    return report
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REV")
+    parser.add_argument("--new", type=Path, help="package directory of the new side "
+                        "(default: the working tree's src/qempar)")
+    parser.add_argument("--label", default="working tree")
+    args = parser.parse_args(argv)
+    rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    out = ROOT / f"BENCH_{rev[:7]}.json"
+    rng = random.Random(0)
+
+    with tempfile.TemporaryDirectory(prefix="qempar-ab-") as tmp:
+        tmp = Path(tmp)
+        parent = Side(load(extract(rev, tmp / "parent"), "qempar_parent"), tmp / "parent.jsonl")
+        new = Side(load(args.new.resolve(), "qempar_new") if args.new else run_bench.qempar,
+                   tmp / "new.jsonl")
+        for i, (config, seed) in enumerate(PINNED):
+            same(f"pinned case {i}", parent.pinned(config, seed), new.pinned(config, seed))
+        workloads = {name: workload_report(w, parent, new, rng)
+                     for name, w in run_bench.WORKLOADS.items()}
+
+    result = json.loads(out.read_text()) if out.exists() else {}
+    if result.get("parent") != rev:
+        result = {"parent": rev, "runs": {}}
+    result["runs"][args.label] = {
+        "python": platform.python_version(), "cpus": os.cpu_count(), "repeats": REPEATS,
+        "identical": {"pinned": len(PINNED),
+                      "cells": sum(r["cells"] for r in workloads.values())},
+        "workloads": workloads}
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps(result["runs"][args.label]))
+
+
+if __name__ == "__main__":
+    main()
