@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         print(traceback.format_exc(), end="", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import UnknownNodeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """A point in the field, meters."""
 
@@ -48,7 +48,7 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """A node and what set-up spent of its energy. Liveness and residual
     energy are derived from spent_energy, so a node is dead exactly when it
@@ -237,15 +237,11 @@ def place_nodes(config, seed: int) -> Topology:
     """
     n = config.node_count
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, config.field_width, size=n - 2) if n > 2 else []
-    ys = rng.uniform(0.0, config.field_height, size=n - 2) if n > 2 else []
-    points = [(config.sink_x, config.sink_y), (config.source_x, config.source_y),
-              *zip(map(float, xs), map(float, ys))]
-    topo = Topology(
-        nodes=[NodeState(Position(x, y), config.initial_energy_j) for x, y in points],
-        radio_range=config.radio_range_m,
-        fallback_enabled=config.extended_range_fallback,
-    )
+    xs = rng.uniform(0.0, config.field_width, size=n - 2).tolist() if n > 2 else []
+    ys = rng.uniform(0.0, config.field_height, size=n - 2).tolist() if n > 2 else []
+    points = [(config.sink_x, config.sink_y), (config.source_x, config.source_y), *zip(xs, ys)]
+    topo = Topology([NodeState(Position(x, y), config.initial_energy_j) for x, y in points],
+                    config.radio_range_m, config.extended_range_fallback)
     if config.extended_range_fallback:
         topo.extended_links = _bridge_components(topo)
     return topo
@@ -257,17 +253,19 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
 
     An isolated node's bridge is therefore exactly its nearest neighbor. All
     bridges exceed the radio range by construction, so transmissions over
-    them pay the long-distance amplifier cost.
+    them pay the long-distance amplifier cost. A connected field takes no
+    distance band; otherwise each band's candidates are the screen's pairs
+    (a, b), a < b, whose component labels differ.
     """
-    table = topo.distances
-    screen = table.screen
     in_range = topo.in_range
     n = len(topo.nodes)
     # Label each component of the in-range graph by its lowest node, which
     # is also its root in the union-find forest below.
     parent = [-1] * n
+    components = 0
     for root in range(n):
         if parent[root] < 0:
+            components += 1
             parent[root] = root
             stack = [root]
             while stack:
@@ -275,6 +273,8 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
                     if parent[b] < 0:
                         parent[b] = root
                         stack.append(b)
+    if components == 1:
+        return {}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -282,12 +282,8 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
             i = parent[i]
         return i
 
-    # The comparison below buffers its broadcast operands 8192 at a time, so
-    # the labels take the narrowest dtype: as int64 that buffer was 0.13 MB,
-    # the largest transient allocation of a 100-node set-up.
-    comp = np.array(parent, dtype=np.min_scalar_type(n))
-    components = sum(i == root for i, root in enumerate(parent))
-    cross = np.triu(comp[:, None] != comp[None, :], 1)
+    table, comp = topo.distances, np.array(parent)
+    screen = table.screen
     top = screen.max(initial=0.0)
     bridges: dict[int, list[int]] = {}
     # Kruskal needs only the pairs up to its last bridge, a small share of
@@ -301,8 +297,9 @@ def _bridge_components(topo: Topology) -> dict[int, tuple[int, ...]]:
     lo = topo.radio_range
     while components > 1 and lo < math.inf:
         hi = 2 * lo if 0 < 2 * lo < top else math.inf
-        a_idx, b_idx = np.nonzero(cross & (screen > lo - _margin(lo))
-                                  & (screen <= hi + _margin(hi)))
+        a_idx, b_idx = np.nonzero((screen > lo - _margin(lo)) & (screen <= hi + _margin(hi)))
+        cross = (a_idx < b_idx) & (comp[a_idx] != comp[b_idx])
+        a_idx, b_idx = a_idx[cross], b_idx[cross]
         exact = np.array(table.exact(a_idx, b_idx))
         keep = np.flatnonzero((exact > lo) & (exact <= hi))
         order = keep[np.argsort(exact[keep], kind="stable")]
@@ -331,12 +328,14 @@ def neighbors(topo: Topology, node_id: int) -> list[int]:
     topo.node(node_id)
     nodes = topo.nodes
     out = [i for i in topo.in_range[node_id] if nodes[i].alive]
+    # in_range[node_id] ascends, so only a bridge joining the list needs a sort.
     for i in topo.extended_links.get(node_id, ()):
         if nodes[i].alive and i not in out:
             out.append(i)
+            out.sort()
     if not out and topo.fallback_enabled:
         for i in topo.distances.by_distance(node_id):
             if nodes[i].alive:
                 return [i]
-    return sorted(out)
+    return out
 

@@ -357,6 +357,15 @@ def test_runtime_failure_prints_the_traceback_and_exits_1(monkeypatch, capsys):
     assert err.rstrip().endswith("error: simulated failure")
 
 
+def test_a_runtime_failure_without_a_message_names_its_type(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("qempar.cli.run", boom)
+    assert main(["run"] + FAST) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: MemoryError"
+
+
 def test_run_command_emits_a_report(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(["run", "--router", "both", "--seed", "2", "--out", str(out)] + FAST)

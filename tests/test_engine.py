@@ -319,6 +319,44 @@ def test_packet_born_at_a_dying_source_is_dropped():
     assert (m.generated, m.delivered, m.expired, m.dropped) == (100, 3, 0, 97)
 
 
+@pytest.mark.parametrize("router", ["qempar", "minhop"])
+def test_a_packet_waiting_at_a_node_that_dies_is_dropped_then(router):
+    """A packet not yet settled that has a fragment waiting at a node (there
+    since its birth or arrival, not yet sent on) when that node dies is
+    dropped at that instant, so it never gets a deadline-expired line. Read
+    from the event log alone: the debits of setup() and of the logged hops,
+    applied in log order, give the line where each node dies."""
+    cfg = ScenarioConfig(duration_s=5.0, rate_pkts_per_s=60.0, initial_energy_j=0.02,
+                         router=router)
+    text = run_and_replay(cfg, 1)[1]
+    state = setup(replace(cfg, seed=1))
+    nodes, ledger = state.topology.nodes, state.ledger
+    source, sink = state.topology.source_id, state.topology.sink_id
+    waiting = {}  # (packet, seq): the node the fragment waits at
+    stranded, expired = set(), set()
+    for line in text.splitlines():
+        e = json.loads(line)
+        kind, pid = e["kind"], e["packet"]
+        if kind == "packet-born":
+            waiting.update({(pid, seq): source
+                            for seq in range(1, cfg.fragments_per_packet + 1)})
+        elif kind == "hop-start":
+            waiting.pop((pid, e["seq"]), None)
+        elif kind == "hop-complete" and e["node"] != sink:
+            waiting[pid, e["seq"]] = e["node"]
+        elif kind == "deadline-expired":
+            expired.add(pid)
+        if kind in ("hop-start", "hop-complete"):
+            node = nodes[e["node"]]
+            was_alive = node.alive
+            ledger.add(node, e["joules"])
+            if was_alive and not node.alive:
+                stranded |= {p for (p, _), at in waiting.items()
+                             if at == e["node"] and p not in expired}
+    assert stranded
+    assert not stranded & expired, sorted(stranded & expired)
+
+
 def _spent_hex(spent: dict) -> dict:
     return {i: j.hex() for i, j in spent.items() if j}
 

@@ -134,6 +134,25 @@ def test_bridges_are_symmetric_and_beyond_range():
             assert b in neighbors(topo, a)
 
 
+def test_a_connected_field_takes_no_band():
+    """Bridging a field that is already connected in range returns no
+    bridge and, with in_range built, allocates less than n*n bytes at its
+    peak: no n x n array of pairs."""
+    cfg = ScenarioConfig(node_count=150, field_width=282.8, field_height=282.8,
+                         source_x=212.1, source_y=212.1, extended_range_fallback=False)
+    topo = place_nodes(cfg, 1)
+    n = len(topo.nodes)
+    assert _component_count(topo) == 1
+    topo.in_range
+    tracemalloc.start()
+    try:
+        assert _bridge_components(topo) == {}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+
+
 def test_isolated_node_falls_back_to_nearest():
     topo = manual_topology([(0, 0), (30, 0), (500, 0)], radio_range=40.0, fallback=True)
     assert neighbors(topo, 2) == [1]  # nearest alive node, 470 m away
