@@ -31,7 +31,10 @@ class ReassemblyBuffer:
     Packet pid, created at created[pid], is delivered when all expected
     fragments have arrived, and settles as expired or dropped when the loop
     says so; once settled it ignores later fragments. status[pid] holds
-    PENDING until the packet settles, then its final status.
+    PENDING until the packet settles, then its final status. delay[pid] is
+    a delivered packet's end-to-end delay, its last fragment's arrival less
+    its creation (0.0 otherwise), and out_of_order[pid] is True once some
+    fragment of it arrived with a lower seq than the one before it.
     """
 
     def __init__(self, created: list[float], expected: int):
@@ -41,8 +44,8 @@ class ReassemblyBuffer:
         self.status = [PENDING] * n
         self._arrived = [0] * n
         self._last_seq = [0] * n
-        self._out_of_order = [False] * n
-        self._delay = [0.0] * n
+        self.out_of_order = [False] * n
+        self.delay = [0.0] * n
 
     def reassemble(self, pid: int, seq: int, now: float) -> int:
         """Record fragment seq of packet pid arriving at now; returns the
@@ -51,13 +54,13 @@ class ReassemblyBuffer:
         if status != PENDING:
             return status
         if seq < self._last_seq[pid]:
-            self._out_of_order[pid] = True
+            self.out_of_order[pid] = True
         self._last_seq[pid] = seq
         self._arrived[pid] += 1
         if self._arrived[pid] < self.expected:
             return PENDING
         self.status[pid] = DELIVERED
-        self._delay[pid] = now - self._created[pid]
+        self.delay[pid] = now - self._created[pid]
         return DELIVERED
 
     def expire(self, pid: int) -> bool:
@@ -72,13 +75,3 @@ class ReassemblyBuffer:
         """Settle a still-pending packet as dropped."""
         if self.status[pid] == PENDING:
             self.status[pid] = DROPPED
-
-    def delay_of(self, pid: int) -> float:
-        """End-to-end delay of a delivered packet (last fragment arrival
-        minus creation)."""
-        return self._delay[pid]
-
-    def out_of_order(self, pid: int) -> bool:
-        """True if some fragment of the packet arrived with a lower seq than
-        the one before it."""
-        return self._out_of_order[pid]

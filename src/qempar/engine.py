@@ -14,8 +14,8 @@ bit for bit from (scenario, seed).
 The event loop holds per-node spent energy, liveness and busy times in flat
 lists, and every hop of a fragment as one precomputed record linked to the
 next: its energies, success probability, delay before contention and the
-sender's carrier-sense mask. Births and deadlines are read in order from
-sorted lists; only hop ends go through a heap, and they run while strictly
+sender's carrier-sense mask. Births are read from sorted times, deadlines
+computed from them; only hop ends go through a heap, and run while strictly
 earlier than the next birth and deadline. One block of the loop starts
 every hop: an event leaves at most one hop pending, and after it a hop
 end's sender serves its queue or a birth offers its next first hop.
@@ -55,7 +55,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 import orjson
 
-from .dispatch import DELIVERED, DROPPED, EXPIRED, PENDING, ReassemblyBuffer, fragment
+from .dispatch import DELIVERED, DROPPED, EXPIRED, ReassemblyBuffer, fragment
 from .errors import ConfigError, NoPathError
 from .link_metrics import NetworkState
 from .routing import beacon_exchange, discover_paths, minhop_paths
@@ -210,12 +210,10 @@ def simulate(state, paths, log=None) -> RunMetrics:
             buffer.drop(pid)
 
     status = buffer.status
-    assert PENDING not in status, "every generated packet must settle"
     delivered = status.count(DELIVERED)
-    delays = [buffer.delay_of(pid) for pid in range(n_packets) if status[pid] == DELIVERED]
+    delays = [d for s, d in zip(status, buffer.delay) if s == DELIVERED]
     mean_delay = sum(delays) / delivered if delivered else None
-    out_of_order = (sum(1 for pid in range(n_packets)
-                        if status[pid] == DELIVERED and buffer.out_of_order(pid))
+    out_of_order = (sum(s == DELIVERED and late for s, late in zip(status, buffer.out_of_order))
                     / delivered if delivered else 0.0)
 
     # fsum is correctly rounded, so the order of its inputs cannot matter.
@@ -334,11 +332,10 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     # pid's birth has ordinal 2*pid and its deadline 2*pid + 1, so that at the
     # exact deadline instant expiry wins and a fragment landing then is late;
     # hop ends count on from 2*len(times). This order is the one deadline
-    # rule: the buffer records whichever of the two runs first. Births and
-    # deadlines are already sorted, so they are read from their lists and
-    # only hop ends use a heap.
+    # rule: the buffer records whichever of the two runs first. Births are
+    # read in order from times and deadlines computed as times[pid] +
+    # deadline_s when their turn comes, so only hop ends use a heap.
     n_packets = len(times)
-    deadlines = [t + deadline_s for t in times]
     heap: list[tuple] = []
     ordinal = 2 * n_packets
     heappush = heapq.heappush
@@ -359,7 +356,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
 
     born = expired = 0  # packets whose birth, or deadline, has run
     next_birth = times[0] if times else math.inf
-    next_deadline = deadlines[0] if times else math.inf
+    next_deadline = times[0] + deadline_s if times else math.inf
     horizon = next_birth if next_birth < next_deadline else next_deadline
     while True:
         # Each event leaves at most one hop pending, (pid, hop, attempt)
@@ -414,7 +411,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     hop = None
         elif next_birth < next_deadline or (next_birth == next_deadline and born <= expired):
             if born == n_packets:
-                break
+                break  # past every deadline: each packet has settled
             t = next_birth
             pid = born
             born += 1
@@ -429,7 +426,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             t = next_deadline
             pid = expired
             expired += 1
-            next_deadline = deadlines[expired] if expired < n_packets else math.inf
+            next_deadline = times[expired] + deadline_s if expired < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if buffer.expire(pid) and log is not None:
                 write(expired_event.to_json(_time_text(t), pid))
@@ -471,13 +468,12 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                         if s >= initial[u]:
                             alive[u] = False
                             drain_dead(u)
-                    # The success draw always happens, keeping the stream
-                    # aligned across alternate outcomes; a dead receiver
-                    # forces failure.
+                    # One success draw per start, whatever follows; the hop
+                    # end alone judges the receiver, failing the hop if it
+                    # is dead by then.
                     busy[u] = end
                     active |= hop[10]
-                    heappush(heap, (end, ordinal, pid, hop, attempt,
-                                    link_random() < hop[4] and alive[hop[1]]))
+                    heappush(heap, (end, ordinal, pid, hop, attempt, link_random() < hop[4]))
                     ordinal += 1
                     if log is not None:
                         # t_text: _time_text(t), formatted by the hop end or birth

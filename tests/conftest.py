@@ -93,6 +93,7 @@ def replay_run(config, seed, log_text):
         else:
             expired.add(e["packet"])
         if kind in ("hop-start", "hop-complete"):
+            assert nodes[e["node"]].alive, ("a dead node sends or receives", line_no)
             ledger.add(nodes[e["node"]], e["joules"])
     assert not in_flight, "a hop never ended"
     cs_range = config.carrier_sense_factor * state.topology.radio_range

@@ -248,5 +248,5 @@ def test_fragment_sizes_and_reassembly_delays_match_oracles():
         complete = m == k and on_time == m
         assert (buffer.status[0] == DELIVERED) == complete
         if complete:
-            assert buffer.delay_of(0) == max(times) - born
-            assert buffer.out_of_order(0) == any(a > b for a, b in zip(seqs, seqs[1:]))
+            assert buffer.delay[0] == max(times) - born
+            assert buffer.out_of_order[0] == any(a > b for a, b in zip(seqs, seqs[1:]))

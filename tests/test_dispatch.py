@@ -26,15 +26,15 @@ def test_reassembly_completes_with_last_fragment():
     assert buf.reassemble(7, 2, 1.5) == DELIVERED
     assert buf.status[7] == DELIVERED
     assert buf.status[:7] == [PENDING] * 7
-    assert buf.delay_of(7) == pytest.approx(0.5)
-    assert buf.out_of_order(7)  # 1, 3, 2
+    assert buf.delay[7] == pytest.approx(0.5)
+    assert buf.out_of_order[7]  # 1, 3, 2
 
 
 def test_in_order_arrivals_are_not_flagged():
     buf = ReassemblyBuffer([0.0, 0.0], expected=2)
     buf.reassemble(1, 1, 0.1)
     buf.reassemble(1, 2, 0.2)
-    assert not buf.out_of_order(1)
+    assert not buf.out_of_order[1]
 
 
 def test_late_fragments_and_settled_packets_are_ignored():

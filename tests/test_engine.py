@@ -292,6 +292,23 @@ def test_a_fragment_landing_at_the_deadline_instant_is_late():
         assert (m.generated, m.delivered, m.expired) == want, deadline
 
 
+@pytest.mark.parametrize("router", ["qempar", "minhop"])
+def test_a_deadline_runs_before_a_birth_at_the_same_instant(router):
+    """A birth and a deadline at one instant run in ordinal order: packet
+    p's deadline (2p + 1) before packet p + 2's birth (2p + 4). Every hop
+    takes 11 s or more at 100 bit/s, so each packet expires 2 s after its
+    birth, and the deadlines at 2, 3 and 4 s tie with births."""
+    cfg = ScenarioConfig(rate_pkts_per_s=1.0, duration_s=5.0, reassembly_deadline_s=2.0,
+                         bit_rate_bps=100.0, router=router)
+    m, text, _ = run_and_replay(cfg, 1)
+    assert m.expired == m.generated == 5
+    order = [(e["t"], e["kind"], e["packet"]) for e in map(json.loads, text.splitlines())
+             if e["kind"] in ("packet-born", "deadline-expired")]
+    for p in range(3):
+        t = float(p + 2)
+        assert order.index((t, "deadline-expired", p)) < order.index((t, "packet-born", p + 2))
+
+
 def test_unroutable_scenario_reports_failure():
     # Two isolated nodes: no neighbors, so nothing is ever transmitted.
     cfg = ScenarioConfig(node_count=2, extended_range_fallback=False, duration_s=1.0)

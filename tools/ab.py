@@ -16,10 +16,13 @@ workload writes each event log to a file, as the bench does.
 
 For each workload and phase the report gives the median over cells of the
 new/parent time ratio, a seeded bootstrap 95% interval of that median, and
-the cells the new side won. Every cell, and each of the five pinned cases of
-tests/test_byte_identity.py, must give both sides equal paths, equal
-RunMetrics.to_dict() and equal event-log bytes; the first that differs stops
-the run. The report goes under "runs", keyed by --label, into
+the cells the new side won. Every cell must give both sides equal paths,
+equal RunMetrics.to_dict() and equal event-log bytes, and so must, untimed,
+each of the five pinned cases of tests/test_byte_identity.py, DRAWN configs
+drawn like tests/conftest.py::valid_configs() (hypothesis, derandomized, so
+the same ones on every run) and the DYING cells, where nodes die under
+load. The first case that differs stops the run, named with its first
+differing log line. The report goes under "runs", keyed by --label, into
 BENCH_<short parent rev>.json at the repository root, so that runs of
 several new sides against one parent share a file: the parent's own
 src/qempar as the new side (--new) is the self-test.
@@ -54,6 +57,7 @@ import test_byte_identity as pinned  # noqa: E402
 
 PINNED = [(pinned.DENSE_QEMPAR, 7), (pinned.DEFAULT_MINHOP, 1), (pinned.DENSE_LITERAL, 7),
           (pinned.DEFAULT_TIES, 16), (pinned.EXPIRING, 16)]
+DRAWN = 200
 PHASES = ("setup", "discover", "simulate")
 REPEATS = 3
 BOOTSTRAP = 2000
@@ -97,8 +101,8 @@ class Side:
         """config as this side's ScenarioConfig."""
         return self.package.ScenarioConfig(**dataclasses.asdict(config))
 
-    def cell(self, config, seed: int, logged: bool) -> tuple[dict, str]:
-        """({phase: CPU seconds}, fingerprint of paths, metrics and log)."""
+    def cell(self, config, seed: int, logged: bool) -> tuple[dict, tuple[str, bytes]]:
+        """({phase: CPU seconds}, (fingerprint of paths, metrics and log, log))."""
         engine = self.package.engine
         config = dataclasses.replace(self.config(config), seed=seed)
         config.validate()
@@ -114,13 +118,14 @@ class Side:
             t3 = process_time()
         text = self.log_path.read_bytes() if logged else b""
         return ({"setup": t1 - t0, "discover": t2 - t1, "simulate": t3 - t2},
-                fingerprint(paths, metrics, text))
+                (fingerprint(paths, metrics, text), text))
 
-    def pinned(self, config, seed: int) -> str:
-        """Fingerprint of run(config, seed) with its event log."""
+    def pinned(self, config, seed: int) -> tuple[str, bytes]:
+        """(fingerprint of run(config, seed) with its event log, log)."""
         log = io.StringIO()
         metrics = self.package.run(self.config(config), seed, event_log=log)
-        return fingerprint(None, metrics, log.getvalue().encode())
+        text = log.getvalue().encode()
+        return fingerprint(None, metrics, text), text
 
 
 def fingerprint(paths, metrics, log: bytes) -> str:
@@ -129,9 +134,51 @@ def fingerprint(paths, metrics, log: bytes) -> str:
                        "log": hashlib.sha256(log).hexdigest()}, sort_keys=True)
 
 
-def same(what: str, parent: str, new: str) -> None:
-    if parent != new:
-        raise SystemExit(f"ab: {what} differs\n  parent: {parent}\n  new:    {new}")
+def same(what: str, parent: tuple[str, bytes], new: tuple[str, bytes]) -> None:
+    """Stop the run if the sides' (fingerprint, log) differ, naming what and
+    the first log line that differs."""
+    if parent[0] == new[0]:
+        return
+    lines = [side[1].splitlines() for side in (parent, new)]
+    i = next((i for i, (a, b) in enumerate(zip(*lines)) if a != b), min(map(len, lines)))
+    first = [side[i].decode() if i < len(side) else "(none)" for side in lines]
+    raise SystemExit(f"ab: {what} differs\n  parent: {parent[0]}\n  new:    {new[0]}\n"
+                     f"  first differing log line, {i + 1}:\n"
+                     f"    parent: {first[0]}\n    new:    {first[1]}")
+
+
+def drawn_configs(count: int) -> list[tuple]:
+    """count (config, seed) pairs drawn as the property tests draw them, the
+    same on every run."""
+    from conftest import valid_configs
+    from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+
+    found = []
+
+    @settings(max_examples=count, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(valid_configs(), st.integers(0, 2**16))
+    def collect(config, seed):
+        found.append((config, seed))
+
+    collect()
+    return found[:count]
+
+
+# Cells where nodes die under load: the default field for 5 s.
+DYING = [(run_bench.ScenarioConfig(rate_pkts_per_s=rate, initial_energy_j=energy,
+                                   router=router, duration_s=5.0), seed)
+         for rate in (30.0, 60.0) for energy in (0.02, 0.05, 0.1, 0.2)
+         for router in run_bench.ROUTERS for seed in range(1, 9)]
+
+
+def same_cells(what: str, cases: list[tuple], parent: Side, new: Side) -> int:
+    """Run every (config, seed) of cases logged on both sides, untimed;
+    returns how many were identical (all of them)."""
+    for i, (config, seed) in enumerate(cases):
+        same(f"{what} {i}, seed {seed}: {config}",
+             parent.cell(config, seed, True)[1], new.cell(config, seed, True)[1])
+    return len(cases)
 
 
 def interval(ratios: list[float], rng: random.Random) -> tuple[float, float]:
@@ -180,6 +227,9 @@ def main(argv=None) -> None:
                    tmp / "new.jsonl")
         for i, (config, seed) in enumerate(PINNED):
             same(f"pinned case {i}", parent.pinned(config, seed), new.pinned(config, seed))
+        identical = {"pinned": len(PINNED),
+                     "drawn": same_cells("drawn config", drawn_configs(DRAWN), parent, new),
+                     "dying": same_cells("dying cell", DYING, parent, new)}
         workloads = {name: workload_report(w, parent, new, rng)
                      for name, w in run_bench.WORKLOADS.items()}
 
@@ -188,8 +238,7 @@ def main(argv=None) -> None:
         result = {"parent": rev, "runs": {}}
     result["runs"][args.label] = {
         "python": platform.python_version(), "cpus": os.cpu_count(), "repeats": REPEATS,
-        "identical": {"pinned": len(PINNED),
-                      "cells": sum(r["cells"] for r in workloads.values())},
+        "identical": {**identical, "cells": sum(r["cells"] for r in workloads.values())},
         "workloads": workloads}
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result["runs"][args.label]))
