@@ -38,8 +38,9 @@ repr, and a "\n" line end on every platform. The line is byte for byte what
 json.dumps(record, separators=(",", ":")) writes. An Event is the template
 of one line, the text of its six fixed fields built once per run, and each
 hop record carries its Events; each event of the loop formats its time once,
-with _time_text, and passes that text and its packet to the lines it writes.
-Without a log, the loop builds no Event.
+with _time_text, and passes that text and its packet's id text, made once per
+run for every packet, to the lines it writes. Without a log, the loop builds
+no Event. run() writes a log given as a path in 256 KiB blocks.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ class Event:
         self._tail = (f',"seq":{_text(self.seq)},"bits":{_text(self.bits)},'
                       f'"joules":{_text(self.joules)}}}\n')
 
-    def to_json(self, t_text: str, packet: int) -> str:
-        """This event's line for packet at the time whose repr() is t_text
-        (as _time_text writes it), "\n" included: what
+    def to_json(self, t_text: str, packet: int | str) -> str:
+        """This event's line for packet (an id, or its str(), which writes
+        the same) at the time whose repr() is t_text (as _time_text writes
+        it), "\n" included: what
         json.dumps(record, separators=(",", ":")) writes for finite numbers,
         as str() of an int or float is the repr the JSON encoder writes, and
         None becomes null."""
@@ -168,7 +170,7 @@ def run(config, seed: int | None = None, event_log=None) -> RunMetrics:
         config = replace(config, seed=seed)
     config.validate()
     with (nullcontext(event_log) if event_log is None or hasattr(event_log, "write")
-          else open(event_log, "w", encoding="utf-8", newline="\n")) as log:
+          else open(event_log, "w", buffering=1 << 18, encoding="utf-8", newline="\n")) as log:
         state = setup(config)
         return simulate(state, discover(state), log)
 
@@ -343,6 +345,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
 
     if log is not None:
         write = log.write
+        ptext = list(map(str, range(n_packets)))  # each packet's id as text
         born_event = Event("packet-born", topo.source_id, bits=packet_bits)
         expired_event = Event("deadline-expired", topo.sink_id)
 
@@ -388,10 +391,10 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                         drain_dead(v)
                 if log is not None:
                     t_text = _time_text(t)
-                    write(events[1].to_json(t_text, pid))
+                    write(events[1].to_json(t_text, ptext[pid]))
                 if next_hop is None:
                     if log is not None:
-                        write(events[3].to_json(t_text, pid))
+                        write(events[3].to_json(t_text, ptext[pid]))
                     reassemble(pid, seq, t)
                     hop = None
                 else:
@@ -401,7 +404,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             else:
                 if log is not None:
                     t_text = _time_text(t)
-                    write(events[2].to_json(t_text, pid))
+                    write(events[2].to_json(t_text, ptext[pid]))
                 if attempt <= retry_limit:
                     # A retry starts at once, even at a busy sender.
                     attempt += 1
@@ -419,7 +422,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if log is not None:
                 t_text = _time_text(t)
-                write(born_event.to_json(t_text, pid))
+                write(born_event.to_json(t_text, ptext[pid]))
             hop = None
             nxt = -len(first_hops)
         else:
@@ -429,7 +432,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
             next_deadline = times[expired] + deadline_s if expired < n_packets else math.inf
             horizon = next_birth if next_birth < next_deadline else next_deadline
             if buffer.expire(pid) and log is not None:
-                write(expired_event.to_json(_time_text(t), pid))
+                write(expired_event.to_json(_time_text(t), ptext[pid]))
             continue
 
         while True:
@@ -478,7 +481,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     if log is not None:
                         # t_text: _time_text(t), formatted by the hop end or birth
                         # that led here, whose own line has been written.
-                        write(hop[8][0].to_json(t_text, pid))
+                        write(hop[8][0].to_json(t_text, ptext[pid]))
             if nxt < 0:
                 hop = first_hops[nxt]
                 attempt = 1

@@ -213,6 +213,15 @@ def test_event_template_json_matches_compact_json_dumps_at_every_stamp(fields, s
         assert event.to_json(repr(t), packet) == _compact_json(t, packet, fields)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=50, deadline=None)
+@given(FIELDS, TIMES, PACKETS)
+def test_a_packet_id_and_its_text_write_the_same_line(kind, fields, t, packet):
+    """The loop passes each packet's id as text, made once per run."""
+    event = Event(**{**fields, "kind": kind})
+    assert event.to_json(repr(t), str(packet)) == event.to_json(repr(t), packet)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
                  st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)))
@@ -515,6 +524,17 @@ def test_event_log_writes_to_a_file(tmp_path):
     # ends included, whatever the platform's default.
     buf = io.StringIO()
     run(_small(duration_s=0.5), seed=1, event_log=buf)
+    assert path.read_bytes() == buf.getvalue().encode()
+
+
+def test_a_file_log_across_many_write_blocks_holds_the_bytes_of_a_memory_log(tmp_path):
+    """run() writes a path log in 256 KiB blocks; this log spans several."""
+    cfg = replace(DENSE, duration_s=10.0, rate_pkts_per_s=30.0)
+    path = tmp_path / "events.jsonl"
+    run(cfg, seed=1, event_log=str(path))
+    buf = io.StringIO()
+    run(cfg, seed=1, event_log=buf)
+    assert path.stat().st_size > 4 * 2**18
     assert path.read_bytes() == buf.getvalue().encode()
 
 

@@ -1,23 +1,38 @@
 """Paired A/B timing and behaviour identity of the working tree against a
-parent revision, in one process.
+parent revision.
 
 Run from the repository root:
 
     python3 tools/ab.py PARENT_REV [--new DIR] [--label NAME]
 
 The parent's src/qempar is taken with `git archive` into a temporary
-directory and imported as the package qempar_parent; the new side is the
-working tree's src/qempar, or the package directory DIR imported as
+directory and imported as the package qempar_parent; the new side, the
+working tree's src/qempar or the package directory DIR, is imported as
 qempar_new. Both sides run the --seed 1 cells of the two bench workloads of
 perfbench/run_bench.py, alternating cell by cell, and each cell's setup(),
 discover() and simulate() are timed on their own in CPU seconds
-(time.process_time), the least of REPEATS runs per side. A logged
-workload writes each event log to a file, as the bench does.
+(time.process_time), the least of REPEATS runs per side, and so is the
+cell's whole run(), the call the bench's run_s times. A logged workload
+writes each event log to a file: simulate() to one this tool opens, run()
+to a path it is given, as the bench does, so that run()'s own way of
+writing a log is timed too.
 
-For each workload and phase the report gives the median over cells of the
-new/parent time ratio, a seeded bootstrap 95% interval of that median, and
-the cells the new side won. Every cell must give both sides equal paths,
-equal RunMetrics.to_dict() and equal event-log bytes, and so must, untimed,
+The timing is repeated in RUNS separate processes, one after another, so
+that a drift that one whole process shares (its memory layout, a slow
+stretch of the host) shows as a difference between runs. Which side is
+imported first alternates by run, so that what the import order does to
+identical code (where its objects lie in memory) differs between runs
+rather than biasing all of them: with the parent always imported first,
+the parent against itself read one phase below 1.0 in all three runs.
+
+For each workload and phase the report gives the median new/parent time
+ratio over the cells of every run, a seeded two-stage bootstrap 95%
+interval of that median (runs resampled, then cells within each run:
+Davison & Hinkley, Bootstrap Methods and their Application, 1997, section
+3.8), each run's own median and their spread (largest less smallest), and
+how many of the cell pairs the new side won. Every cell must give both
+sides equal paths, equal RunMetrics.to_dict() and equal event-log bytes,
+and its whole run() the metrics and log of its phases; and so must, untimed,
 each of the five pinned cases of tests/test_byte_identity.py, DRAWN configs
 drawn like tests/conftest.py::valid_configs() (hypothesis, derandomized, so
 the same ones on every run) and the DYING cells, where nodes die under
@@ -37,6 +52,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import platform
 import random
@@ -58,8 +74,9 @@ import test_byte_identity as pinned  # noqa: E402
 PINNED = [(pinned.DENSE_QEMPAR, 7), (pinned.DEFAULT_MINHOP, 1), (pinned.DENSE_LITERAL, 7),
           (pinned.DEFAULT_TIES, 16), (pinned.EXPIRING, 16)]
 DRAWN = 200
-PHASES = ("setup", "discover", "simulate")
+PHASES = ("setup", "discover", "simulate", "run")
 REPEATS = 3
+RUNS = 3
 BOOTSTRAP = 2000
 
 
@@ -102,7 +119,8 @@ class Side:
         return self.package.ScenarioConfig(**dataclasses.asdict(config))
 
     def cell(self, config, seed: int, logged: bool) -> tuple[dict, tuple[str, bytes]]:
-        """({phase: CPU seconds}, (fingerprint of paths, metrics and log, log))."""
+        """({phase: CPU seconds}, (fingerprint of paths, metrics and log, log)).
+        The cell's whole run() must give the metrics and log of its phases."""
         engine = self.package.engine
         config = dataclasses.replace(self.config(config), seed=seed)
         config.validate()
@@ -117,7 +135,14 @@ class Side:
             metrics = engine.simulate(state, paths, log)
             t3 = process_time()
         text = self.log_path.read_bytes() if logged else b""
-        return ({"setup": t1 - t0, "discover": t2 - t1, "simulate": t3 - t2},
+        gc.collect()
+        t4 = process_time()
+        whole = engine.run(config, seed, event_log=str(self.log_path) if logged else None)
+        t5 = process_time()
+        if (whole.to_dict(), self.log_path.read_bytes() if logged else b"") != (
+                metrics.to_dict(), text):
+            raise SystemExit(f"ab: run() and its phases differ on seed {seed}: {config}")
+        return ({"setup": t1 - t0, "discover": t2 - t1, "simulate": t3 - t2, "run": t5 - t4},
                 (fingerprint(paths, metrics, text), text))
 
     def pinned(self, config, seed: int) -> tuple[str, bytes]:
@@ -181,31 +206,66 @@ def same_cells(what: str, cases: list[tuple], parent: Side, new: Side) -> int:
     return len(cases)
 
 
-def interval(ratios: list[float], rng: random.Random) -> tuple[float, float]:
-    """Bootstrap 95% interval of the median of ratios."""
-    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                     for _ in range(BOOTSTRAP))
+def interval(runs: list[list[float]], rng: random.Random) -> tuple[float, float]:
+    """Two-stage bootstrap 95% interval of the median of the ratios of every
+    run: each resample draws len(runs) runs with replacement, then the cells
+    of each drawn run with replacement."""
+    medians = []
+    for _ in range(BOOTSTRAP):
+        sample = []
+        for ratios in rng.choices(runs, k=len(runs)):
+            sample += rng.choices(ratios, k=len(ratios))
+        medians.append(statistics.median(sample))
+    medians.sort()
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
-def workload_report(w, parent: Side, new: Side, rng: random.Random) -> dict:
+def workload_ratios(w, parent: Side, new: Side, k: int) -> dict:
+    """{phase: [new/parent time ratio of each cell]} of workload w in run k,
+    the side that goes first alternating by cell, repeat and run."""
     cells = run_bench.grid(w, run_bench.sim_seeds(run_bench.DEFAULT_SEED, w.n_seeds))
     ratios = {phase: [] for phase in PHASES}
     for i, (key, config, seed) in enumerate(cells):
         best = {side: dict.fromkeys(PHASES, float("inf")) for side in (parent, new)}
         prints = {}
         for r in range(REPEATS):
-            for side in ((parent, new) if (i + r) % 2 == 0 else (new, parent)):
+            for side in ((parent, new) if (i + r + k) % 2 == 0 else (new, parent)):
                 times, prints[side] = side.cell(config, seed, w.logged)
                 best[side] = {p: min(best[side][p], times[p]) for p in PHASES}
         same(f"{w.name} cell {key}", prints[parent], prints[new])
         for phase in PHASES:
             ratios[phase].append(best[new][phase] / best[parent][phase])
-    report = {"cells": len(ratios["setup"])}
-    for phase, values in ratios.items():
-        low, high = interval(values, rng)
-        report[phase] = {"median": statistics.median(values), "low": low, "high": high,
-                         "new_faster": sum(v < 1.0 for v in values)}
+    return ratios
+
+
+def sides(parent_dir: Path, new_dir: Path, tmp: Path, k: int) -> tuple[Side, Side]:
+    """The parent's package from parent_dir and the new side's from new_dir,
+    imported into this process for run k: the parent first if k is even."""
+    dirs = {"parent": parent_dir, "new": new_dir}
+    order = ("parent", "new") if k % 2 == 0 else ("new", "parent")
+    packages = {name: load(dirs[name], f"qempar_{name}") for name in order}
+    return (Side(packages["parent"], tmp / "parent.jsonl"),
+            Side(packages["new"], tmp / "new.jsonl"))
+
+
+def timing_run(task) -> dict:
+    """Run k of the timing, in a process of its own: {workload: ratios}."""
+    parent_dir, new_dir, tmp, k = task
+    parent, new = sides(parent_dir, new_dir, tmp, k)
+    return {name: workload_ratios(w, parent, new, k) for name, w in run_bench.WORKLOADS.items()}
+
+
+def workload_report(runs: list[dict], rng: random.Random) -> dict:
+    """The report of one workload from its {phase: ratios} of every run."""
+    report = {"cells": len(runs[0]["setup"])}
+    for phase in PHASES:
+        per_run = [ratios[phase] for ratios in runs]
+        pooled = [v for ratios in per_run for v in ratios]
+        run_medians = [statistics.median(ratios) for ratios in per_run]
+        low, high = interval(per_run, rng)
+        report[phase] = {"median": statistics.median(pooled), "low": low, "high": high,
+                         "runs": run_medians, "spread": max(run_medians) - min(run_medians),
+                         "new_faster": sum(v < 1.0 for v in pooled), "pairs": len(pooled)}
     return report
 
 
@@ -222,22 +282,27 @@ def main(argv=None) -> None:
 
     with tempfile.TemporaryDirectory(prefix="qempar-ab-") as tmp:
         tmp = Path(tmp)
-        parent = Side(load(extract(rev, tmp / "parent"), "qempar_parent"), tmp / "parent.jsonl")
-        new = Side(load(args.new.resolve(), "qempar_new") if args.new else run_bench.qempar,
-                   tmp / "new.jsonl")
+        parent_dir = extract(rev, tmp / "parent")
+        new_dir = (args.new or ROOT / "src" / "qempar").resolve()
+        parent, new = sides(parent_dir, new_dir, tmp, 0)
         for i, (config, seed) in enumerate(PINNED):
             same(f"pinned case {i}", parent.pinned(config, seed), new.pinned(config, seed))
         identical = {"pinned": len(PINNED),
                      "drawn": same_cells("drawn config", drawn_configs(DRAWN), parent, new),
                      "dying": same_cells("dying cell", DYING, parent, new)}
-        workloads = {name: workload_report(w, parent, new, rng)
-                     for name, w in run_bench.WORKLOADS.items()}
+        # One run at a time, each in a fresh process (spawn, one task per worker).
+        with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+            runs = pool.map(timing_run, [(parent_dir, new_dir, tmp, k) for k in range(RUNS)],
+                            chunksize=1)
+    workloads = {name: workload_report([run[name] for run in runs], rng)
+                 for name in run_bench.WORKLOADS}
 
     result = json.loads(out.read_text()) if out.exists() else {}
     if result.get("parent") != rev:
         result = {"parent": rev, "runs": {}}
     result["runs"][args.label] = {
         "python": platform.python_version(), "cpus": os.cpu_count(), "repeats": REPEATS,
+        "runs": RUNS,
         "identical": {**identical, "cells": sum(r["cells"] for r in workloads.values())},
         "workloads": workloads}
     out.write_text(json.dumps(result, indent=2) + "\n")
