@@ -14,15 +14,13 @@ bit for bit from (scenario, seed).
 The event loop holds per-node spent energy, liveness and busy times in flat
 lists, and every hop of a fragment as one precomputed record linked to the
 next: its energies, success probability, delay before contention and the
-sender's carrier-sense mask. Births are read from sorted times, deadlines
-computed from them; only hop ends go through a heap, and run while strictly
-earlier than the next birth and deadline. One block of the loop starts
-every hop: an event leaves at most one hop pending, and after it a hop
-end's sender serves its queue or a birth offers its next first hop.
-Carrier sense is a bitmask: each path sender has one bit, the transmitting
-senders are the set bits of one int, which the loop keeps exact at every
-instant, and a hop record holds its sender's carrier-sense set as a mask
-of those bits, so the count is the popcount of the two ints' AND. Each
+path senders within its sender's carrier-sense range. Births are read from
+sorted times, deadlines computed from them; only hop ends go through a
+heap, and run while strictly earlier than the next birth and deadline. One
+block of the loop starts every hop: an event leaves at most one hop
+pending, and after it a hop end's sender serves its queue or a birth offers
+its next first hop. Carrier sense counts the senders w in the record with
+busy[w] > t, so a hop that ends at the start instant t is not sending. Each
 debit adds to its node's spent energy in the flat list, as EnergyLedger.add
 does, and one that asks for more than the node had left is counted. A node
 whose spent energy is below its guard, its initial energy less four times
@@ -263,20 +261,17 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     access_delay = config.access_delay_s
     contention_delay = config.contention_delay_s
 
-    # Only the senders of path hops ever transmit, so each gets one bit,
-    # bit_of[u], in order of first appearance, and the ints stay as short as
-    # the paths whatever the field's size. near_of[u], u's carrier-sense
-    # mask, has the bits of the senders in state.carrier_sense_set(u).
-    bit_of = {u: 1 << i for i, u in enumerate(dict.fromkeys(
-        u for p in paths for u in p.node_ids[:-1]))}
-    near_of = {u: sum(bit_of.get(w, 0) for w in state.carrier_sense_set(u)) for u in bit_of}
+    # Only the senders of path hops ever transmit, so near_of[u] holds, in
+    # ascending order, the path senders in state.carrier_sense_set(u).
+    senders = {u for p in paths for u in p.node_ids[:-1]}
+    near_of = {u: tuple(sorted(state.carrier_sense_set(u) & senders)) for u in senders}
 
     # Hop records: every packet splits the same way, so energies, success
-    # probabilities, the sender's carrier-sense mask, the delay before
-    # contention and the log Events are built once per (seq, hop). A record
-    # is (u, v, tx_j, rx_j, p_ok, near_of[u], t_tx + access_delay, seq,
-    # events, next_hop, bit_of[u], ~bit_of[u]): next_hop is None on the hop
-    # into the sink; events is None without a log, else its hop-start,
+    # probabilities, the path senders within the sender's carrier-sense
+    # range, the delay before contention and the log Events are built once
+    # per (seq, hop). A record is (u, v, tx_j, rx_j, p_ok, near_of[u],
+    # t_tx + access_delay, seq, events, next_hop): next_hop is None on the
+    # hop into the sink; events is None without a log, else its hop-start,
     # hop-complete, hop-failed and (into the sink, else None)
     # fragment-delivered Events.
     packet_bits = config.packet_bits
@@ -299,7 +294,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                 Event("hop-failed", u, v, seq, wire),
                 None if hop else Event("fragment-delivered", v, None, seq, frag_bits))
             hop = (u, v, tx_j, rx_j, link_success_probability(config, d, topo.radio_range),
-                   near_of[u], t_tx + access_delay, seq, events, hop, bit_of[u], ~bit_of[u])
+                   near_of[u], t_tx + access_delay, seq, events, hop)
         first_hops.append(hop)
 
     initial = [n.initial_energy for n in nodes]
@@ -317,13 +312,6 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
     queues: list[deque | None] = [None] * (n_nodes + 1)
     # Debits beyond what their node had left, as EnergyLedger.add counts them.
     clamped = 0
-    # Carrier sense counts the bits of active within the sender's mask, and
-    # the loop keeps bit w of active set exactly while node w's latest hop
-    # ends after the current time: a node's bit is set when it starts a hop
-    # and cleared when a hop end of its runs with no later hop started. Hop
-    # ends due at the current time that have not run yet are cleared by a
-    # scan of the heap before the carrier is sensed.
-    active = 0
     reassemble = buffer.reassemble
     drop = buffer.drop
     link_random = random.Random(config.seed ^ 0x9E3779B9).random
@@ -374,9 +362,7 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
         # ends run first only while strictly earlier than both (horizon).
         if heap and heap[0][0] < horizon:
             t, _, pid, hop, attempt, ok = heappop(heap)
-            u, v, _tx_j, rx_j, _p, _near, _base, seq, events, next_hop, _set, clear = hop
-            if busy[u] <= t:
-                active &= clear
+            u, v, _tx_j, rx_j, _p, _near, _base, seq, events, next_hop = hop
             nxt = u
             if ok and alive[v]:
                 s = spent[v]
@@ -449,16 +435,12 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     q.append((pid, hop))
                 else:
                     # The start rule: sense the carrier, debit the sender and
-                    # draw the outcome. The heap scan clears the bits of
-                    # nodes whose hop ends now, before its end event runs,
-                    # unless they have started a later hop.
-                    if heap and heap[0][0] == t:
-                        for entry in heap:
-                            if entry[0] == t:
-                                ending = entry[3]
-                                if busy[ending[0]] <= t:
-                                    active &= ending[11]
-                    n = (active & hop[5]).bit_count()
+                    # draw the outcome. A path sender is sending while its
+                    # latest hop ends after t.
+                    n = 0
+                    for w in hop[5]:
+                        if busy[w] > t:
+                            n += 1
                     end = t + (hop[6] + contention_delay * n if n else hop[6])
                     s = spent[u]
                     if s < guard[u]:
@@ -475,7 +457,6 @@ def _traffic(state, paths, times, buffer, log) -> tuple[list[float], int]:
                     # end alone judges the receiver, failing the hop if it
                     # is dead by then.
                     busy[u] = end
-                    active |= hop[10]
                     heappush(heap, (end, ordinal, pid, hop, attempt, link_random() < hop[4]))
                     ordinal += 1
                     if log is not None:

@@ -174,11 +174,6 @@ class DistanceTable:
         ends = np.bincount(rows, minlength=len(self.screen)).cumsum().tolist()
         return [cols[start:end] for start, end in zip([0, *ends], ends)]
 
-    def by_distance(self, node_id: int) -> list[int]:
-        """Ids of the other nodes by ascending (distance, id)."""
-        return [j for j in np.argsort(self.row(node_id), kind="stable").tolist()
-                if j != node_id]
-
     def farthest(self, node_ids: list[int], others: list[list[int]]) -> list[float]:
         """For each node_ids[k], the largest distance to any of others[k]
         (not empty). By the bound, the entry of the link whose exact
@@ -334,8 +329,9 @@ def neighbors(topo: Topology, node_id: int) -> list[int]:
             out.append(i)
             out.sort()
     if not out and topo.fallback_enabled:
-        for i in topo.distances.by_distance(node_id):
-            if nodes[i].alive:
-                return [i]
+        row = topo.distances.row(node_id)
+        nearest = min(((row[i], i) for i, n in enumerate(nodes) if n.alive and i != node_id),
+                      default=None)
+        return [] if nearest is None else [nearest[1]]
     return out
 

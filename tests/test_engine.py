@@ -634,8 +634,7 @@ def test_every_valid_config_runs_to_balanced_metrics(cfg, seed):
 def wide_configs(draw):
     """Fields of 60-300 nodes at the default density (the side scaled by
     sqrt(n / 100)), the source at the far corner from the sink, so that
-    paths have tens of senders and the event loop's carrier-sense masks,
-    one bit per path sender, run past one 30-bit int digit: both routers,
+    paths have tens of senders, each hop sensing many of them: both routers,
     carrier_sense_factor in [0, 3], fallback on and off, short horizons."""
     n = draw(st.integers(60, 300))
     side = 400.0 * math.sqrt(n / 100)
@@ -654,7 +653,7 @@ def wide_configs(draw):
                         field_height=400.0 * math.sqrt(3), source_x=300.0 * math.sqrt(3),
                         source_y=300.0 * math.sqrt(3), carrier_sense_factor=3.0,
                         duration_s=0.2, rate_pkts_per_s=200.0), 1)
-def test_wide_fields_sense_the_carrier_across_int_digits(cfg, seed):
+def test_paths_with_tens_of_senders_replay_their_carrier_sense(cfg, seed):
     """On fields whose paths have more than 30 senders, replay_run
     recounts every hop's carrier sense from the log and rebuilds run()'s
     metrics. The example's one path has 36 hops, and 5360 of its 6036 hop
